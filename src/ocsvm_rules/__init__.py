@@ -5,7 +5,7 @@ axis-aligned hypercube rules that describe the non-anomalous region (or
 the anomalies), plus an optional decision-tree surrogate of the detector.
 """
 
-from .clustering import Clustering, kmeans_pp, points_in_cluster
+from .clustering import Clustering, PlusPlusSeeds, kmeans_pp
 from .dataset import (
     CATEGORICAL,
     NUMERICAL,

@@ -1,9 +1,24 @@
 """K-means with k-means++ seeding.
 
-Deterministic for a fixed seed: each restart r uses its own
-np.random.default_rng(seed + r), Lloyd iterations run to an assignment
-fixpoint (or max_iter), and the best restart wins by strict inertia
-comparison, so earlier restarts win ties.
+Determinism: for a fixed seed the result depends only on X, k, n_init and
+max_iter. Restart r draws from its own np.random.default_rng(seed + r),
+Lloyd iterations run to an assignment fixpoint (or max_iter), assignment
+ties go to the lowest centre index, and the best restart wins by strict
+inertia comparison, so earlier restarts win ties.
+
+Seeding is shared across k. Pick c of a restart's k-means++ seeding
+depends only on its generator and on the picks before it, never on k, so
+the seeding for k clusters is the first k picks of one sequence per
+restart. A PlusPlusSeeds object keeps those sequences; rule extraction
+passes one through its sweep over k = 1, 2, ... so each step extends the
+sequences instead of redrawing them. Passing it changes no result.
+
+Centres are updated with one bincount per column, which adds each
+cluster's rows in ascending row order. For d >= 2 that is the order of
+X[members].mean(axis=0), so the centres are bit-identical to a
+per-cluster mean. For d == 1 numpy's mean over a contiguous column sums
+pairwise, so there the two can differ in the last bits (within
+1e-12 * max|X|); the labels do not.
 """
 
 from __future__ import annotations
@@ -27,52 +42,83 @@ class Clustering:
         return int(self.centers.shape[0])
 
 
-def _plusplus_seed(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = X.shape[0]
-    centers = np.empty((k, X.shape[1]), dtype=np.float64)
-    first = int(rng.integers(n))
-    centers[0] = X[first]
-    d2 = np.sum((X - centers[0]) ** 2, axis=1)
-    for c in range(1, k):
-        total = float(d2.sum())
-        if total <= 0:
-            # all remaining mass at distance 0: duplicate points
-            idx = int(rng.integers(n))
-        else:
-            r = rng.random() * total
-            idx = int(np.searchsorted(np.cumsum(d2), r, side="right"))
-            idx = min(idx, n - 1)
-        centers[c] = X[idx]
-        np.minimum(d2, np.sum((X - centers[c]) ** 2, axis=1), out=d2)
-    return centers
+def _points(X) -> np.ndarray:
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ConfigError("clustering input must be a 2-D matrix")
+    if not np.isfinite(X).all():
+        raise ConfigError("clustering input contains NaN or infinite values")
+    return X
 
 
-def _assign(X: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # argmin over squared distances; ties go to the lowest center index
-    d2 = (
-        np.sum(X * X, axis=1)[:, None]
-        - 2.0 * (X @ centers.T)
-        + np.sum(centers * centers, axis=1)[None, :]
-    )
+class PlusPlusSeeds:
+    """k-means++ seedings of X: one growing centre sequence per restart."""
+
+    def __init__(self, X, seed: int, n_init: int):
+        self.X = _points(X)
+        if self.X.shape[0] == 0:
+            raise ConfigError("cannot seed clusters from 0 points")
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ConfigError("seed must be a non-negative integer, got %r" % (seed,))
+        if n_init < 1:
+            raise ConfigError("n_init must be >= 1, got %d" % n_init)
+        self.seed = seed
+        self.n_init = n_init
+        self._rngs = [np.random.default_rng(seed + r) for r in range(n_init)]
+        self._picks: list[list[int]] = [[] for _ in range(n_init)]
+        self._d2: list[np.ndarray | None] = [None] * n_init
+
+    def centers(self, r: int, k: int) -> np.ndarray:
+        """The first k seeding centres of restart r, as a new (k, d) array."""
+        X, rng, picks = self.X, self._rngs[r], self._picks[r]
+        n = X.shape[0]
+        while len(picks) < k:
+            d2 = self._d2[r]
+            if d2 is None:
+                idx = int(rng.integers(n))
+                self._d2[r] = np.sum((X - X[idx]) ** 2, axis=1)
+            else:
+                total = float(d2.sum())
+                if total <= 0:
+                    # all remaining mass at distance 0: duplicate points
+                    idx = int(rng.integers(n))
+                else:
+                    r_mass = rng.random() * total
+                    idx = int(np.searchsorted(np.cumsum(d2), r_mass, side="right"))
+                    idx = min(idx, n - 1)
+                np.minimum(d2, np.sum((X - X[idx]) ** 2, axis=1), out=d2)
+            picks.append(idx)
+        return X[picks[:k]]
+
+
+def _assign(X: np.ndarray, xx: np.ndarray,
+            centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # argmin over squared distances; ties go to the lowest center index.
+    # (-2G + xx) + cc is xx - 2G + cc bit for bit, built in one buffer.
+    d2 = X @ centers.T
+    d2 *= -2.0
+    d2 += xx[:, None]
+    d2 += np.sum(centers * centers, axis=1)[None, :]
     np.maximum(d2, 0.0, out=d2)
     labels = np.argmin(d2, axis=1)
     return labels, d2[np.arange(X.shape[0]), labels]
 
 
-def _lloyd(X: np.ndarray, centers: np.ndarray, max_iter: int) -> Clustering:
-    k = centers.shape[0]
+def _lloyd(X: np.ndarray, xx: np.ndarray, centers: np.ndarray, max_iter: int) -> Clustering:
+    k, d = centers.shape
     centers = centers.copy()
-    labels, d2 = _assign(X, centers)
+    sums = np.empty_like(centers)
+    labels, d2 = _assign(X, xx, centers)
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
-        for c in range(k):
-            members = labels == c
-            if members.any():
-                centers[c] = X[members].mean(axis=0)
-            else:
-                # respawn the empty cluster at the worst-fit point
-                centers[c] = X[int(np.argmax(d2))]
-        new_labels, d2 = _assign(X, centers)
+        counts = np.bincount(labels, minlength=k)
+        for j in range(d):
+            sums[:, j] = np.bincount(labels, weights=X[:, j], minlength=k)
+        full = counts > 0
+        centers[full] = sums[full] / counts[full, None]
+        # respawn every empty cluster at the worst-fit point
+        centers[~full] = X[int(np.argmax(d2))]
+        new_labels, d2 = _assign(X, xx, centers)
         if np.array_equal(new_labels, labels):
             labels = new_labels
             break
@@ -85,37 +131,34 @@ def _lloyd(X: np.ndarray, centers: np.ndarray, max_iter: int) -> Clustering:
     )
 
 
-def kmeans_pp(X, k: int, seed: int = 0, n_init: int = 10, max_iter: int = 100) -> Clustering:
-    """Best of n_init seeded runs; strictly lower inertia replaces the incumbent."""
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ConfigError("clustering input must be a 2-D matrix")
+def kmeans_pp(X, k: int, seed: int = 0, n_init: int = 10, max_iter: int = 100,
+              seeds: PlusPlusSeeds | None = None) -> Clustering:
+    """Best of n_init seeded runs; strictly lower inertia replaces the incumbent.
+
+    seeds, if given, must have been built from the same X, seed and n_init;
+    it lets a sweep over k reuse the seeding of the smaller k.
+    """
+    X = _points(X)
     n = X.shape[0]
     if k < 1:
         raise ConfigError("k must be >= 1, got %d" % k)
     if n < k:
         raise ConfigError("cannot form %d clusters from %d points" % (k, n))
-    if n_init < 1:
-        raise ConfigError("n_init must be >= 1, got %d" % n_init)
     if max_iter < 1:
         raise ConfigError("max_iter must be >= 1, got %d" % max_iter)
+    if seeds is None:
+        seeds = PlusPlusSeeds(X, seed, n_init)
+    elif (seeds.seed != seed or seeds.n_init != n_init
+          or not (seeds.X is X or np.array_equal(seeds.X, X))):
+        raise ConfigError("seeds were built for a different X, seed or n_init")
 
+    xx = np.sum(X * X, axis=1)
     best: Clustering | None = None
     for r in range(n_init):
-        rng = np.random.default_rng(seed + r)
-        centers = _plusplus_seed(X, k, rng)
-        result = _lloyd(X, centers, max_iter)
+        result = _lloyd(X, xx, seeds.centers(r, k), max_iter)
         if best is None or result.inertia < best.inertia:
             best = result
     assert best is not None
     best.centers.flags.writeable = False
     best.labels.flags.writeable = False
     return best
-
-
-def points_in_cluster(X, clustering: Clustering, c: int) -> np.ndarray:
-    """Rows of X assigned to cluster c (possibly empty)."""
-    X = np.asarray(X, dtype=np.float64)
-    if not 0 <= c < clustering.k:
-        raise ConfigError("cluster index %d out of range [0, %d)" % (c, clustering.k))
-    return X[clustering.labels == c]

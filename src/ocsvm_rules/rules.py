@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clustering import kmeans_pp
+from .clustering import PlusPlusSeeds, kmeans_pp
 from .dataset import (
     CategoricalState,
     CyclicalInfo,
@@ -113,6 +113,9 @@ class ExtractionConfig:
             raise ConfigError("discard_factor must be >= 0, got %r" % self.discard_factor)
         if self.n_v is not None and self.n_v < 1:
             raise ConfigError("n_v must be >= 1, got %r" % self.n_v)
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) \
+                or self.seed < 0:
+            raise ConfigError("seed must be a non-negative integer, got %r" % (self.seed,))
         if self.max_clusters is not None and self.max_clusters < 1:
             raise ConfigError("max_clusters must be >= 1, got %r" % self.max_clusters)
         if self.n_init < 1:
@@ -178,10 +181,12 @@ def _extract_boxes(Xs: np.ndarray, Ys: np.ndarray, cfg: ExtractionConfig,
     n_v = cfg.n_v if cfg.n_v is not None else 2 ** Xs.shape[1]
     max_cl = min(cfg.max_clusters or n, n)
 
+    # k-means++ picks do not depend on k: each step extends the same seeding
+    seeds = PlusPlusSeeds(Xs, cfg.seed, cfg.n_init)
     offending: list[_Box] = []
     for n_cl in range(1, max_cl + 1):
         cl = kmeans_pp(Xs, n_cl, seed=cfg.seed, n_init=cfg.n_init,
-                       max_iter=cfg.kmeans_max_iter)
+                       max_iter=cfg.kmeans_max_iter, seeds=seeds)
         boxes: list[_Box] = []
         discard: list[np.ndarray] = []
         offending = []

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import ocsvm_rules as o
+import ocsvm_rules.rules as rules_module
 from ocsvm_rules.dataset import (
     CATEGORICAL,
     NUMERICAL,
@@ -85,6 +86,8 @@ def test_extraction_config_validation():
         ExtractionConfig(max_clusters=0)
     with pytest.raises(ConfigError):
         ExtractionConfig(n_init=0)
+    with pytest.raises(ConfigError):
+        ExtractionConfig(seed=-3)
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +192,23 @@ def test_coverage_is_total_after_discards(grouped_data, grouped_model):
         kept[list(res.discarded_rows)] = False
     cov = covered_mask(res.ruleset, res.target_data)
     assert np.all(cov[kept])
+
+
+@pytest.mark.parametrize("target", [TARGET_NON_ANOMALOUS, TARGET_ANOMALOUS])
+def test_sweep_calls_kmeans_once_per_k(grouped_data, grouped_model, monkeypatch, target):
+    # the paper's linear sweep, through the module-level name that tracing wraps
+    calls = []
+    inner = rules_module.kmeans_pp
+
+    def counting(X, k, **kwargs):
+        calls.append(k)
+        return inner(X, k, **kwargs)
+
+    monkeypatch.setattr(rules_module, "kmeans_pp", counting)
+    res = extract_rule_sets(grouped_data, grouped_model, target=target)
+    per_group = res.stats["clusters_per_group"]
+    assert calls == [k for n_cl in per_group for k in range(1, n_cl + 1)]
+    assert len(calls) == sum(per_group)
 
 
 def test_no_anomalous_point_satisfies_normal_rules(grouped_data, grouped_model):
