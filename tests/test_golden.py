@@ -1,9 +1,10 @@
-"""Golden artifacts: sha256 of the model and rule-set JSON of each fixture.
+"""Golden artifacts: sha256 of the model, rule-set and tree JSON of each fixture.
 
-The digests pin the bytes a refactor must preserve. They were recorded
-with the default ExtractionConfig before the k-means sweep shared its
-seeding across cluster counts; a change that moves one of them changes
-the rules or the model and has to say why.
+The digests pin the bytes a refactor must preserve. The model and rule-set
+digests were recorded with the default ExtractionConfig before the k-means
+sweep shared its seeding across cluster counts; the surrogate tree digests
+before the split search was vectorised. A change that moves one of them
+changes the rules, the model or the tree and has to say why.
 """
 
 import hashlib
@@ -48,6 +49,12 @@ GOLDEN = {
     },
 }
 
+TREE_GOLDEN = {
+    "two_blobs": "6faa84f304834e9a63bce3b6efc0b99e33f7c223beb8512afcebc0973f1c16b0",
+    "seismic_like": "fa5bb2c9f09020f310c12f86407ce4080fd5950932b77fb3c9fa2575fd8e80f1",
+    "grouped_dataset": "ddbd5b15cbd36eaeacf81a2af61b487fcc3d5fdbf4651fb24eca6ab73fe67660",
+}
+
 FIXTURES = {
     "two_blobs": ("blob_data", "blob_model"),
     "seismic_like": ("seismic_data", "seismic_model"),
@@ -74,3 +81,11 @@ def test_ruleset_json_golden(name, target, request):
     original, scaled = GOLDEN[name][target]
     assert _sha(o.ruleset_to_json(res.ruleset)) == original
     assert _sha(o.ruleset_to_json(res.ruleset_scaled)) == scaled
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_surrogate_tree_json_golden(name, request):
+    data_fx, model_fx = FIXTURES[name]
+    tree, names = o.fit_surrogate(request.getfixturevalue(data_fx),
+                                  request.getfixturevalue(model_fx))
+    assert _sha(o.tree_to_json(tree, names)) == TREE_GOLDEN[name]
