@@ -1,10 +1,13 @@
 """Command line front end.
 
-Subcommands: extract (fit the detector and mine rule boxes), surrogate
-(fit the mimic tree), report (summarize written artifacts), plot (SVG
-scatter with rule boxes). All artifacts are deterministic: rerunning a
-command over the same inputs rewrites byte-identical files. Progress and
-timings go to stderr; stdout carries only the error object on failure.
+Subcommands: extract (fit the detector, write it to model.json and mine
+rule boxes), surrogate (fit the mimic tree), report (summarize written
+artifacts), plot (SVG scatter with rule boxes). extract is the only command
+that fits the detector: surrogate and plot read the model.json it wrote and
+refuse one that does not match the config or the dataset. All artifacts are
+deterministic: rerunning a command over the same inputs rewrites
+byte-identical files. Progress and timings go to stderr; stdout carries
+only the error object on failure.
 
 Exit codes: 0 success, 2 bad configuration or input files, 3 not enough
 data to mine rules, 4 an iterative stage failed to converge.
@@ -21,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import encode_matrix, load_csv
+from .dataset import encode_matrix, expand_numeric_names, load_csv
 from .errors import (
     ConfigError,
     ExtractionConvergenceError,
@@ -37,6 +40,7 @@ from .ocsvm import (
     dataset_decision_values,
     ensure_expanded,
     fit_dataset,
+    model_from_json,
     model_to_json,
     split_by_prediction,
 )
@@ -255,6 +259,40 @@ def _fit_model(cfg: RunConfig, d):
     return model
 
 
+def _load_model(cfg: RunConfig, d):
+    """The model extract wrote to <out>/model.json, checked against cfg and d."""
+    path = cfg.output_dir / "model.json"
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError("missing %s; run extract first" % path) from None
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError("cannot read %s: %s" % (path, e)) from None
+    try:
+        model = model_from_json(text)
+        n_features = len(model.schema.feature_names())
+    except (ValueError, KeyError, TypeError, AttributeError) as e:
+        raise SchemaError("malformed %s: %s" % (path, e)) from None
+    if model.support_vectors.shape != (model.alphas.size, n_features):
+        raise SchemaError("malformed %s: support vectors do not match alphas "
+                          "and features" % path)
+    schema = model.schema
+    periods = {c: info.period for c, info in schema.cyclical.items()}
+    for what, saved, wanted in (
+            ("ocsvm.nu", model.nu, cfg.nu),
+            ("ocsvm.gamma", model.kernel.gamma, cfg.gamma),
+            ("columns.cyclical", periods, cfg.cyclical),
+            ("columns.numerical", schema.numerical,
+             expand_numeric_names(cfg.numerical, schema.cyclical)),
+            ("columns.categorical", schema.categorical, tuple(cfg.categorical)),
+            ("dataset rows", model.n_train, d.rows)):
+        _expect(saved == wanted, "%s was fitted with %s %r, not %r; run extract again"
+                % (path, what, saved, wanted))
+    print("model: loaded %s, %d support vectors of %d points"
+          % (path, model.n_support, model.n_train), file=sys.stderr)
+    return model
+
+
 def _write(path: Path, text: str):
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -297,7 +335,7 @@ def cmd_extract(args) -> int:
 def cmd_surrogate(args) -> int:
     cfg = load_config(args.config, out=args.out)
     d = _load_dataset(cfg)
-    model = _fit_model(cfg, d)
+    model = _load_model(cfg, d)
     t0 = time.perf_counter()
     tree, names = fit_surrogate(d, model)
     d_exp = ensure_expanded(d, model.schema)
@@ -324,14 +362,59 @@ def cmd_surrogate(args) -> int:
     return 0
 
 
-def _read_artifact(path: Path):
-    """(parsed JSON, None) or (None, reason). Never raises."""
+def _summarise(path: Path, name: str, summarise):
+    """(report entry, text lines) for one JSON artifact. Never raises.
+
+    ``summarise`` maps the parsed object to its entry and lines. A missing
+    file becomes status "missing"; bad JSON, a document that is not an
+    object, or one ``summarise`` cannot read becomes "unreadable: ...".
+    """
     try:
-        return json.loads(path.read_text(encoding="utf-8")), None
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(doc, dict):
+            raise ValueError("expected a JSON object, got %s" % type(doc).__name__)
+        return summarise(doc)
     except FileNotFoundError:
-        return None, "missing"
+        err = "missing"
     except Exception as e:  # noqa: broad on purpose, report must not die
-        return None, "unreadable: %s" % e
+        err = "unreadable: %s" % e
+    return {"status": err}, ["%s: %s" % (name, err)]
+
+
+def _model_summary(doc: dict):
+    n_sv = len(doc.get("alphas", []))
+    n_train = doc.get("n_train", 0)
+    summary = {
+        "nu": doc.get("nu"),
+        "gamma": doc.get("gamma"),
+        "rho": doc.get("rho"),
+        "n_support": n_sv,
+        "n_train": n_train,
+        "support_fraction": (n_sv / n_train) if n_train else None,
+    }
+    return summary, ["model: nu=%g gamma=%g rho=%r support=%d/%d"
+                     % (summary["nu"], summary["gamma"], summary["rho"],
+                        n_sv, n_train)]
+
+
+def _extraction_summary(doc: dict):
+    lines = []
+    for target in sorted(doc):
+        s = doc[target]
+        lines.append(
+            "extraction %s: %d rules (%d before pruning), coverage %.1f%% "
+            "(%d/%d covered, %d discarded)"
+            % (target, s.get("n_rules", 0), s.get("n_rules_raw", 0),
+               s.get("coverage_pct", 0.0), s.get("covered_points", 0),
+               s.get("target_points", 0) - s.get("discarded_points", 0),
+               s.get("discarded_points", 0)))
+    return doc, lines
+
+
+def _surrogate_summary(doc: dict):
+    return doc, ["surrogate: depth=%d leaves=%d accuracy=%.4f"
+                 % (doc.get("depth", 0), doc.get("n_leaves", 0),
+                    doc.get("training_accuracy", 0.0))]
 
 
 def cmd_report(args) -> int:
@@ -340,40 +423,11 @@ def cmd_report(args) -> int:
     report: dict = {}
     lines: list[str] = []
 
-    doc, err = _read_artifact(out / "model.json")
-    if err:
-        report["model"] = {"status": err}
-        lines.append("model: %s" % err)
-    else:
-        n_sv = len(doc.get("alphas", []))
-        n_train = doc.get("n_train", 0)
-        summary = {
-            "nu": doc.get("nu"),
-            "gamma": doc.get("gamma"),
-            "rho": doc.get("rho"),
-            "n_support": n_sv,
-            "n_train": n_train,
-            "support_fraction": (n_sv / n_train) if n_train else None,
-        }
-        report["model"] = summary
-        lines.append("model: nu=%g gamma=%g rho=%r support=%d/%d"
-                     % (summary["nu"], summary["gamma"], summary["rho"],
-                        n_sv, n_train))
-
-    doc, err = _read_artifact(out / "extract_stats.json")
-    report["extraction"] = {"status": err} if err else doc
-    if err:
-        lines.append("extraction: %s" % err)
-    else:
-        for target in sorted(doc):
-            s = doc[target]
-            lines.append(
-                "extraction %s: %d rules (%d before pruning), coverage %.1f%% "
-                "(%d/%d covered, %d discarded)"
-                % (target, s.get("n_rules", 0), s.get("n_rules_raw", 0),
-                   s.get("coverage_pct", 0.0), s.get("covered_points", 0),
-                   s.get("target_points", 0) - s.get("discarded_points", 0),
-                   s.get("discarded_points", 0)))
+    report["model"], section = _summarise(out / "model.json", "model", _model_summary)
+    lines += section
+    report["extraction"], section = _summarise(out / "extract_stats.json",
+                                               "extraction", _extraction_summary)
+    lines += section
 
     report["rules"] = {}
     for suffix in ("na", "a"):
@@ -405,14 +459,9 @@ def cmd_report(args) -> int:
         except OSError:
             pass
 
-    doc, err = _read_artifact(out / "surrogate_stats.json")
-    report["surrogate"] = {"status": err} if err else doc
-    if err:
-        lines.append("surrogate: %s" % err)
-    else:
-        lines.append("surrogate: depth=%d leaves=%d accuracy=%.4f"
-                     % (doc.get("depth", 0), doc.get("n_leaves", 0),
-                        doc.get("training_accuracy", 0.0)))
+    report["surrogate"], section = _summarise(out / "surrogate_stats.json",
+                                              "surrogate", _surrogate_summary)
+    lines += section
 
     _write(out / "report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
     _write(out / "report.txt", "".join(line + "\n" for line in lines))
@@ -422,7 +471,7 @@ def cmd_report(args) -> int:
 def cmd_plot(args) -> int:
     cfg = load_config(args.config, target=args.target, out=args.out)
     d = _load_dataset(cfg)
-    model = _fit_model(cfg, d)
+    model = _load_model(cfg, d)
     d_exp = ensure_expanded(d, model.schema)
     X_a, X_na = split_by_prediction(d_exp, model)
     for target in cfg.targets:
@@ -476,7 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="which cluster points define each box")
     pe.set_defaults(func=cmd_extract)
 
-    ps = sub.add_parser("surrogate", help="fit the mimic decision tree")
+    ps = sub.add_parser("surrogate", help="fit the mimic decision tree to the "
+                        "model.json that extract wrote")
     common(ps)
     ps.set_defaults(func=cmd_surrogate)
 
@@ -484,7 +534,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(pr)
     pr.set_defaults(func=cmd_report)
 
-    pp = sub.add_parser("plot", help="SVG scatter of points and rule boxes")
+    pp = sub.add_parser("plot", help="SVG scatter of points, split by the "
+                        "model.json that extract wrote, and rule boxes")
     common(pp, with_target=True)
     pp.set_defaults(func=cmd_plot)
     return ap

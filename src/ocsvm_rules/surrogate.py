@@ -63,38 +63,42 @@ def _gini(counts: tuple, total: int) -> float:
 def _best_split(X: np.ndarray, y: np.ndarray, idx: np.ndarray):
     """(feature, threshold) minimizing weighted child Gini, or None.
 
-    Thresholds are midpoints between consecutive distinct values. Iteration
-    order (features ascending, thresholds ascending) plus strict improvement
-    makes tie-breaking deterministic.
+    Thresholds are midpoints between consecutive distinct values. Each
+    feature scores all of its thresholds at once from prefix label counts
+    over the stably sorted column. The first minimum within a feature
+    (lowest threshold) and strict improvement across features (lowest
+    feature index) make tie-breaking deterministic.
     """
     n = idx.size
-    labels = np.unique(y[idx])
-    label_pos = {int(l): k for k, l in enumerate(labels)}
+    labels, codes = np.unique(y[idx], return_inverse=True)
+    onehot = np.zeros((n, labels.size))
+    onehot[np.arange(n), codes] = 1.0
+    Xt = X[idx].T
     best = None
     best_score = np.inf
-    for f in range(X.shape[1]):
-        vals = X[idx, f]
+    for f in range(Xt.shape[0]):
+        vals = Xt[f]
         order = np.argsort(vals, kind="stable")
         sv = vals[order]
-        sy = y[idx][order]
-        onehot = np.zeros((n, labels.size))
-        onehot[np.arange(n), [label_pos[int(l)] for l in sy]] = 1.0
-        prefix = np.cumsum(onehot, axis=0)
-        total = prefix[-1]
-        for p in range(1, n):
-            if sv[p - 1] == sv[p]:
-                continue
-            left = prefix[p - 1]
-            right = total - left
-            gl = 1.0 - float(np.sum((left / p) ** 2))
-            gr = 1.0 - float(np.sum((right / (n - p)) ** 2))
-            score = (p * gl + (n - p) * gr) / n
-            if score < best_score:
-                thr = (sv[p - 1] + sv[p]) / 2.0
-                if thr >= sv[p]:  # midpoint rounded up to the right value
-                    thr = sv[p - 1]
-                best = (f, float(thr))
-                best_score = score
+        # each sorted row c followed by a different value can end the left side
+        cut = np.flatnonzero(sv[:-1] != sv[1:])
+        if cut.size == 0:
+            continue
+        prefix = np.cumsum(onehot[order], axis=0)
+        left = prefix[cut]
+        right = prefix[-1] - left
+        p = cut + 1.0  # rows on the left
+        gl = 1.0 - np.sum((left / p[:, None]) ** 2, axis=1)
+        gr = 1.0 - np.sum((right / (n - p)[:, None]) ** 2, axis=1)
+        score = (p * gl + (n - p) * gr) / n
+        j = int(np.argmin(score))
+        if score[j] < best_score:
+            c = cut[j]
+            thr = (sv[c] + sv[c + 1]) / 2.0
+            if thr >= sv[c + 1]:  # midpoint rounded up to the right value
+                thr = sv[c]
+            best = (f, float(thr))
+            best_score = score[j]
     return best
 
 

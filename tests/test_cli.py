@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import ocsvm_rules as o
 from ocsvm_rules.cli import main
 
 import synth
@@ -213,6 +214,7 @@ def test_solver_non_convergence_exit_code(tmp_path, capsys):
 
 def test_surrogate_writes_artifacts(tmp_path, capsys):
     cfg = _write_config(tmp_path, synth.two_blobs())
+    assert main(["extract", "--config", str(cfg)]) == 0
     assert main(["surrogate", "--config", str(cfg)]) == 0
     out = tmp_path / "out"
     stats = json.loads((out / "surrogate_stats.json").read_text())
@@ -223,6 +225,76 @@ def test_surrogate_writes_artifacts(tmp_path, capsys):
     assert tree["features"] == ["x", "y"]
     text = (out / "tree_rules.txt").read_text(encoding="utf-8")
     assert len(text.splitlines()) == stats["n_leaves"]
+
+
+def test_surrogate_requires_extract_first(tmp_path, capsys):
+    cfg = _write_config(tmp_path, synth.two_blobs())
+    assert main(["surrogate", "--config", str(cfg)]) == 2
+    doc = _read_error(capsys, 2)
+    assert doc["error"] == "ConfigError"
+    assert "run extract first" in doc["message"]
+
+
+def test_surrogate_tree_matches_library_fit(tmp_path, capsys):
+    d = synth.two_blobs()
+    cfg = _write_config(tmp_path, d)
+    assert main(["extract", "--config", str(cfg)]) == 0
+    assert main(["surrogate", "--config", str(cfg)]) == 0
+    model = o.fit_dataset(d, ["x", "y"], [], nu=synth.BLOB_NU,
+                          kernel=o.KernelParams(gamma=synth.BLOB_GAMMA))
+    expected = o.tree_to_json(*o.fit_surrogate(d, model))
+    assert (tmp_path / "out" / "tree.json").read_text(encoding="utf-8") == expected
+
+
+MISMATCHES = {
+    "nu": dict(ocsvm={"nu": 0.2, "gamma": synth.BLOB_GAMMA}),
+    "gamma": dict(ocsvm={"nu": synth.BLOB_NU, "gamma": 2.0}),
+    "numerical": dict(columns={"numerical": ["y", "x"], "categorical": []}),
+    "cyclical": dict(columns={"numerical": ["x", "y"], "categorical": [],
+                              "cyclical": {"x": 24}}),
+}
+
+
+@pytest.mark.parametrize("command", ["surrogate", "plot"])
+@pytest.mark.parametrize("change", sorted(MISMATCHES) + ["rows"])
+def test_model_must_match_config_and_data(tmp_path, capsys, command, change):
+    d = synth.two_blobs()
+    assert main(["extract", "--config", str(_write_config(tmp_path, d))]) == 0
+    if change == "rows":
+        cfg = _write_config(tmp_path, d.take(np.arange(d.rows - 1)))
+    else:
+        cfg = _write_config(tmp_path, d, **MISMATCHES[change])
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg)]) == 2
+    doc = _read_error(capsys, 2)
+    assert doc["error"] == "ConfigError"
+    assert "run extract again" in doc["message"]
+
+
+@pytest.mark.parametrize("command", ["surrogate", "plot"])
+@pytest.mark.parametrize("text", [
+    "{broken", "[]", "{}", '{"format": "ocsvm-model/1"}', "\udcff",
+])
+def test_corrupt_model_json_exits_2(tmp_path, capsys, command, text):
+    cfg = _write_config(tmp_path, synth.two_blobs())
+    assert main(["extract", "--config", str(cfg)]) == 0
+    (tmp_path / "out" / "model.json").write_text(text, encoding="utf-8",
+                                                 errors="surrogateescape")
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg)]) == 2
+    assert _read_error(capsys, 2)["error"] in ("ConfigError", "SchemaError")
+
+
+def test_model_json_with_mismatched_support_vectors_is_rejected(tmp_path, capsys):
+    cfg = _write_config(tmp_path, synth.two_blobs())
+    assert main(["extract", "--config", str(cfg)]) == 0
+    path = tmp_path / "out" / "model.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["alphas"] = doc["alphas"][1:]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["surrogate", "--config", str(cfg)]) == 2
+    assert _read_error(capsys, 2)["error"] == "SchemaError"
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +334,16 @@ def test_report_isolates_corrupt_artifacts(tmp_path, capsys):
     assert report["rules"]["na"]["status"].startswith("unreadable")
     assert report["model"]["n_train"] == 121  # other sections unaffected
 
+    (tmp_path / "out" / "model.json").write_text("{}", encoding="utf-8")
+    (tmp_path / "out" / "extract_stats.json").write_text("[1]", encoding="utf-8")
+    assert main(["report", "--config", str(cfg)]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["model"]["status"].startswith("unreadable")
+    assert report["extraction"]["status"].startswith("unreadable")
+    txt = (tmp_path / "out" / "report.txt").read_text(encoding="utf-8")
+    assert "model: unreadable" in txt
+    assert "extraction: unreadable" in txt
+
 
 def test_report_rerun_is_byte_identical(tmp_path, capsys):
     cfg = _write_config(tmp_path, synth.two_blobs())
@@ -282,6 +364,13 @@ def test_plot_requires_extract_first(tmp_path, capsys):
     cfg = _write_config(tmp_path, synth.two_blobs())
     assert main(["plot", "--config", str(cfg)]) == 2
     assert "run extract first" in _read_error(capsys, 2)["message"]
+    # a model but no rules for the asked target
+    assert main(["extract", "--config", str(cfg), "--target", "na"]) == 0
+    capsys.readouterr()
+    assert main(["plot", "--config", str(cfg), "--target", "a"]) == 2
+    doc = _read_error(capsys, 2)
+    assert "rules_a.json" in doc["message"]
+    assert "run extract first" in doc["message"]
 
 
 def test_plot_writes_svg(tmp_path, capsys):

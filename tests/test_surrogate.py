@@ -16,6 +16,7 @@ from ocsvm_rules.surrogate import (
     tree_to_rules,
 )
 
+import cart_reference
 import synth
 
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
@@ -175,3 +176,69 @@ def test_surrogate_requires_preprocessing(blob_data):
     bare = o.fit(X, nu=0.1, kernel=o.KernelParams(gamma=0.5))
     with pytest.raises(ConfigError):
         fit_surrogate(blob_data, bare)
+
+
+# ---------------------------------------------------------------------------
+# The vectorised split search against the former per-threshold loop
+# ---------------------------------------------------------------------------
+
+def _ties(rng):
+    X = np.round(rng.normal(size=(200, 3)), 1)
+    return X, (X[:, 0] + rng.normal(scale=0.5, size=200) > 0).astype(int)
+
+
+def _duplicates(rng):
+    base = rng.normal(size=(6, 2))
+    X = base[rng.integers(0, 6, size=90)]
+    return X, rng.integers(0, 2, size=90)
+
+
+def _three_labels(rng):
+    X = rng.normal(size=(150, 2))
+    return X, np.array([-1, 1, 7])[rng.integers(0, 3, size=150)]
+
+
+def _one_hot(rng):
+    level = rng.integers(0, 4, size=160)
+    x = rng.uniform(0, 10, size=160)
+    X = np.column_stack([x, np.eye(4)[level]])
+    y = np.where((level == 2) ^ (x > 6), 1, -1)
+    return X, np.where(rng.random(160) < 0.1, -y, y)
+
+
+def _xor(rng):
+    X = rng.integers(0, 2, size=(64, 3)).astype(float)
+    return X, (X[:, 0] != X[:, 1]).astype(int)
+
+
+def _pairs(rng):
+    # labels alternate along x: every node of 2 or more rows is impure, so
+    # splitting goes on down to nodes of 2 rows
+    X = rng.normal(size=(60, 2))
+    return X, np.argsort(np.argsort(X[:, 0])) % 2
+
+
+CART_CASES = {"ties": _ties, "duplicates": _duplicates, "three_labels": _three_labels,
+              "one_hot": _one_hot, "xor": _xor, "pairs": _pairs}
+
+
+def _assert_same_tree(got, want, sizes):
+    assert got.counts == want.counts
+    assert got.prediction == want.prediction
+    assert got.feature == want.feature
+    assert got.threshold == want.threshold
+    if not want.is_leaf:
+        sizes.append(sum(c for _, c in want.counts))
+        _assert_same_tree(got.left, want.left, sizes)
+        _assert_same_tree(got.right, want.right, sizes)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("case", sorted(CART_CASES))
+def test_split_search_matches_loop_reference(case, seed):
+    X, y = CART_CASES[case](np.random.default_rng(seed))
+    split_sizes = []
+    _assert_same_tree(fit_tree(X, y), cart_reference.fit_tree(X, y), split_sizes)
+    assert split_sizes  # every case splits at least once
+    if case == "pairs":
+        assert 2 in split_sizes
