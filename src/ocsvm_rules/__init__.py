@@ -47,7 +47,6 @@ from .ocsvm import (
     model_to_json,
     predict,
     predict_many,
-    rbf_kernel,
     rbf_kernel_matrix,
     split_by_prediction,
 )

@@ -7,7 +7,8 @@ The dual problem solved here is
 
 with Q the RBF Gram matrix. Optimization uses two-coordinate descent with
 most-violating-pair selection; ties resolve to the lowest index so training
-is deterministic for a fixed input.
+is deterministic for a fixed input. Q is exactly symmetric, so each step
+reads the two rows of Q it needs, which are contiguous in the dense cache.
 """
 
 from __future__ import annotations
@@ -36,8 +37,13 @@ NON_ANOMALOUS = 1
 ANOMALOUS = -1
 
 # Above this size the Gram matrix is no longer cached densely; kernel
-# columns are recomputed on demand inside the solver loop.
+# rows are recomputed on demand inside the solver loop. The dense cache
+# costs 8 * n**2 bytes once (3.2 GB at the limit) and no n x n temporaries.
 DENSE_KERNEL_LIMIT = 20_000
+
+# Entries per block while rbf_kernel_matrix finishes its result in place:
+# a 512 KiB block stays in cache through the five elementwise passes.
+_KERNEL_BLOCK = 1 << 16
 
 MODEL_FORMAT = "ocsvm-model/1"
 
@@ -54,51 +60,53 @@ class KernelParams:
             raise ConfigError("gamma must be positive, got %r" % self.gamma)
 
 
-def rbf_kernel(x, y, gamma: float) -> float:
-    """exp(-gamma * ||x - y||^2); gamma == 0 is tolerated and yields 1."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ConfigError("kernel arguments differ in dimension: %s vs %s" % (x.shape, y.shape))
-    if gamma < 0:
-        raise ConfigError("gamma must be non-negative, got %r" % gamma)
-    diff = x - y
-    return float(np.exp(-gamma * float(diff @ diff)))
-
-
 def rbf_kernel_matrix(X, Y, gamma: float) -> np.ndarray:
-    """Pairwise RBF kernel between the rows of X and Y."""
+    """Pairwise RBF kernel exp(-gamma * ||x - y||^2) between the rows of X and Y.
+
+    The result is built in place in the buffer of ``X @ Y.T``, one block of
+    about _KERNEL_BLOCK entries at a time, so the only n x m array is the
+    result. ``rbf_kernel_matrix(X, X, gamma)`` is exactly symmetric: numpy
+    computes ``X @ X.T`` as one triangle and mirrors it, and every later
+    step is elementwise.
+    """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     if X.shape[1] != Y.shape[1]:
         raise ConfigError("kernel arguments differ in dimension: %d vs %d"
                           % (X.shape[1], Y.shape[1]))
-    sq = (
-        np.sum(X * X, axis=1)[:, None]
-        + np.sum(Y * Y, axis=1)[None, :]
-        - 2.0 * (X @ Y.T)
-    )
-    np.maximum(sq, 0.0, out=sq)  # guard tiny negatives from cancellation
-    return np.exp(-gamma * sq)
+    xx = np.sum(X * X, axis=1)
+    yy = np.sum(Y * Y, axis=1)
+    K = X @ Y.T
+    rows = max(1, _KERNEL_BLOCK // max(1, K.shape[1]))
+    for start in range(0, K.shape[0], rows):
+        blk = K[start : start + rows]
+        # exp(-gamma * max((xx + yy) - 2 * xy, 0)) with the same roundings
+        # as that whole-matrix expression: blocking changes no float
+        blk *= 2.0
+        np.subtract(xx[start : start + rows, None] + yy[None, :], blk, out=blk)
+        np.maximum(blk, 0.0, out=blk)  # guard tiny negatives from cancellation
+        blk *= -gamma
+        np.exp(blk, out=blk)
+    return K
 
 
-class _KernelColumns:
-    """Column access to the Gram matrix, dense-cached for small n."""
+class _KernelRows:
+    """Row access to the Gram matrix, dense-cached for small n."""
 
     def __init__(self, X: np.ndarray, gamma: float):
         self.X = X
         self.gamma = gamma
-        self.n = X.shape[0]
-        self._dense = rbf_kernel_matrix(X, X, gamma) if self.n <= DENSE_KERNEL_LIMIT else None
+        self._dense = rbf_kernel_matrix(X, X, gamma) if X.shape[0] <= DENSE_KERNEL_LIMIT else None
 
-    def col(self, i: int) -> np.ndarray:
+    def row(self, i: int) -> np.ndarray:
+        """Row i of Q, which is column i: the dense Q is exactly symmetric.
+
+        A row of the C-order dense cache is contiguous; a column would
+        touch one cache line per entry.
+        """
         if self._dense is not None:
-            return self._dense[:, i]
+            return self._dense[i]
         return rbf_kernel_matrix(self.X, self.X[i : i + 1], self.gamma)[:, 0]
-
-    def diag2(self, i: int, j: int, qij: float) -> float:
-        # RBF diagonal entries are exactly 1
-        return 2.0 - 2.0 * qij
 
 
 @dataclass(frozen=True)
@@ -158,7 +166,7 @@ def fit(X, nu: float, kernel: KernelParams, tol: float = 1e-5,
         max_iter = 100 * n
 
     C = 1.0 / (nu * n)
-    kc = _KernelColumns(X, kernel.gamma)
+    kr = _KernelRows(X, kernel.gamma)
 
     # Feasible start: the first floor(nu*n) points at the upper bound, one
     # fractional entry to make the alphas sum to exactly 1.
@@ -170,7 +178,7 @@ def fit(X, nu: float, kernel: KernelParams, tol: float = 1e-5,
 
     G = np.zeros(n, dtype=np.float64)
     for i in np.flatnonzero(alpha > 0):
-        G += alpha[i] * kc.col(i)
+        G += alpha[i] * kr.row(i)
 
     converged = False
     violation = np.inf
@@ -182,16 +190,18 @@ def fit(X, nu: float, kernel: KernelParams, tol: float = 1e-5,
             violation = 0.0
             break
         neg_G = -G
-        i = int(np.flatnonzero(up)[np.argmax(neg_G[up])])
-        j = int(np.flatnonzero(down)[np.argmin(neg_G[down])])
+        # argmax/argmin return the first extremum: ties go to the lowest index
+        i = int(np.argmax(np.where(up, neg_G, -np.inf)))
+        j = int(np.argmin(np.where(down, neg_G, np.inf)))
         violation = neg_G[i] - neg_G[j]
         if violation <= tol:
             converged = True
             break
 
-        col_i = kc.col(i)
-        col_j = kc.col(j)
-        quad = kc.diag2(i, j, col_i[j])
+        row_i = kr.row(i)
+        row_j = kr.row(j)
+        # Q_ii + Q_jj - 2 Q_ij; RBF diagonal entries are exactly 1
+        quad = 2.0 - 2.0 * row_i[j]
         if quad <= 0:
             quad = 1e-12
         delta = (G[j] - G[i]) / quad
@@ -204,7 +214,7 @@ def fit(X, nu: float, kernel: KernelParams, tol: float = 1e-5,
         new_i = max(new_i, 0.0, s - C)
         alpha[i] = new_i
         alpha[j] = s - new_i
-        G += (alpha[i] - old_i) * col_i + (alpha[j] - old_j) * col_j
+        G += (alpha[i] - old_i) * row_i + (alpha[j] - old_j) * row_j
 
     if not converged:
         raise SolverConvergenceError(

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import ocsvm_reference
 import synth
+import ocsvm_rules.ocsvm as oc
 from ocsvm_rules.dataset import scale_value
 from ocsvm_rules.errors import ConfigError, SolverConvergenceError
 from ocsvm_rules.ocsvm import (
@@ -18,7 +22,6 @@ from ocsvm_rules.ocsvm import (
     model_to_json,
     predict,
     predict_many,
-    rbf_kernel,
     rbf_kernel_matrix,
     split_by_prediction,
 )
@@ -36,25 +39,62 @@ finite2d = st.lists(
 def test_kernel_matrix_symmetric_unit_diagonal(rows, gamma):
     X = np.array(rows)
     K = rbf_kernel_matrix(X, X, gamma)
-    assert np.allclose(K, K.T)
+    # exact: the solver reads rows of Q in place of its columns
+    assert np.array_equal(K, K.T)
     assert np.allclose(np.diag(K), 1.0)
     # exp underflows to exactly 0 for far-apart points
     assert (K >= 0).all() and (K <= 1.0 + 1e-15).all()
 
 
-def test_kernel_scalar_matches_matrix():
-    x, y = np.array([1.0, 2.0]), np.array([3.0, -1.0])
-    got = rbf_kernel(x, y, 0.3)
-    K = rbf_kernel_matrix(x.reshape(1, -1), y.reshape(1, -1), 0.3)
-    assert got == pytest.approx(K[0, 0])
-    assert got == pytest.approx(np.exp(-0.3 * 13.0))
+def test_kernel_matrix_single_pair():
+    K = rbf_kernel_matrix([[1.0, 2.0]], [[3.0, -1.0]], 0.3)
+    assert K.shape == (1, 1)
+    assert K[0, 0] == pytest.approx(np.exp(-0.3 * 13.0))
 
 
 def test_kernel_dimension_mismatch():
     with pytest.raises(ConfigError):
-        rbf_kernel([1.0], [1.0, 2.0], 0.5)
+        rbf_kernel_matrix(np.zeros((1, 1)), np.zeros((1, 2)), 0.5)
     with pytest.raises(ConfigError):
         rbf_kernel_matrix(np.zeros((2, 2)), np.zeros((2, 3)), 0.5)
+
+
+def _kernel_data(kind: str, n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "rounded":
+        # many exact ties, so (xx + yy) - 2xy cancels to 0 or just below it
+        return np.round(rng.normal(size=(n, 3)), 1)
+    if kind == "large_scale":
+        return rng.normal(size=(n, 2)) * 1e4 + 1e6
+    # one numeric column and a 0/1 one-hot block, like an encoded state
+    onehot = np.eye(6)[rng.integers(0, 6, size=n)]
+    return np.column_stack([rng.uniform(0.0, 1.0, n), onehot])
+
+
+@pytest.mark.parametrize("kind", ["rounded", "large_scale", "onehot"])
+def test_kernel_matrix_matches_reference(kind):
+    X = _kernel_data(kind, 700, seed=1)
+    Y = _kernel_data(kind, 300, seed=2)
+    gamma = 1e-9 if kind == "large_scale" else 0.7
+    for A, B in ((X, X), (X, Y), (Y, X)):
+        # several blocks of rows, and a partial last one
+        assert A.shape[0] > 2 * (oc._KERNEL_BLOCK // B.shape[0])
+        got = rbf_kernel_matrix(A, B, gamma)
+        assert np.array_equal(got, ocsvm_reference.rbf_kernel_matrix(A, B, gamma))
+
+
+def test_kernel_matrix_peak_memory_is_one_result():
+    n = 2000
+    X = np.random.default_rng(0).normal(size=(n, 5))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        K = rbf_kernel_matrix(X, X, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert K.shape == (n, n)
+    assert peak < 1.25 * 8 * n * n
 
 
 def test_kernel_params_validation():
@@ -149,10 +189,38 @@ def test_decision_values_feature_count_checked():
         decision_values(m, np.zeros((3, 5)))
 
 
+def _fit_data(kind: str) -> np.ndarray:
+    rng = np.random.default_rng(6)
+    if kind == "duplicates":
+        # each point three times: tied gradients exercise the tie-break
+        return np.repeat(synth.gaussian_cloud(150, seed=6), 3, axis=0)
+    if kind == "rounded":
+        return np.round(rng.normal(size=(500, 2)), 1)
+    # two numeric columns and a 0/1 one-hot block, like the encoded states
+    onehot = np.eye(8)[rng.integers(0, 8, size=400)]
+    return np.column_stack([rng.uniform(0.0, 1.0, (400, 2)), onehot])
+
+
+@pytest.mark.parametrize("kind,nu,gamma", [
+    ("duplicates", 0.1, 0.5),
+    ("rounded", 0.05, 2.0),
+    ("onehot", 0.05, 2.0),
+])
+def test_fit_matches_reference(kind, nu, gamma):
+    X = _fit_data(kind)
+    n = X.shape[0]
+    assert n > oc._KERNEL_BLOCK // n  # the Gram matrix spans several blocks
+    m = fit(X, nu=nu, kernel=KernelParams(gamma=gamma))
+    alpha, rho = ocsvm_reference.fit(X, nu, gamma)
+    sv = alpha > 0
+    assert np.array_equal(m.alphas, alpha[sv])
+    assert np.array_equal(m.support_vectors, X[sv])
+    assert m.rho == rho
+
+
 def test_lazy_kernel_path_matches_dense(monkeypatch):
     # column-at-a-time kernels go through a different BLAS path, so only
     # near-equality of the solution is promised across modes
-    import ocsvm_rules.ocsvm as oc
     X = synth.gaussian_cloud(80, seed=8)
     dense = fit(X, nu=0.1, kernel=KernelParams(gamma=0.3))
     monkeypatch.setattr(oc, "DENSE_KERNEL_LIMIT", 10)
