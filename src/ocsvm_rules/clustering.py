@@ -91,42 +91,49 @@ class PlusPlusSeeds:
         return X[picks[:k]]
 
 
-def _assign(X: np.ndarray, xx: np.ndarray,
+def _assign(X: np.ndarray, xx_col: np.ndarray,
             centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # argmin over squared distances; ties go to the lowest center index.
-    # (-2G + xx) + cc is xx - 2G + cc bit for bit, built in one buffer.
+    """Labels and the n x k matrix of squared distances to the centres.
+
+    Ties go to the lowest centre index. (-2G + xx) + cc is xx - 2G + cc bit
+    for bit, built in one buffer; xx_col is the row norms as an (n, 1) view.
+    """
     d2 = X @ centers.T
     d2 *= -2.0
-    d2 += xx[:, None]
-    d2 += np.sum(centers * centers, axis=1)[None, :]
+    d2 += xx_col
+    d2 += (centers * centers).sum(axis=1)
     np.maximum(d2, 0.0, out=d2)
-    labels = np.argmin(d2, axis=1)
-    return labels, d2[np.arange(X.shape[0]), labels]
+    return d2.argmin(axis=1), d2
 
 
 def _lloyd(X: np.ndarray, xx: np.ndarray, centers: np.ndarray, max_iter: int) -> Clustering:
     k, d = centers.shape
+    rows = np.arange(X.shape[0])
+    xx_col = xx[:, None]
     centers = centers.copy()
     sums = np.empty_like(centers)
-    labels, d2 = _assign(X, xx, centers)
+    labels, d2 = _assign(X, xx_col, centers)
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
         counts = np.bincount(labels, minlength=k)
         for j in range(d):
             sums[:, j] = np.bincount(labels, weights=X[:, j], minlength=k)
-        full = counts > 0
-        centers[full] = sums[full] / counts[full, None]
-        # respawn every empty cluster at the worst-fit point
-        centers[~full] = X[int(np.argmax(d2))]
-        new_labels, d2 = _assign(X, xx, centers)
-        if np.array_equal(new_labels, labels):
-            labels = new_labels
-            break
+        if counts.all():
+            np.divide(sums, counts[:, None], out=centers)
+        else:
+            full = counts > 0
+            centers[full] = sums[full] / counts[full, None]
+            # respawn every empty cluster at the worst-fit point
+            centers[~full] = X[int(np.argmax(d2[rows, labels]))]
+        new_labels, d2 = _assign(X, xx_col, centers)
+        converged = (new_labels == labels).all()
         labels = new_labels
+        if converged:
+            break
     return Clustering(
         centers=centers,
         labels=labels.astype(np.int64),
-        inertia=float(d2.sum()),
+        inertia=float(d2[rows, labels].sum()),
         n_iter=n_iter,
     )
 

@@ -1,8 +1,12 @@
 """Columnar dataset handling: CSV ingestion, typing, scaling, encodings.
 
-A ``Dataset`` keeps numerical columns as read-only float arrays and
-categorical columns as tuples of string tokens. All operations return new
-objects; nothing mutates in place.
+A ``Dataset`` keeps numerical columns as read-only float arrays and each
+categorical column as a ``Categorical``: read-only int32 codes into the
+column's sorted levels. The constructor takes a categorical column as a
+sequence of tokens and encodes it once; row subsets keep the codes and share
+the levels. Tokens come back only where they leave the program: states,
+one-hot level names and the JSON formats. All operations return new objects;
+nothing mutates in place.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -23,20 +28,58 @@ CATEGORICAL = "categorical"
 CategoricalState = tuple[tuple[str, str], ...]
 
 
+@dataclass(frozen=True, eq=False)
+class Categorical:
+    """One categorical column: a read-only int32 code per row into levels.
+
+    ``levels`` is sorted and distinct. A row subset keeps its parent's
+    levels, so a level need not occur in any row.
+    """
+
+    codes: np.ndarray
+    levels: tuple
+
+    def __post_init__(self):
+        self.codes.flags.writeable = False
+
+    @classmethod
+    def from_tokens(cls, tokens) -> "Categorical":
+        tokens = list(tokens)
+        levels = tuple(sorted(set(tokens)))
+        code = {t: k for k, t in enumerate(levels)}
+        return cls(np.fromiter((code[t] for t in tokens), dtype=np.int32,
+                               count=len(tokens)), levels)
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    @cached_property
+    def _code(self) -> dict:
+        return {t: k for k, t in enumerate(self.levels)}
+
+    def code_of(self, token) -> int:
+        """The token's code, or -1 (which no row has) if it is not a level."""
+        return self._code.get(token, -1)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Typed columnar table. Numerical cells are finite floats."""
 
     columns: tuple[tuple[str, str], ...]  # (name, kind) in declaration order
-    data: dict = field(repr=False)  # name -> ndarray (numerical) | tuple[str] (categorical)
+    data: dict = field(repr=False)  # name -> ndarray (numerical) | Categorical
     rows: int
 
     def __post_init__(self):
         names = [n for n, _ in self.columns]
         if len(set(names)) != len(names):
             raise SchemaError("duplicate column names: %r" % (sorted(names),))
+        data = dict(self.data)
+        object.__setattr__(self, "data", data)
         for name, kind in self.columns:
-            col = self.data[name]
+            col = data[name]
+            if kind == CATEGORICAL and not isinstance(col, Categorical):
+                col = data[name] = Categorical.from_tokens(col)
             if len(col) != self.rows:
                 raise SchemaError(
                     "column %r has %d entries, expected %d" % (name, len(col), self.rows)
@@ -67,6 +110,11 @@ class Dataset:
             raise SchemaError("unknown column %r" % name)
         return self.data[name]
 
+    def categorical(self, name: str) -> Categorical:
+        if self.kind_of(name) != CATEGORICAL:
+            raise SchemaError("column %r is not categorical" % name)
+        return self.data[name]
+
     def numeric_matrix(self, cols=None) -> np.ndarray:
         """Rows-by-columns float matrix over the given numerical columns."""
         if cols is None:
@@ -78,11 +126,6 @@ class Dataset:
             return np.empty((self.rows, 0), dtype=np.float64)
         return np.column_stack([self.data[c] for c in cols]).astype(np.float64)
 
-    def state_of_row(self, i: int, l_c=None) -> CategoricalState:
-        if l_c is None:
-            l_c = self.categorical_columns()
-        return tuple((c, self.data[c][i]) for c in l_c)
-
     def take(self, mask_or_index) -> "Dataset":
         """Row subset preserving order; accepts a bool mask or index array."""
         idx = np.asarray(mask_or_index)
@@ -92,16 +135,10 @@ class Dataset:
         for name, kind in self.columns:
             col = self.data[name]
             if kind == NUMERICAL:
-                new[name] = np.array(col)[idx]
+                new[name] = col[idx]
             else:
-                new[name] = tuple(col[i] for i in idx)
+                new[name] = Categorical(col.codes[idx], col.levels)
         return Dataset(columns=self.columns, data=new, rows=int(len(idx)))
-
-    def drop_columns(self, names) -> "Dataset":
-        drop = set(names)
-        cols = tuple((n, k) for n, k in self.columns if n not in drop)
-        data = {n: self.data[n] for n, _ in cols}
-        return Dataset(columns=cols, data=data, rows=self.rows)
 
 
 def load_csv(path, numerical, categorical) -> Dataset:
@@ -162,7 +199,7 @@ def load_csv(path, numerical, categorical) -> Dataset:
     for c in numerical:
         data[c] = np.array(num_vals[c], dtype=np.float64)
     for c in categorical:
-        data[c] = tuple(cat_vals[c])
+        data[c] = Categorical.from_tokens(cat_vals[c])
     return Dataset(columns=columns, data=data, rows=rows)
 
 
@@ -321,34 +358,23 @@ def unique_categorical_states(d: Dataset, l_c) -> list[CategoricalState]:
     l_c = list(l_c)
     if not l_c:
         raise SchemaError("unique_categorical_states requires at least one categorical column")
-    for c in l_c:
-        if d.kind_of(c) != CATEGORICAL:
-            raise SchemaError("column %r is not categorical" % c)
-    seen = {}
-    for i in range(d.rows):
-        state = tuple((c, d.data[c][i]) for c in l_c)
-        if state not in seen:
-            seen[state] = True
-    return list(seen)
+    cols = [d.categorical(c) for c in l_c]
+    key = np.zeros(d.rows, dtype=np.int64)
+    for col in cols:
+        # renumber the key densely first, so packing one more column cannot overflow
+        key = np.unique(key, return_inverse=True)[1] * len(col.levels) + col.codes
+    first = np.sort(np.unique(key, return_index=True)[1])
+    return [tuple((c, col.levels[col.codes[i]]) for c, col in zip(l_c, cols))
+            for i in first]
 
 
 def state_mask(d: Dataset, state: CategoricalState) -> np.ndarray:
     """Boolean mask of rows matching the state on every listed column."""
     mask = np.ones(d.rows, dtype=bool)
     for col, token in state:
-        values = d.data[col]
-        mask &= np.fromiter((v == token for v in values), dtype=bool, count=d.rows)
+        cat = d.categorical(col)
+        mask &= cat.codes == cat.code_of(token)
     return mask
-
-
-def filter_category(X_n: Dataset, X_y: Dataset, c: CategoricalState) -> tuple[Dataset, Dataset]:
-    """Rows of each input matching the state; categorical columns dropped."""
-    cat_cols = [col for col, _ in c]
-    out = []
-    for ds in (X_n, X_y):
-        sub = ds.take(state_mask(ds, c))
-        out.append(sub.drop_columns(cat_cols))
-    return out[0], out[1]
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +404,10 @@ class FeatureSchema:
 def build_schema(d: Dataset, l_n, l_c, cyclical=None) -> FeatureSchema:
     levels = {}
     for c in l_c:
-        if d.kind_of(c) != CATEGORICAL:
-            raise SchemaError("column %r is not categorical" % c)
-        levels[c] = tuple(sorted(set(d.data[c])))
+        cat = d.categorical(c)
+        # bincount, not np.unique: the first np.unique imports numpy.ma (1.4 MB)
+        present = np.bincount(cat.codes, minlength=len(cat.levels))
+        levels[c] = tuple(t for t, n in zip(cat.levels, present) if n)
     for c in l_n:
         if d.kind_of(c) != NUMERICAL:
             raise SchemaError("column %r is not numerical" % c)
@@ -399,9 +426,12 @@ def encode_matrix(d: Dataset, schema: FeatureSchema) -> np.ndarray:
     """
     blocks = [d.numeric_matrix(schema.numerical)]
     for c in schema.categorical:
-        tokens = d.data[c]
-        for level in schema.levels[c]:
-            blocks.append(
-                np.fromiter((1.0 if t == level else 0.0 for t in tokens),
-                            dtype=np.float64, count=d.rows).reshape(-1, 1))
-    return np.hstack(blocks) if blocks else np.empty((d.rows, 0))
+        cat = d.categorical(c)
+        fitted = schema.levels[c]
+        pos = {t: k for k, t in enumerate(fitted)}
+        # row k of the table is level k's indicators; the last row, all zeros,
+        # stands for every token that was not a level at fit time
+        table = np.eye(len(fitted) + 1, len(fitted))
+        column_of = np.array([pos.get(t, len(fitted)) for t in cat.levels], dtype=np.intp)
+        blocks.append(table[column_of[cat.codes]])
+    return np.hstack(blocks)

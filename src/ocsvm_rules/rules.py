@@ -398,29 +398,19 @@ def unscale_rules(rs: RuleSet, scaling) -> RuleSet:
 # Matching and coverage
 # ---------------------------------------------------------------------------
 
-def rule_contains_vector(rule: Rule, vec) -> bool:
-    vec = np.asarray(vec, dtype=np.float64)
-    if vec.shape != (len(rule.columns),):
-        raise ConfigError("expected %d values, got %s" % (len(rule.columns), vec.shape))
-    return bool(np.all((vec >= np.asarray(rule.lower)) & (vec <= np.asarray(rule.upper))))
-
-
-def rule_matches_row(rule: Rule, d: Dataset, i: int) -> bool:
-    for col, token in rule.state:
-        if d.data[col][i] != token:
-            return False
-    return rule_contains_vector(rule, [d.data[c][i] for c in rule.columns])
-
-
 def covered_mask(rs: RuleSet, d: Dataset) -> np.ndarray:
     """Rows of d satisfied by at least one rule."""
     out = np.zeros(d.rows, dtype=bool)
+    by_state: dict = {}
     for rule in rs.rules:
-        m = state_mask(d, rule.state) if rule.state else np.ones(d.rows, dtype=bool)
-        for col, lo, hi in zip(rule.columns, rule.lower, rule.upper):
-            v = d.data[col]
-            m = m & (v >= lo) & (v <= hi)
-        out |= m
+        by_state.setdefault(rule.state, []).append(rule)
+    V = d.numeric_matrix(rs.columns)
+    for state, rules in by_state.items():
+        rows = np.flatnonzero(state_mask(d, state))
+        Vs = V[rows]
+        for rule in rules:
+            inside = np.all((Vs >= rule.lower) & (Vs <= rule.upper), axis=1)
+            out[rows[inside]] = True
     return out
 
 

@@ -6,6 +6,8 @@ import numpy as np
 
 from ocsvm_rules.dataset import CATEGORICAL, NUMERICAL, Dataset
 
+import categorical_reference
+
 
 def matrix_dataset(pts, names=("x", "y")) -> Dataset:
     pts = np.asarray(pts, dtype=np.float64)
@@ -65,7 +67,20 @@ def grouped_dataset(seed: int = 3) -> Dataset:
         rows=len(pts))
 
 
+def tokens(d: Dataset, name: str) -> tuple:
+    """The tokens of a categorical column, one per row."""
+    col = d.data[name]
+    return tuple(col.levels[k] for k in col.codes)
+
+
+def plain(d: Dataset) -> categorical_reference.Table:
+    """The same rows as a reference table with categorical columns as tokens."""
+    data = {n: tokens(d, n) if k == CATEGORICAL else d.data[n] for n, k in d.columns}
+    return categorical_reference.Table(columns=d.columns, data=data, rows=d.rows)
+
+
 def write_csv(path, d: Dataset):
+    t = plain(d)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         names = list(d.column_names)
@@ -73,6 +88,6 @@ def write_csv(path, d: Dataset):
         for i in range(d.rows):
             row = []
             for n in names:
-                v = d.data[n][i]
+                v = t.data[n][i]
                 row.append(repr(float(v)) if d.kind_of(n) == NUMERICAL else v)
             w.writerow(row)

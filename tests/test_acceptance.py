@@ -26,10 +26,10 @@ from ocsvm_rules.rules import (
     covered_mask,
     extract_rule_sets,
     prune_rules,
-    rule_matches_row,
 )
 from ocsvm_rules.surrogate import fit_tree, predict_tree, tree_stats, tree_to_rules
 
+import categorical_reference
 import qp_oracle
 import synth
 
@@ -266,9 +266,10 @@ def test_criterion_08_two_blob_fixture(capsys, blob_run):
         assert not covered_mask(res.ruleset, d_exp)[
             np.flatnonzero((d_exp.data["x"] == 5.0) & (d_exp.data["y"] == 5.0))[0]]
 
+        t_na = synth.plain(X_na)
         for rule in res.ruleset.rules:
             members = [i for i in range(X_na.rows)
-                       if rule_matches_row(rule, X_na, i)]
+                       if categorical_reference.rule_matches_row(rule, t_na, i)]
             assert rule.n_points == len(members)
             for k, c in enumerate(rule.columns):
                 vals = X_na.data[c][members]

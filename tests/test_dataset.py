@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ocsvm_rules.dataset import (
     CATEGORICAL,
@@ -14,7 +14,6 @@ from ocsvm_rules.dataset import (
     encode_matrix,
     expand_cyclical,
     expand_numeric_names,
-    filter_category,
     load_csv,
     scale_apply,
     scale_fit,
@@ -24,6 +23,9 @@ from ocsvm_rules.dataset import (
     unscale_value,
 )
 from ocsvm_rules.errors import ConfigError, ParseError, SchemaError
+
+import categorical_reference as ref
+import synth
 
 
 def make(rows_x, rows_cat=None):
@@ -67,17 +69,10 @@ def test_take_with_mask_and_index():
     d = make([1.0, 2.0, 3.0], ["a", "b", "c"])
     sub = d.take(np.array([True, False, True]))
     assert list(sub.data["x"]) == [1.0, 3.0]
-    assert sub.data["c"] == ("a", "c")
+    assert synth.tokens(sub, "c") == ("a", "c")
     sub2 = d.take(np.array([2, 0]))
     assert list(sub2.data["x"]) == [3.0, 1.0]
     assert sub2.rows == 2
-
-
-def test_drop_columns():
-    d = make([1.0], ["a"])
-    nd = d.drop_columns(["c"])
-    assert nd.column_names == ("x",)
-    assert nd.rows == 1
 
 
 def test_numeric_matrix_column_order():
@@ -97,7 +92,7 @@ def test_load_csv_roundtrip(tmp_path):
     d = load_csv(p, ["x"], ["c"])
     assert d.rows == 2
     assert list(d.data["x"]) == [1.5, 2.5]
-    assert d.data["c"] == ("on", "off")
+    assert synth.tokens(d, "c") == ("on", "off")
     assert "ignored" not in d.column_names
 
 
@@ -262,9 +257,6 @@ def test_state_mask_and_filter():
     d = make([1.0, 2.0, 3.0], ["a", "b", "a"])
     m = state_mask(d, (("c", "a"),))
     assert m.tolist() == [True, False, True]
-    xn, xy = filter_category(d, d.take([1]), (("c", "a"),))
-    assert xn.rows == 2 and xy.rows == 0
-    assert "c" not in xn.column_names
 
 
 def test_unique_states_requires_categorical():
@@ -273,6 +265,76 @@ def test_unique_states_requires_categorical():
         unique_categorical_states(d, ["x"])
     with pytest.raises(SchemaError):
         unique_categorical_states(d, [])
+
+
+# '' and non-ASCII tokens, one with a trailing NUL, and orders where sorted
+# order differs from first appearance; "unseen" is never a token
+TOKENS = ["", "a", "b", "B", "z", "\u00e9", "\u03a9", "\u65e5\u672c", "a\x00", " a", "10", "9"]
+
+
+def _case(x, cat_columns, fit_rows, index):
+    columns = [("x", NUMERICAL)] + [(c, CATEGORICAL) for c in cat_columns]
+    data = {"x": np.asarray(x, dtype=np.float64), **cat_columns}
+    return tuple(columns), data, len(x), np.asarray(fit_rows, dtype=bool), \
+        np.asarray(index, dtype=np.intp)
+
+
+@st.composite
+def categorical_cases(draw):
+    n = draw(st.integers(0, 24))
+    x = draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))
+    cat_columns = {}
+    for j in range(draw(st.integers(0, 3))):
+        alphabet = draw(st.lists(st.sampled_from(TOKENS), min_size=1, max_size=5, unique=True))
+        cat_columns["c%d" % j] = draw(st.lists(st.sampled_from(alphabet),
+                                               min_size=n, max_size=n))
+    # the levels are fitted on fit_rows, so the other rows may hold unseen tokens
+    fit_rows = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    index = draw(st.lists(st.integers(0, n - 1), max_size=2 * n)) if n else []
+    return _case(x, cat_columns, fit_rows, index)
+
+
+@given(categorical_cases())
+@example(_case([], {"c0": [], "c1": []}, [], []))
+@example(_case([1.0, 2.0, 3.0], {"c0": ["z", "", "z"]}, [True, True, False], [2, 0, 2]))
+@example(_case([1.0, 2.0, 3.0, 4.0], {"c0": ["\u03a9", "\u00e9", "b", "\u00e9"],
+                                      "c1": ["q", "q", "q", "q"]},
+               [False, True, False, True], [3, 1]))
+def test_categorical_ops_match_token_reference(case):
+    columns, data, n, fit_rows, index = case
+    d = Dataset(columns=columns, data=data, rows=n)
+    t = ref.Table(columns=columns, rows=n, data={
+        c: data[c] if k == NUMERICAL else tuple(data[c]) for c, k in columns})
+    l_c = [c for c, k in columns if k == CATEGORICAL]
+
+    for sel in (fit_rows, index):
+        got, want = d.take(sel), ref.take(t, sel)
+        assert got.rows == want.rows
+        assert np.array_equal(got.data["x"], want.data["x"])
+        for c in l_c:
+            assert synth.tokens(got, c) == want.data[c]
+
+    fit, t_fit = d.take(fit_rows), ref.take(t, fit_rows)
+    probes = [()]
+    if l_c:
+        for cols in (l_c, l_c[::-1], l_c[-1:]):
+            states = unique_categorical_states(d, cols)
+            assert states == ref.unique_categorical_states(t, cols)
+            assert unique_categorical_states(fit, cols) == \
+                ref.unique_categorical_states(t_fit, cols)
+            probes += states + [s[:1] + tuple((c, "unseen") for c in cols[1:]) for s in states]
+        probes.append(((l_c[0], "unseen"),))
+    # fit holds every level of d, some of them on no row
+    for dd, tt in ((d, t), (fit, t_fit)):
+        for s in probes:
+            assert np.array_equal(state_mask(dd, s), ref.state_mask(tt, s))
+
+    schema = build_schema(fit, ["x"], l_c)
+    assert schema.levels == ref.schema_levels(t_fit, l_c)
+    for dd, tt in ((d, t), (fit, t_fit)):
+        got, want = encode_matrix(dd, schema), ref.encode_matrix(tt, schema)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

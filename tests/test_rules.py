@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import ocsvm_rules as o
 import ocsvm_rules.rules as rules_module
@@ -34,7 +35,6 @@ from ocsvm_rules.rules import (
     extract_rules,
     prune_rules,
     prune_survivors,
-    rule_matches_row,
     rule_to_text,
     ruleset_from_json,
     ruleset_to_json,
@@ -42,6 +42,7 @@ from ocsvm_rules.rules import (
     unscale_rules,
 )
 
+import categorical_reference
 import synth
 
 
@@ -175,8 +176,10 @@ def test_two_blobs_give_two_exact_rules(blob_data, blob_model):
 
     d_exp = ensure_expanded(blob_data, blob_model.schema)
     _, X_na = split_by_prediction(d_exp, blob_model)
+    t_na = synth.plain(X_na)
     for rule in rs.rules:
-        members = [i for i in range(X_na.rows) if rule_matches_row(rule, X_na, i)]
+        members = [i for i in range(X_na.rows)
+                   if categorical_reference.rule_matches_row(rule, t_na, i)]
         assert rule.n_points == len(members)
         for k, c in enumerate(rule.columns):
             vals = X_na.data[c][members]
@@ -296,7 +299,7 @@ def test_per_group_minimum_check():
     # the rare state must survive the split but stay under the 2^d minimum
     d_exp = ensure_expanded(d, m.schema)
     _, X_na = split_by_prediction(d_exp, m)
-    n_rare = sum(1 for i in range(X_na.rows) if X_na.data["kind"][i] == "rare")
+    n_rare = synth.tokens(X_na, "kind").count("rare")
     assert 1 <= n_rare < 4
 
     res = extract_rule_sets(d, m)  # default: global minimum only
@@ -410,9 +413,41 @@ def test_unscale_degenerate_column_restores_constant():
 def test_covered_mask_agrees_with_row_matching(grouped_data, grouped_model):
     rs = extract_rules(grouped_data, grouped_model)
     mask = covered_mask(rs, grouped_data)
+    t = synth.plain(grouped_data)
     for i in range(grouped_data.rows):
-        row_hit = any(rule_matches_row(r, grouped_data, i) for r in rs.rules)
+        row_hit = any(categorical_reference.rule_matches_row(r, t, i) for r in rs.rules)
         assert mask[i] == row_hit
+
+
+@st.composite
+def _rules_and_rows(draw):
+    n = draw(st.integers(0, 20))
+    grid = st.lists(st.integers(0, 4).map(float), min_size=n, max_size=n)
+    data = {"x": np.array(draw(grid)), "y": np.array(draw(grid))}
+    cat = [c for c in ("k", "m") if draw(st.booleans())]
+    for c in cat:
+        data[c] = draw(st.lists(st.sampled_from(["p", "q", ""]), min_size=n, max_size=n))
+    columns = (("x", NUMERICAL), ("y", NUMERICAL)) + tuple((c, CATEGORICAL) for c in cat)
+    d = Dataset(columns=columns, data=data, rows=n)
+    rules = []
+    for _ in range(draw(st.integers(0, 8))):
+        state = tuple((c, draw(st.sampled_from(["p", "q", "", "unseen"]))) for c in cat)
+        lo = draw(st.tuples(st.integers(0, 4), st.integers(0, 4)))
+        hi = tuple(a + draw(st.integers(0, 2)) for a in lo)
+        rules.append(Rule(state=state, columns=("x", "y"), lower=tuple(map(float, lo)),
+                          upper=tuple(map(float, hi)), n_points=1))
+    return d, RuleSet(target=TARGET_NON_ANOMALOUS, scaled=False, columns=("x", "y"),
+                      rules=tuple(rules))
+
+
+@given(_rules_and_rows())
+def test_covered_mask_matches_row_reference(case):
+    # several rules per state, shared states, and states on no row
+    d, rs = case
+    t = synth.plain(d)
+    want = [any(categorical_reference.rule_matches_row(r, t, i) for r in rs.rules)
+            for i in range(d.rows)]
+    assert covered_mask(rs, d).tolist() == want
 
 
 def _toy_ruleset():
