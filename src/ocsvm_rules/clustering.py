@@ -13,6 +13,15 @@ restart. A PlusPlusSeeds object keeps those sequences; rule extraction
 passes one through its sweep over k = 1, 2, ... so each step extends the
 sequences instead of redrawing them. Passing it changes no result.
 
+A PlusPlusSeeds object also carries the sweep's hook for results computed
+elsewhere. Rule extraction may run part of a long sweep in a forked helper
+process (see rules.py); the helper calls kmeans_pp with the same X, k, seed,
+n_init and max_iter, in the same program image, so its result is the one the
+parent would compute. The parent still calls kmeans_pp once per k, and
+seeds.ahead(k) hands it the helper's result for the counts the helper owns.
+When ahead is unset or returns None (not the helper's count, or the helper
+died), kmeans_pp computes the result here as before.
+
 Centres are updated with one bincount per column, which adds each
 cluster's rows in ascending row order. For d >= 2 that is the order of
 X[members].mean(axis=0), so the centres are bit-identical to a
@@ -24,6 +33,7 @@ pairwise, so there the two can differ in the last bits (within
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -67,6 +77,9 @@ class PlusPlusSeeds:
         self._rngs = [np.random.default_rng(seed + r) for r in range(n_init)]
         self._picks: list[list[int]] = [[] for _ in range(n_init)]
         self._d2: list[np.ndarray | None] = [None] * n_init
+        # k -> Clustering computed elsewhere by kmeans_pp(X, k, seed, n_init,
+        # max_iter) for this X, or None to compute it here
+        self.ahead: Callable[[int], Clustering | None] | None = None
 
     def centers(self, r: int, k: int) -> np.ndarray:
         """The first k seeding centres of restart r, as a new (k, d) array."""
@@ -143,7 +156,8 @@ def kmeans_pp(X, k: int, seed: int = 0, n_init: int = 10, max_iter: int = 100,
     """Best of n_init seeded runs; strictly lower inertia replaces the incumbent.
 
     seeds, if given, must have been built from the same X, seed and n_init;
-    it lets a sweep over k reuse the seeding of the smaller k.
+    it lets a sweep over k reuse the seeding of the smaller k, and its ahead
+    hook may supply the result for k instead of computing it.
     """
     X = _points(X)
     n = X.shape[0]
@@ -158,6 +172,10 @@ def kmeans_pp(X, k: int, seed: int = 0, n_init: int = 10, max_iter: int = 100,
     elif (seeds.seed != seed or seeds.n_init != n_init
           or not (seeds.X is X or np.array_equal(seeds.X, X))):
         raise ConfigError("seeds were built for a different X, seed or n_init")
+    elif seeds.ahead is not None:
+        done = seeds.ahead(k)
+        if done is not None:
+            return done
 
     xx = np.sum(X * X, axis=1)
     best: Clustering | None = None

@@ -131,6 +131,8 @@ class Dataset:
         idx = np.asarray(mask_or_index)
         if idx.dtype == bool:
             idx = np.flatnonzero(idx)
+        elif idx.size == 0:
+            idx = np.zeros(0, dtype=np.intp)  # np.asarray([]) is float64
         new = {}
         for name, kind in self.columns:
             col = self.data[name]

@@ -7,6 +7,31 @@ forces a retry with one more cluster. Clusters too small to be worth
 splitting are dropped instead (or kept as-is when describing anomalies).
 Each surviving box is a conjunction of interval bounds, one pair per
 numerical column, plus equality tests on the categorical columns.
+
+Who computes which cluster count. The sweep over k = 1, 2, ... of one group
+runs in this process until its work, n times the sum of the counts so far
+including the current k, reaches AHEAD_WORK. From then on, if a helper
+process exists or can be forked, it computes counts k + 1, k + 3, ... of that
+group while this process computes k, k + 2, ...; the helper runs the same
+per-k check and stops at its own first clean count, or when this process
+accepts the group. At most one helper is forked per extract_rule_sets call,
+and it serves every later group whose sweep reaches AHEAD_WORK. The process
+and its pipes live in sweep_helper.py, which is imported only then.
+
+Why the output cannot change. The helper is a fork of this process, so it
+has the same data, code and BLAS, and calls the same kmeans_pp with the same
+arguments; its clustering for k is the one this process would compute. This
+process still calls kmeans_pp once per k, in order, and that call returns
+the helper's clustering for the helper's counts (through the PlusPlusSeeds
+hook). Acceptance, boxes, discards and errors are decided here only, in the
+same order as a serial sweep.
+
+Fallbacks. Without os.fork or os.sched_getaffinity, with fewer than 2 CPUs
+available, or with another thread alive (fork is unsafe then), no helper is
+forked and every count is computed here. If the helper dies, or its stream
+lacks a count, that count and all later ones are computed here. The helper
+writes nothing to stdout or stderr, ends with os._exit, and is killed and
+reaped before extract_rule_sets returns or raises.
 """
 
 from __future__ import annotations
@@ -157,70 +182,173 @@ class _Box:
     bounds_idx: np.ndarray   # the points whose coordinates set the bounds
 
 
-def _box_for_cluster(Xs: np.ndarray, members: np.ndarray, center: np.ndarray,
-                     mode: str, n_v: int) -> _Box:
-    if mode == BOX_FARTHEST and members.size > n_v:
-        d2 = np.sum((Xs[members] - center) ** 2, axis=1)
-        order = np.argsort(-d2, kind="stable")  # ties resolve to lowest index
-        idx = np.sort(members[order[:n_v]])
-    else:
-        idx = members
-    lo, hi = bounding_box(Xs[idx])
-    return _Box(lower=lo, upper=hi, members=members, bounds_idx=idx)
+def _farthest_members(Xs: np.ndarray, members: np.ndarray, center: np.ndarray,
+                      n_v: int) -> np.ndarray:
+    """The n_v members farthest from center, ascending; ties go to the lowest index."""
+    d2 = np.sum((Xs[members] - center) ** 2, axis=1)
+    order = np.argsort(-d2, kind="stable")
+    return np.sort(members[order[:n_v]])
+
+
+# Box-point pairs tested per block by _boxes_hit, which bounds its temporaries
+# to about this many bytes per column.
+_HIT_BLOCK = 1 << 16
+
+
+def _boxes_hit(lower: np.ndarray, upper: np.ndarray, Ys: np.ndarray) -> np.ndarray:
+    """hit[i] is True if some row of Ys lies in the closed box lower[i]..upper[i]."""
+    m, p = lower.shape[0], Ys.shape[0]
+    hit = np.zeros(m, dtype=bool)
+    step = max(1, _HIT_BLOCK // m)
+    lo, hi = lower[:, None, :], upper[:, None, :]
+    for s in range(0, p, step):
+        Y = Ys[None, s:s + step]
+        hit |= ((Y >= lo) & (Y <= hi)).all(axis=2).any(axis=1)
+    return hit
+
+
+@dataclass
+class _Step:
+    """The per-k check of one clustering, in cluster order."""
+
+    boxes: list[_Box]            # clean boxes, and tolerated ones for anomalies
+    discard: list[np.ndarray]    # members of small contaminated clusters
+    offending: list[_Box]        # contaminated clusters too large to drop
+    retry: bool
+
+
+def _check_clusters(Xs: np.ndarray, Ys: np.ndarray, cl, cfg: ExtractionConfig,
+                    target: str, n_v: int) -> _Step:
+    """Box every non-empty cluster of cl and sort the boxes by contamination.
+
+    A box that contains a point of Ys is contaminated. It forces a retry with
+    one more cluster when its cluster has at least n_v members or more than
+    discard_factor * n_v (n_clusters, under literal_cluster_threshold);
+    otherwise its cluster is dropped, or kept as-is for the anomalous target.
+    Members come from one stable argsort of the labels, so each cluster's
+    members ascend as np.flatnonzero(labels == c) does. Min and max pick one
+    of their inputs, so the boxes equal a per-cluster bounding_box whatever
+    the reduction order, except between -0.0 and 0.0, which compare equal:
+    when Xs holds a -0.0, every box is taken with bounding_box itself.
+    """
+    n_cl = cl.k
+    order = np.argsort(cl.labels, kind="stable")
+    sorted_labels = cl.labels[order]
+    starts = np.flatnonzero(np.diff(sorted_labels, prepend=-1))
+    ends = np.append(starts[1:], order.size)
+    Xo = Xs[order]
+    lower = np.minimum.reduceat(Xo, starts, axis=0)
+    upper = np.maximum.reduceat(Xo, starts, axis=0)
+    signed_zero = bool((np.signbit(Xs) & (Xs == 0)).any())
+    boxes = []
+    for i, c in enumerate(sorted_labels[starts].tolist()):
+        members = idx = order[starts[i]:ends[i]]
+        if cfg.box_mode == BOX_FARTHEST and members.size > n_v:
+            idx = _farthest_members(Xs, members, cl.centers[c], n_v)
+        if idx is not members or signed_zero:
+            lower[i], upper[i] = bounding_box(Xs[idx])
+        boxes.append(_Box(lower=lower[i], upper=upper[i], members=members, bounds_idx=idx))
+
+    hit = _boxes_hit(lower, upper, Ys)
+    sizes = ends - starts
+    limit = cfg.discard_factor * (n_cl if cfg.literal_cluster_threshold else n_v)
+    big = (sizes >= n_v) | (sizes > limit)
+    step = _Step(boxes=[], discard=[], offending=[], retry=bool((hit & big).any()))
+    for box, h, b in zip(boxes, hit.tolist(), big.tolist()):
+        if not h:
+            step.boxes.append(box)
+        elif b:
+            step.offending.append(box)
+        elif target == TARGET_ANOMALOUS:
+            # describing anomalies: a few stray normal points inside the
+            # box are tolerated rather than dropping the cluster
+            step.boxes.append(box)
+        else:
+            step.discard.append(box.members)
+    return step
+
+
+def _box_vertices(cfg: ExtractionConfig, d: int) -> int:
+    return cfg.n_v if cfg.n_v is not None else 2 ** d
+
+
+def _cluster_cap(cfg: ExtractionConfig, n: int) -> int:
+    return min(cfg.max_clusters or n, n)
 
 
 def _extract_boxes(Xs: np.ndarray, Ys: np.ndarray, cfg: ExtractionConfig,
-                   target: str, state: CategoricalState):
+                   target: str, state: CategoricalState,
+                   helper: _LazyHelper | None = None, group: int = 0):
     """Cluster-and-check loop over one categorical group, scaled space.
 
-    Returns (boxes, discarded group-local indices, clusters used).
+    Returns (boxes, discarded group-local indices, clusters used). With a
+    helper, once the sweep's work n * (1 + 2 + ... + k) reaches AHEAD_WORK
+    the helper computes counts k + 1, k + 3, ... of this group (its index in
+    the helper's groups) while this loop computes the others.
     """
     n = Xs.shape[0]
     if n == 0:
         return [], np.empty(0, dtype=np.int64), 0
-    n_v = cfg.n_v if cfg.n_v is not None else 2 ** Xs.shape[1]
-    max_cl = min(cfg.max_clusters or n, n)
+    n_v = _box_vertices(cfg, Xs.shape[1])
+    max_cl = _cluster_cap(cfg, n)
 
     # k-means++ picks do not depend on k: each step extends the same seeding
     seeds = PlusPlusSeeds(Xs, cfg.seed, cfg.n_init)
-    offending: list[_Box] = []
+    step = None
+    work = 0
     for n_cl in range(1, max_cl + 1):
+        work += n * n_cl
+        if (helper is not None and seeds.ahead is None and work >= AHEAD_WORK
+                and n_cl < max_cl):
+            seeds.ahead = helper.start(group, n_cl + 1)
         cl = kmeans_pp(Xs, n_cl, seed=cfg.seed, n_init=cfg.n_init,
                        max_iter=cfg.kmeans_max_iter, seeds=seeds)
-        boxes: list[_Box] = []
-        discard: list[np.ndarray] = []
-        offending = []
-        retry = False
-        for c in range(cl.k):
-            members = np.flatnonzero(cl.labels == c)
-            if members.size == 0:
-                continue
-            box = _box_for_cluster(Xs, members, cl.centers[c], cfg.box_mode, n_v)
-            if not contains_any(box.lower, box.upper, Ys):
-                boxes.append(box)
-                continue
-            limit = cfg.discard_factor * (n_cl if cfg.literal_cluster_threshold else n_v)
-            if members.size >= n_v or members.size > limit:
-                retry = True
-                offending.append(box)
-            elif target == TARGET_ANOMALOUS:
-                # describing anomalies: a few stray normal points inside the
-                # box are tolerated rather than dropping the cluster
-                boxes.append(box)
-            else:
-                discard.append(members)
-        if not retry:
-            discarded = (np.sort(np.concatenate(discard)) if discard
+        step = _check_clusters(Xs, Ys, cl, cfg, target, n_v)
+        if not step.retry:
+            if seeds.ahead is not None:
+                helper.stop(group)
+            discarded = (np.sort(np.concatenate(step.discard)) if step.discard
                          else np.empty(0, dtype=np.int64))
-            return boxes, discarded, n_cl
+            return step.boxes, discarded, n_cl
 
     raise ExtractionConvergenceError(
         "state %r still has %d contaminated clusters at %d clusters"
-        % (_state_text(state), len(offending), max_cl),
+        % (_state_text(state), len(step.offending), max_cl),
         last_n_clusters=max_cl,
         offending_boxes=[(tuple(map(float, b.lower)), tuple(map(float, b.upper)))
-                         for b in offending],
+                         for b in step.offending],
     )
+
+
+# Sweep work, sum of n * k over the steps done, from which a group's sweep
+# shares its remaining counts with the helper. Below it the pipe round trips
+# and the helper's speculative steps cost more than they save.
+AHEAD_WORK = 50_000
+
+
+class _LazyHelper:
+    """The sweep helper, imported and built the first time a sweep asks for it.
+
+    Runs whose sweeps stay below AHEAD_WORK never load sweep_helper.
+    """
+
+    def __init__(self, groups, cfg: ExtractionConfig, target: str):
+        self._args = (groups, cfg, target)
+        self._helper = None
+
+    def start(self, group: int, k0: int):
+        if self._helper is None:
+            from .sweep_helper import Helper
+
+            self._helper = Helper(*self._args)
+        return self._helper.start(group, k0)
+
+    def stop(self, group: int) -> None:
+        self._helper.stop(group)
+
+    def close(self) -> None:
+        if self._helper is not None:
+            self._helper.close()
 
 
 def _state_text(state: CategoricalState) -> str:
@@ -263,10 +391,9 @@ def extract_rule_sets(d: Dataset, model: OcsvmModel,
     else:
         states = [()]
 
-    rules_u: list[Rule] = []
-    rules_s: list[Rule] = []
-    discarded_global: list[int] = []
-    clusters_per_group: list[int] = []
+    # every group's matrices exist before the sweep, so a helper forked
+    # during one group's sweep can take a share of any later group's
+    groups = []
     for state in states:
         if state:
             t_mask = state_mask(X_t, state)
@@ -274,35 +401,44 @@ def extract_rule_sets(d: Dataset, model: OcsvmModel,
         else:
             t_mask = np.ones(X_t.rows, dtype=bool)
             o_mask = np.ones(X_o.rows, dtype=bool)
-        rows = np.flatnonzero(t_mask)
         grp_t = X_t.take(t_mask)
         grp_o = X_o.take(o_mask)
-        if cfg.per_group_min_check and target == TARGET_NON_ANOMALOUS:
-            if 2 ** len(l_n) > grp_t.rows:
-                raise InsufficientDataError(
-                    "state %s has %d points, need at least %d"
-                    % (_state_text(state), grp_t.rows, 2 ** len(l_n)))
-        orig_t = grp_t.numeric_matrix(l_n)
-        Xs = scale_apply(grp_t, model.scaling).numeric_matrix(l_n)
-        Ys = scale_apply(grp_o, model.scaling).numeric_matrix(l_n)
+        groups.append((np.flatnonzero(t_mask), grp_t.numeric_matrix(l_n),
+                       scale_apply(grp_t, model.scaling).numeric_matrix(l_n),
+                       scale_apply(grp_o, model.scaling).numeric_matrix(l_n)))
 
-        boxes, local_discard, n_cl = _extract_boxes(Xs, Ys, cfg, target, state)
-        clusters_per_group.append(n_cl)
-        discarded_global.extend(int(rows[i]) for i in local_discard)
-        for b in boxes:
-            # original-unit bounds come from the members' own coordinates so
-            # membership is exact in both spaces
-            sub = orig_t[b.bounds_idx]
-            rules_u.append(Rule(
-                state=state, columns=l_n,
-                lower=tuple(float(v) for v in sub.min(axis=0)),
-                upper=tuple(float(v) for v in sub.max(axis=0)),
-                n_points=int(b.members.size)))
-            rules_s.append(Rule(
-                state=state, columns=l_n,
-                lower=tuple(float(v) for v in b.lower),
-                upper=tuple(float(v) for v in b.upper),
-                n_points=int(b.members.size)))
+    rules_u: list[Rule] = []
+    rules_s: list[Rule] = []
+    discarded_global: list[int] = []
+    clusters_per_group: list[int] = []
+    helper = _LazyHelper([(Xs, Ys) for _, _, Xs, Ys in groups], cfg, target)
+    try:
+        for g, (state, (rows, orig_t, Xs, Ys)) in enumerate(zip(states, groups)):
+            if cfg.per_group_min_check and target == TARGET_NON_ANOMALOUS:
+                if 2 ** len(l_n) > rows.size:
+                    raise InsufficientDataError(
+                        "state %s has %d points, need at least %d"
+                        % (_state_text(state), rows.size, 2 ** len(l_n)))
+            boxes, local_discard, n_cl = _extract_boxes(Xs, Ys, cfg, target, state,
+                                                        helper, g)
+            clusters_per_group.append(n_cl)
+            discarded_global.extend(int(rows[i]) for i in local_discard)
+            for b in boxes:
+                # original-unit bounds come from the members' own coordinates
+                # so membership is exact in both spaces
+                sub = orig_t[b.bounds_idx]
+                rules_u.append(Rule(
+                    state=state, columns=l_n,
+                    lower=tuple(float(v) for v in sub.min(axis=0)),
+                    upper=tuple(float(v) for v in sub.max(axis=0)),
+                    n_points=int(b.members.size)))
+                rules_s.append(Rule(
+                    state=state, columns=l_n,
+                    lower=tuple(float(v) for v in b.lower),
+                    upper=tuple(float(v) for v in b.upper),
+                    n_points=int(b.members.size)))
+    finally:
+        helper.close()
 
     survivors = prune_survivors(rules_u)
     cyc = dict(schema.cyclical)

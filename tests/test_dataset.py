@@ -75,6 +75,17 @@ def test_take_with_mask_and_index():
     assert sub2.rows == 2
 
 
+@pytest.mark.parametrize("empty", [[], (), np.zeros(0, dtype=int), np.zeros(0, dtype=bool)],
+                         ids=["list", "tuple", "int-array", "bool-array"])
+def test_take_nothing_gives_zero_rows(empty):
+    d = make([1.0, 2.0, 3.0], ["a", "b", "c"])
+    sub = d.take(empty)
+    assert sub.rows == 0
+    assert sub.data["x"].shape == (0,)
+    assert synth.tokens(sub, "c") == ()
+    assert sub.numeric_matrix(["x"]).shape == (0, 1)
+
+
 def test_numeric_matrix_column_order():
     d = Dataset(columns=(("a", NUMERICAL), ("b", NUMERICAL)),
                 data={"a": np.array([1.0, 2.0]), "b": np.array([3.0, 4.0])}, rows=2)
