@@ -22,7 +22,6 @@ from .dataset import (
     scale_fit,
     scale_value,
     unique_categorical_states,
-    unscale_value,
 )
 from .errors import (
     ConfigError,
@@ -39,13 +38,11 @@ from .ocsvm import (
     NON_ANOMALOUS,
     KernelParams,
     OcsvmModel,
-    decision_function,
     decision_values,
     fit,
     fit_dataset,
     model_from_json,
     model_to_json,
-    predict,
     predict_many,
     rbf_kernel_matrix,
     split_by_prediction,
@@ -68,7 +65,6 @@ from .rules import (
     ruleset_from_json,
     ruleset_to_json,
     ruleset_to_text,
-    unscale_rules,
 )
 from .surrogate import (
     TreeNode,

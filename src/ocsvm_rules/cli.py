@@ -22,9 +22,9 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from .dataset import encode_matrix, expand_numeric_names, load_csv
+# encode_matrix is not called here, but perfbench/tracing.py wraps
+# cli.encode_matrix, so the name stays importable from this module
+from .dataset import encode_matrix, expand_numeric_names, load_csv  # noqa: F401
 from .errors import (
     ConfigError,
     ExtractionConvergenceError,
@@ -34,10 +34,7 @@ from .errors import (
     SolverConvergenceError,
 )
 from .ocsvm import (
-    ANOMALOUS,
-    NON_ANOMALOUS,
     KernelParams,
-    dataset_decision_values,
     ensure_expanded,
     fit_dataset,
     model_from_json,
@@ -337,11 +334,7 @@ def cmd_surrogate(args) -> int:
     d = _load_dataset(cfg)
     model = _load_model(cfg, d)
     t0 = time.perf_counter()
-    tree, names = fit_surrogate(d, model)
-    d_exp = ensure_expanded(d, model.schema)
-    y = np.where(dataset_decision_values(model, d_exp) >= 0,
-                 NON_ANOMALOUS, ANOMALOUS)
-    M = encode_matrix(d_exp, model.schema)
+    tree, names, M, y = fit_surrogate(d, model)
     acc = training_accuracy(tree, M, y)
     st = tree_stats(tree)
     rules = tree_to_rules(tree, names)

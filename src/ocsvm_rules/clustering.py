@@ -14,13 +14,14 @@ passes one through its sweep over k = 1, 2, ... so each step extends the
 sequences instead of redrawing them. Passing it changes no result.
 
 A PlusPlusSeeds object also carries the sweep's hook for results computed
-elsewhere. Rule extraction may run part of a long sweep in a forked helper
-process (see rules.py); the helper calls kmeans_pp with the same X, k, seed,
-n_init and max_iter, in the same program image, so its result is the one the
-parent would compute. The parent still calls kmeans_pp once per k, and
-seeds.ahead(k) hands it the helper's result for the counts the helper owns.
-When ahead is unset or returns None (not the helper's count, or the helper
-died), kmeans_pp computes the result here as before.
+elsewhere. Rule extraction may run every other count of one group's long
+sweep in a helper process forked for that group (see rules.py); the helper
+calls kmeans_pp with the same X, k, seed, n_init and max_iter, in the same
+program image, so its result is the one the parent would compute. The parent
+still calls kmeans_pp once per k, and seeds.ahead(k) hands it the helper's
+result for the counts the helper owns. When ahead is unset or returns None
+(not the helper's count, or the helper's stream ended), kmeans_pp computes
+the result here as before.
 
 Centres are updated with one bincount per column, which adds each
 cluster's rows in ascending row order. For d >= 2 that is the order of

@@ -263,16 +263,6 @@ def scale_value(v: float, col: str, p: ScalingParams) -> float:
     return (v - sc.min) / (sc.max - sc.min)
 
 
-def unscale_value(v: float, col: str, p: ScalingParams) -> float:
-    """Inverse of scale_value on non-degenerate columns."""
-    if col not in p.per_column:
-        raise SchemaError("no scaling params for column %r" % col)
-    sc = p.per_column[col]
-    if sc.degenerate:
-        return sc.min
-    return v * (sc.max - sc.min) + sc.min
-
-
 # ---------------------------------------------------------------------------
 # Cyclical encoding
 # ---------------------------------------------------------------------------
@@ -302,6 +292,18 @@ class CyclicalInfo:
     period: float
     sin_col: str
     cos_col: str
+
+
+def cyclical_to_doc(cyclical: dict) -> dict:
+    """The JSON form of an original-name -> CyclicalInfo map."""
+    return {name: {"period": info.period, "sin": info.sin_col, "cos": info.cos_col}
+            for name, info in cyclical.items()}
+
+
+def cyclical_from_doc(doc: dict) -> dict:
+    """Inverse of cyclical_to_doc."""
+    return {name: CyclicalInfo(period=spec["period"], sin_col=spec["sin"], cos_col=spec["cos"])
+            for name, spec in doc.items()}
 
 
 def expand_cyclical(d: Dataset, periods: dict) -> tuple[Dataset, dict]:

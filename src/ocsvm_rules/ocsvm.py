@@ -20,11 +20,12 @@ import numpy as np
 
 from .dataset import (
     ColumnScale,
-    CyclicalInfo,
     Dataset,
     FeatureSchema,
     ScalingParams,
     build_schema,
+    cyclical_from_doc,
+    cyclical_to_doc,
     encode_matrix,
     expand_cyclical,
     expand_numeric_names,
@@ -304,16 +305,8 @@ def decision_values(m: OcsvmModel, X) -> np.ndarray:
     return K @ m.alphas - m.rho
 
 
-def decision_function(m: OcsvmModel, x) -> float:
-    return float(decision_values(m, np.asarray(x, dtype=np.float64).reshape(1, -1))[0])
-
-
-def predict(m: OcsvmModel, x) -> int:
-    """+1 non-anomalous, -1 anomalous; the zero boundary counts as +1."""
-    return NON_ANOMALOUS if decision_function(m, x) >= 0 else ANOMALOUS
-
-
 def predict_many(m: OcsvmModel, X) -> np.ndarray:
+    """+1 non-anomalous, -1 anomalous per row; the zero boundary counts as +1."""
     g = decision_values(m, X)
     return np.where(g >= 0, NON_ANOMALOUS, ANOMALOUS)
 
@@ -351,10 +344,7 @@ def model_to_json(m: OcsvmModel) -> str:
             "numerical": list(m.schema.numerical),
             "categorical": list(m.schema.categorical),
             "levels": {c: list(toks) for c, toks in m.schema.levels.items()},
-            "cyclical": {
-                name: {"period": info.period, "sin": info.sin_col, "cos": info.cos_col}
-                for name, info in m.schema.cyclical.items()
-            },
+            "cyclical": cyclical_to_doc(m.schema.cyclical),
         },
         "scaling": {
             c: {"min": sc.min, "max": sc.max, "degenerate": sc.degenerate}
@@ -372,10 +362,7 @@ def model_from_json(text: str) -> OcsvmModel:
         numerical=tuple(doc["schema"]["numerical"]),
         categorical=tuple(doc["schema"]["categorical"]),
         levels={c: tuple(toks) for c, toks in doc["schema"]["levels"].items()},
-        cyclical={
-            name: CyclicalInfo(period=spec["period"], sin_col=spec["sin"], cos_col=spec["cos"])
-            for name, spec in doc["schema"].get("cyclical", {}).items()
-        },
+        cyclical=cyclical_from_doc(doc["schema"].get("cyclical", {})),
     )
     scaling = ScalingParams(per_column={
         c: ColumnScale(min=s["min"], max=s["max"], degenerate=s["degenerate"])

@@ -11,12 +11,13 @@ numerical column, plus equality tests on the categorical columns.
 Who computes which cluster count. The sweep over k = 1, 2, ... of one group
 runs in this process until its work, n times the sum of the counts so far
 including the current k, reaches AHEAD_WORK. From then on, if a helper
-process exists or can be forked, it computes counts k + 1, k + 3, ... of that
-group while this process computes k, k + 2, ...; the helper runs the same
-per-k check and stops at its own first clean count, or when this process
-accepts the group. At most one helper is forked per extract_rule_sets call,
-and it serves every later group whose sweep reaches AHEAD_WORK. The process
-and its pipes live in sweep_helper.py, which is imported only then.
+process can be forked, it computes counts k + 1, k + 3, ... of that group
+while this process computes k, k + 2, ...; the helper runs the same per-k
+check and ends at its own first clean count. Each group whose sweep reaches
+AHEAD_WORK gets its own helper, forked with only that group's data and
+killed when that group's sweep ends, so at most one helper runs at a time.
+The process and its pipe live in sweep_helper.py, which is imported only
+then.
 
 Why the output cannot change. The helper is a fork of this process, so it
 has the same data, code and BLAS, and calls the same kmeans_pp with the same
@@ -28,10 +29,11 @@ same order as a serial sweep.
 
 Fallbacks. Without os.fork or os.sched_getaffinity, with fewer than 2 CPUs
 available, or with another thread alive (fork is unsafe then), no helper is
-forked and every count is computed here. If the helper dies, or its stream
-lacks a count, that count and all later ones are computed here. The helper
-writes nothing to stdout or stderr, ends with os._exit, and is killed and
-reaped before extract_rule_sets returns or raises.
+forked and every count is computed here. Once the helper's stream ends,
+because it finished or died, this process computes the count it was waiting
+for and every later one. The helper writes nothing to stdout or stderr,
+ends with os._exit, and is killed and reaped before its group's sweep
+returns or raises.
 """
 
 from __future__ import annotations
@@ -44,13 +46,13 @@ import numpy as np
 from .clustering import PlusPlusSeeds, kmeans_pp
 from .dataset import (
     CategoricalState,
-    CyclicalInfo,
     Dataset,
     cyclical_decode,
+    cyclical_from_doc,
+    cyclical_to_doc,
     scale_apply,
     state_mask,
     unique_categorical_states,
-    unscale_value,
 )
 from .errors import (
     ConfigError,
@@ -165,15 +167,6 @@ def bounding_box(points) -> tuple[np.ndarray, np.ndarray]:
     return points.min(axis=0), points.max(axis=0)
 
 
-def contains_any(lower, upper, points) -> bool:
-    """True if any row of points lies inside the closed box."""
-    points = np.asarray(points, dtype=np.float64)
-    if points.shape[0] == 0:
-        return False
-    inside = np.all((points >= np.asarray(lower)) & (points <= np.asarray(upper)), axis=1)
-    return bool(inside.any())
-
-
 @dataclass
 class _Box:
     lower: np.ndarray
@@ -277,14 +270,12 @@ def _cluster_cap(cfg: ExtractionConfig, n: int) -> int:
 
 
 def _extract_boxes(Xs: np.ndarray, Ys: np.ndarray, cfg: ExtractionConfig,
-                   target: str, state: CategoricalState,
-                   helper: _LazyHelper | None = None, group: int = 0):
+                   target: str, state: CategoricalState):
     """Cluster-and-check loop over one categorical group, scaled space.
 
-    Returns (boxes, discarded group-local indices, clusters used). With a
-    helper, once the sweep's work n * (1 + 2 + ... + k) reaches AHEAD_WORK
-    the helper computes counts k + 1, k + 3, ... of this group (its index in
-    the helper's groups) while this loop computes the others.
+    Returns (boxes, discarded group-local indices, clusters used). Once the
+    sweep's work n * (1 + 2 + ... + k) reaches AHEAD_WORK, a helper process
+    computes counts k + 1, k + 3, ... while this loop computes the others.
     """
     n = Xs.shape[0]
     if n == 0:
@@ -296,20 +287,25 @@ def _extract_boxes(Xs: np.ndarray, Ys: np.ndarray, cfg: ExtractionConfig,
     seeds = PlusPlusSeeds(Xs, cfg.seed, cfg.n_init)
     step = None
     work = 0
-    for n_cl in range(1, max_cl + 1):
-        work += n * n_cl
-        if (helper is not None and seeds.ahead is None and work >= AHEAD_WORK
-                and n_cl < max_cl):
-            seeds.ahead = helper.start(group, n_cl + 1)
-        cl = kmeans_pp(Xs, n_cl, seed=cfg.seed, n_init=cfg.n_init,
-                       max_iter=cfg.kmeans_max_iter, seeds=seeds)
-        step = _check_clusters(Xs, Ys, cl, cfg, target, n_v)
-        if not step.retry:
-            if seeds.ahead is not None:
-                helper.stop(group)
-            discarded = (np.sort(np.concatenate(step.discard)) if step.discard
-                         else np.empty(0, dtype=np.int64))
-            return step.boxes, discarded, n_cl
+    helper = None
+    try:
+        for n_cl in range(1, max_cl + 1):
+            work += n * n_cl
+            if helper is None and work >= AHEAD_WORK and n_cl < max_cl:
+                from .sweep_helper import Helper
+
+                helper = Helper(Xs, Ys, cfg, target, n_cl + 1)
+                seeds.ahead = helper.result
+            cl = kmeans_pp(Xs, n_cl, seed=cfg.seed, n_init=cfg.n_init,
+                           max_iter=cfg.kmeans_max_iter, seeds=seeds)
+            step = _check_clusters(Xs, Ys, cl, cfg, target, n_v)
+            if not step.retry:
+                discarded = (np.sort(np.concatenate(step.discard)) if step.discard
+                             else np.empty(0, dtype=np.int64))
+                return step.boxes, discarded, n_cl
+    finally:
+        if helper is not None:
+            helper.close()
 
     raise ExtractionConvergenceError(
         "state %r still has %d contaminated clusters at %d clusters"
@@ -321,34 +317,9 @@ def _extract_boxes(Xs: np.ndarray, Ys: np.ndarray, cfg: ExtractionConfig,
 
 
 # Sweep work, sum of n * k over the steps done, from which a group's sweep
-# shares its remaining counts with the helper. Below it the pipe round trips
-# and the helper's speculative steps cost more than they save.
+# shares its remaining counts with a helper. Below it the fork and the
+# helper's speculative steps cost more than they save.
 AHEAD_WORK = 50_000
-
-
-class _LazyHelper:
-    """The sweep helper, imported and built the first time a sweep asks for it.
-
-    Runs whose sweeps stay below AHEAD_WORK never load sweep_helper.
-    """
-
-    def __init__(self, groups, cfg: ExtractionConfig, target: str):
-        self._args = (groups, cfg, target)
-        self._helper = None
-
-    def start(self, group: int, k0: int):
-        if self._helper is None:
-            from .sweep_helper import Helper
-
-            self._helper = Helper(*self._args)
-        return self._helper.start(group, k0)
-
-    def stop(self, group: int) -> None:
-        self._helper.stop(group)
-
-    def close(self) -> None:
-        if self._helper is not None:
-            self._helper.close()
 
 
 def _state_text(state: CategoricalState) -> str:
@@ -391,9 +362,10 @@ def extract_rule_sets(d: Dataset, model: OcsvmModel,
     else:
         states = [()]
 
-    # every group's matrices exist before the sweep, so a helper forked
-    # during one group's sweep can take a share of any later group's
-    groups = []
+    rules_u: list[Rule] = []
+    rules_s: list[Rule] = []
+    discarded_global: list[int] = []
+    clusters_per_group: list[int] = []
     for state in states:
         if state:
             t_mask = state_mask(X_t, state)
@@ -401,44 +373,33 @@ def extract_rule_sets(d: Dataset, model: OcsvmModel,
         else:
             t_mask = np.ones(X_t.rows, dtype=bool)
             o_mask = np.ones(X_o.rows, dtype=bool)
+        rows = np.flatnonzero(t_mask)
+        if cfg.per_group_min_check and target == TARGET_NON_ANOMALOUS:
+            if 2 ** len(l_n) > rows.size:
+                raise InsufficientDataError(
+                    "state %s has %d points, need at least %d"
+                    % (_state_text(state), rows.size, 2 ** len(l_n)))
         grp_t = X_t.take(t_mask)
-        grp_o = X_o.take(o_mask)
-        groups.append((np.flatnonzero(t_mask), grp_t.numeric_matrix(l_n),
-                       scale_apply(grp_t, model.scaling).numeric_matrix(l_n),
-                       scale_apply(grp_o, model.scaling).numeric_matrix(l_n)))
-
-    rules_u: list[Rule] = []
-    rules_s: list[Rule] = []
-    discarded_global: list[int] = []
-    clusters_per_group: list[int] = []
-    helper = _LazyHelper([(Xs, Ys) for _, _, Xs, Ys in groups], cfg, target)
-    try:
-        for g, (state, (rows, orig_t, Xs, Ys)) in enumerate(zip(states, groups)):
-            if cfg.per_group_min_check and target == TARGET_NON_ANOMALOUS:
-                if 2 ** len(l_n) > rows.size:
-                    raise InsufficientDataError(
-                        "state %s has %d points, need at least %d"
-                        % (_state_text(state), rows.size, 2 ** len(l_n)))
-            boxes, local_discard, n_cl = _extract_boxes(Xs, Ys, cfg, target, state,
-                                                        helper, g)
-            clusters_per_group.append(n_cl)
-            discarded_global.extend(int(rows[i]) for i in local_discard)
-            for b in boxes:
-                # original-unit bounds come from the members' own coordinates
-                # so membership is exact in both spaces
-                sub = orig_t[b.bounds_idx]
-                rules_u.append(Rule(
-                    state=state, columns=l_n,
-                    lower=tuple(float(v) for v in sub.min(axis=0)),
-                    upper=tuple(float(v) for v in sub.max(axis=0)),
-                    n_points=int(b.members.size)))
-                rules_s.append(Rule(
-                    state=state, columns=l_n,
-                    lower=tuple(float(v) for v in b.lower),
-                    upper=tuple(float(v) for v in b.upper),
-                    n_points=int(b.members.size)))
-    finally:
-        helper.close()
+        orig_t = grp_t.numeric_matrix(l_n)
+        Xs = scale_apply(grp_t, model.scaling).numeric_matrix(l_n)
+        Ys = scale_apply(X_o.take(o_mask), model.scaling).numeric_matrix(l_n)
+        boxes, local_discard, n_cl = _extract_boxes(Xs, Ys, cfg, target, state)
+        clusters_per_group.append(n_cl)
+        discarded_global.extend(int(rows[i]) for i in local_discard)
+        for b in boxes:
+            # original-unit bounds come from the members' own coordinates
+            # so membership is exact in both spaces
+            sub = orig_t[b.bounds_idx]
+            rules_u.append(Rule(
+                state=state, columns=l_n,
+                lower=tuple(float(v) for v in sub.min(axis=0)),
+                upper=tuple(float(v) for v in sub.max(axis=0)),
+                n_points=int(b.members.size)))
+            rules_s.append(Rule(
+                state=state, columns=l_n,
+                lower=tuple(float(v) for v in b.lower),
+                upper=tuple(float(v) for v in b.upper),
+                n_points=int(b.members.size)))
 
     survivors = prune_survivors(rules_u)
     cyc = dict(schema.cyclical)
@@ -510,24 +471,6 @@ def prune_rules(rs: RuleSet) -> RuleSet:
     survivors = prune_survivors(rs.rules)
     return RuleSet(target=rs.target, scaled=rs.scaled, columns=rs.columns,
                    rules=tuple(rs.rules[i] for i in survivors), cyclical=rs.cyclical)
-
-
-def unscale_rules(rs: RuleSet, scaling) -> RuleSet:
-    """Affine inverse of min-max scaling applied to every bound.
-
-    May differ from member-derived bounds by float rounding; the pipeline
-    avoids that by deriving original-unit bounds from the points directly.
-    """
-    if not rs.scaled:
-        raise ConfigError("rule set is already in original units")
-    out = []
-    for r in rs.rules:
-        lo = tuple(unscale_value(v, c, scaling) for c, v in zip(r.columns, r.lower))
-        hi = tuple(unscale_value(v, c, scaling) for c, v in zip(r.columns, r.upper))
-        out.append(Rule(state=r.state, columns=r.columns, lower=lo, upper=hi,
-                        n_points=r.n_points))
-    return RuleSet(target=rs.target, scaled=False, columns=rs.columns,
-                   rules=tuple(out), cyclical=rs.cyclical)
 
 
 # ---------------------------------------------------------------------------
@@ -670,10 +613,7 @@ def ruleset_to_json(rs: RuleSet) -> str:
         "target": rs.target,
         "scaled": rs.scaled,
         "columns": list(rs.columns),
-        "cyclical": {
-            orig: {"period": info.period, "sin": info.sin_col, "cos": info.cos_col}
-            for orig, info in rs.cyclical.items()
-        },
+        "cyclical": cyclical_to_doc(rs.cyclical),
         "rules": [
             {
                 "state": [[c, t] for c, t in r.state],
@@ -692,10 +632,6 @@ def ruleset_from_json(text: str) -> RuleSet:
     if doc.get("format") != RULESET_FORMAT:
         raise SchemaError("unsupported rule set format: %r" % doc.get("format"))
     columns = tuple(doc["columns"])
-    cyclical = {
-        orig: CyclicalInfo(period=spec["period"], sin_col=spec["sin"], cos_col=spec["cos"])
-        for orig, spec in doc.get("cyclical", {}).items()
-    }
     rules = tuple(
         Rule(
             state=tuple((c, t) for c, t in rd["state"]),
@@ -707,4 +643,5 @@ def ruleset_from_json(text: str) -> RuleSet:
         for rd in doc["rules"]
     )
     return RuleSet(target=doc["target"], scaled=bool(doc["scaled"]),
-                   columns=columns, rules=rules, cyclical=cyclical)
+                   columns=columns, rules=rules,
+                   cyclical=cyclical_from_doc(doc.get("cyclical", {})))

@@ -225,11 +225,13 @@ def tree_rule_to_text(rule: TreeRule) -> str:
 # Fitting against a detector
 # ---------------------------------------------------------------------------
 
-def fit_surrogate(d: Dataset, model: OcsvmModel) -> tuple[TreeNode, list]:
+def fit_surrogate(d: Dataset,
+                  model: OcsvmModel) -> tuple[TreeNode, list, np.ndarray, np.ndarray]:
     """Tree over original-unit features that mimics the model on d.
 
-    Returns (tree, feature names); numeric features keep their units so the
-    thresholds read directly, one-hot features split at 0.5.
+    Returns (tree, feature names, training matrix, labels); numeric features
+    keep their units so the thresholds read directly, one-hot features split
+    at 0.5. The labels are the model's predictions on d.
     """
     if model.schema is None or model.scaling is None:
         raise ConfigError("model has no attached preprocessing; fit with fit_dataset")
@@ -237,7 +239,7 @@ def fit_surrogate(d: Dataset, model: OcsvmModel) -> tuple[TreeNode, list]:
     y = np.where(dataset_decision_values(model, d_exp) >= 0, NON_ANOMALOUS, ANOMALOUS)
     M = encode_matrix(d_exp, model.schema)  # unscaled numerics plus one-hot
     tree = fit_tree(M, y)
-    return tree, model.schema.feature_names()
+    return tree, model.schema.feature_names(), M, y
 
 
 # ---------------------------------------------------------------------------

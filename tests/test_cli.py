@@ -242,7 +242,8 @@ def test_surrogate_tree_matches_library_fit(tmp_path, capsys):
     assert main(["surrogate", "--config", str(cfg)]) == 0
     model = o.fit_dataset(d, ["x", "y"], [], nu=synth.BLOB_NU,
                           kernel=o.KernelParams(gamma=synth.BLOB_GAMMA))
-    expected = o.tree_to_json(*o.fit_surrogate(d, model))
+    tree, names, _, _ = o.fit_surrogate(d, model)
+    expected = o.tree_to_json(tree, names)
     assert (tmp_path / "out" / "tree.json").read_text(encoding="utf-8") == expected
 
 

@@ -86,6 +86,6 @@ def test_ruleset_json_golden(name, target, request):
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_surrogate_tree_json_golden(name, request):
     data_fx, model_fx = FIXTURES[name]
-    tree, names = o.fit_surrogate(request.getfixturevalue(data_fx),
-                                  request.getfixturevalue(model_fx))
+    tree, names, _, _ = o.fit_surrogate(request.getfixturevalue(data_fx),
+                                        request.getfixturevalue(model_fx))
     assert _sha(o.tree_to_json(tree, names)) == TREE_GOLDEN[name]

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -14,13 +15,11 @@ from ocsvm_rules.ocsvm import (
     NON_ANOMALOUS,
     KernelParams,
     dataset_decision_values,
-    decision_function,
     decision_values,
     fit,
     fit_dataset,
     model_from_json,
     model_to_json,
-    predict,
     predict_many,
     rbf_kernel_matrix,
     split_by_prediction,
@@ -149,9 +148,14 @@ def test_interior_support_vectors_sit_on_the_boundary():
 def test_predict_boundary_is_non_anomalous():
     X = synth.gaussian_cloud(100, seed=1)
     m = fit(X, nu=0.1, kernel=KernelParams(gamma=0.2))
-    densest = X[np.argmax(decision_values(m, X))]
-    assert predict(m, densest) == NON_ANOMALOUS
-    assert decision_function(m, densest) > 0
+    densest = X[np.argmax(decision_values(m, X))][None]
+    assert predict_many(m, densest).tolist() == [NON_ANOMALOUS]
+    assert decision_values(m, densest)[0] > 0
+    # a model whose rho equals the kernel sum at densest puts it on the boundary
+    s = rbf_kernel_matrix(densest, m.support_vectors, m.kernel.gamma) @ m.alphas
+    on_boundary = dataclasses.replace(m, rho=float(s[0]))
+    assert decision_values(on_boundary, densest)[0] == 0.0
+    assert predict_many(on_boundary, densest).tolist() == [NON_ANOMALOUS]
     labels = predict_many(m, X)
     g = decision_values(m, X)
     assert np.array_equal(labels, np.where(g >= 0, NON_ANOMALOUS, ANOMALOUS))
@@ -245,7 +249,7 @@ def test_fit_dataset_split_partition(blob_data, blob_model):
 def test_fit_dataset_midpoint_is_flagged(blob_data, blob_model):
     xs = [scale_value(5.0, "x", blob_model.scaling),
           scale_value(5.0, "y", blob_model.scaling)]
-    assert predict(blob_model, xs) == ANOMALOUS
+    assert predict_many(blob_model, [xs]).tolist() == [ANOMALOUS]
 
 
 def test_fit_dataset_with_categoricals(grouped_data, grouped_model):

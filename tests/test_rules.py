@@ -9,7 +9,6 @@ from ocsvm_rules.dataset import (
     NUMERICAL,
     CyclicalInfo,
     Dataset,
-    scale_fit,
 )
 from ocsvm_rules.errors import (
     ConfigError,
@@ -28,7 +27,6 @@ from ocsvm_rules.rules import (
     RuleSet,
     _extract_boxes,
     bounding_box,
-    contains_any,
     covered_mask,
     explain_point,
     extract_rule_sets,
@@ -39,7 +37,6 @@ from ocsvm_rules.rules import (
     ruleset_from_json,
     ruleset_to_json,
     ruleset_to_text,
-    unscale_rules,
 )
 
 import categorical_reference
@@ -58,11 +55,6 @@ def test_bounding_box_and_containment():
     lo, hi = bounding_box([[0.0, 5.0], [2.0, 1.0]])
     assert lo.tolist() == [0.0, 1.0]
     assert hi.tolist() == [2.0, 5.0]
-    # boundary counts as inside
-    assert contains_any(lo, hi, [[0.0, 5.0]])
-    assert contains_any(lo, hi, [[1.0, 3.0]])
-    assert not contains_any(lo, hi, [[3.0, 3.0]])
-    assert not contains_any(lo, hi, np.empty((0, 2)))
     with pytest.raises(ConfigError):
         bounding_box(np.empty((0, 2)))
 
@@ -377,33 +369,6 @@ def test_pruned_set_covers_same_points():
     probes = rng.uniform(-1, 13, size=(2000, 2))
     probe_d = synth.matrix_dataset(probes)
     assert np.array_equal(covered_mask(rs, probe_d), covered_mask(pruned, probe_d))
-
-
-# ---------------------------------------------------------------------------
-# Unscaling
-# ---------------------------------------------------------------------------
-
-def test_unscale_rules_inverts_scaling(blob_data, blob_model):
-    res = extract_rule_sets(blob_data, blob_model)
-    back = unscale_rules(res.ruleset_scaled, blob_model.scaling)
-    assert not back.scaled
-    for r_aff, r_pts in zip(back.rules, res.ruleset.rules):
-        assert np.allclose(r_aff.lower, r_pts.lower, rtol=0, atol=1e-9)
-        assert np.allclose(r_aff.upper, r_pts.upper, rtol=0, atol=1e-9)
-    with pytest.raises(ConfigError):
-        unscale_rules(back, blob_model.scaling)
-
-
-def test_unscale_degenerate_column_restores_constant():
-    d = synth.matrix_dataset([[3.0, 1.0], [3.0, 2.0], [3.0, 5.0]])
-    p = scale_fit(d, ["x", "y"])
-    rs = RuleSet(
-        target=TARGET_NON_ANOMALOUS, scaled=True, columns=("x", "y"),
-        rules=(Rule(state=(), columns=("x", "y"), lower=(0.0, 0.25),
-                    upper=(0.0, 0.75), n_points=2),))
-    back = unscale_rules(rs, p)
-    assert back.rules[0].lower == (3.0, 2.0)
-    assert back.rules[0].upper == (3.0, 4.0)
 
 
 # ---------------------------------------------------------------------------

@@ -158,11 +158,13 @@ def test_input_validation():
 
 
 def test_surrogate_mimics_detector(grouped_data, grouped_model):
-    tree, names = fit_surrogate(grouped_data, grouped_model)
+    tree, names, M_fit, y_fit = fit_surrogate(grouped_data, grouped_model)
     d_exp = ensure_expanded(grouped_data, grouped_model.schema)
     y = np.where(dataset_decision_values(grouped_model, d_exp) >= 0,
                  NON_ANOMALOUS, ANOMALOUS)
     M = o.encode_matrix(d_exp, grouped_model.schema)
+    # the matrix and labels it returns are the ones it trained on
+    assert np.array_equal(M_fit, M) and np.array_equal(y_fit, y)
     assert training_accuracy(tree, M, y) == 1.0
     assert set(names) == {"x", "y", "mode=off", "mode=on"}
     # both labels appear in the leaf rules

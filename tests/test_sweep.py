@@ -2,8 +2,8 @@
 
 The vectorised check must give exactly the former per-cluster loop's boxes,
 kept in ``sweep_reference.py``. The helper that runs half of a long sweep
-must change no result, whether it runs, never starts or dies, and must
-leave no child process behind.
+must change no result, whether it runs, never starts or dies, must run one
+at a time and must leave no child process behind.
 """
 
 import json
@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -126,13 +127,25 @@ def test_check_tests_containment_in_blocks(monkeypatch):
 # The helper process
 # ---------------------------------------------------------------------------
 
+def _reaped(pid):
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
 @pytest.fixture
 def forks(monkeypatch):
-    """Counts the helper forks; the helper may run on any machine."""
+    """Counts the helper forks; the helper may run on any machine.
+
+    Each fork asserts that every earlier helper is already reaped.
+    """
     made = []
     real_fork = os.fork
 
     def fork():
+        assert all(_reaped(pid) for pid in made), "an earlier helper is alive"
         pid = real_fork()
         made.append(pid)
         return pid
@@ -165,6 +178,16 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _groups_with_two_rows(d, model, target):
+    """The groups that get a helper at AHEAD_WORK = 0: those of >= 2 target rows."""
+    X_a, X_na = o.split_by_prediction(d, model)
+    X_t = X_na if target == TARGET_NON_ANOMALOUS else X_a
+    cats = model.schema.categorical
+    sizes = Counter(zip(*(X_t.data[c].codes.tolist() for c in cats))) if cats \
+        else Counter({(): X_t.rows})
+    return sum(m >= 2 for m in sizes.values())
+
+
 @pytest.mark.parametrize("target", TARGETS)
 @pytest.mark.parametrize("fixture", ["blob", "seismic", "grouped"])
 def test_helper_changes_no_result(request, monkeypatch, forks, fixture, target):
@@ -172,7 +195,10 @@ def test_helper_changes_no_result(request, monkeypatch, forks, fixture, target):
     model = request.getfixturevalue(fixture + "_model")
     serial, helped = _serial_and_helped(monkeypatch, d, model, target)
     assert helped == serial
-    assert len(forks) == 1
+    helpers = _groups_with_two_rows(d, model, target)
+    assert len(forks) == helpers
+    if fixture != "grouped":
+        assert helpers == 1
     _no_child_left()
 
 
@@ -300,6 +326,16 @@ def test_no_fork_on_one_cpu_or_without_the_calls(monkeypatch, grouped_data,
         monkeypatch.delattr(os, missing)
     res = extract_rule_sets(grouped_data, grouped_model)
     assert res.stats["n_rules"] > 0
+
+
+def test_cli_import_leaves_the_helper_unloaded():
+    # sweep_helper loads only once a sweep reaches AHEAD_WORK
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ocsvm_rules.cli; print('ocsvm_rules.sweep_helper' in sys.modules)"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_cli_extract_writes_each_line_once(tmp_path):
