@@ -14,18 +14,15 @@ from .dataset import (
     ScalingParams,
     build_schema,
     cyclical_decode,
-    cyclical_encode,
     encode_matrix,
     expand_cyclical,
     load_csv,
     scale_apply,
     scale_fit,
-    scale_value,
     unique_categorical_states,
 )
 from .errors import (
     ConfigError,
-    ExplanationError,
     ExtractionConvergenceError,
     InsufficientDataError,
     OcsvmRulesError,
@@ -50,17 +47,13 @@ from .ocsvm import (
 from .rules import (
     TARGET_ANOMALOUS,
     TARGET_NON_ANOMALOUS,
-    Counterfactual,
     ExtractionConfig,
     ExtractionResult,
     Rule,
     RuleSet,
     bounding_box,
     covered_mask,
-    explain_point,
     extract_rule_sets,
-    extract_rules,
-    prune_rules,
     rule_to_text,
     ruleset_from_json,
     ruleset_to_json,
@@ -73,7 +66,6 @@ from .surrogate import (
     fit_tree,
     predict_tree,
     training_accuracy,
-    tree_from_json,
     tree_stats,
     tree_to_json,
     tree_to_rules,

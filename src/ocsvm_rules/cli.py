@@ -54,7 +54,6 @@ from .rules import (
 from .surrogate import (
     fit_surrogate,
     training_accuracy,
-    tree_from_json,
     tree_rule_to_text,
     tree_stats,
     tree_to_json,
@@ -256,15 +255,20 @@ def _fit_model(cfg: RunConfig, d):
     return model
 
 
-def _load_model(cfg: RunConfig, d):
-    """The model extract wrote to <out>/model.json, checked against cfg and d."""
-    path = cfg.output_dir / "model.json"
+def _read_artifact(path: Path) -> str:
+    """Text of a file that extract wrote; ConfigError if it cannot be read."""
     try:
-        text = path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ConfigError("missing %s; run extract first" % path) from None
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError("cannot read %s: %s" % (path, e)) from None
+
+
+def _load_model(cfg: RunConfig, d):
+    """The model extract wrote to <out>/model.json, checked against cfg and d."""
+    path = cfg.output_dir / "model.json"
+    text = _read_artifact(path)
     try:
         model = model_from_json(text)
         n_features = len(model.schema.feature_names())
@@ -471,9 +475,9 @@ def cmd_plot(args) -> int:
         suffix = _SUFFIX[target]
         path = cfg.output_dir / ("rules_%s.json" % suffix)
         try:
-            rs = ruleset_from_json(path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise ConfigError("missing %s; run extract first" % path) from None
+            rs = ruleset_from_json(_read_artifact(path))
+        except SchemaError as e:
+            raise SchemaError("malformed %s: %s" % (path, e)) from None
         cols = cfg.plot_columns or list(rs.columns[:2])
         _expect(len(cols) == 2, "plotting needs two numerical columns")
         try:

@@ -99,26 +99,13 @@ class Dataset:
                 return k
         raise SchemaError("unknown column %r" % name)
 
-    def numerical_columns(self) -> tuple[str, ...]:
-        return tuple(n for n, k in self.columns if k == NUMERICAL)
-
-    def categorical_columns(self) -> tuple[str, ...]:
-        return tuple(n for n, k in self.columns if k == CATEGORICAL)
-
-    def column(self, name: str):
-        if name not in self.data:
-            raise SchemaError("unknown column %r" % name)
-        return self.data[name]
-
     def categorical(self, name: str) -> Categorical:
         if self.kind_of(name) != CATEGORICAL:
             raise SchemaError("column %r is not categorical" % name)
         return self.data[name]
 
-    def numeric_matrix(self, cols=None) -> np.ndarray:
+    def numeric_matrix(self, cols) -> np.ndarray:
         """Rows-by-columns float matrix over the given numerical columns."""
-        if cols is None:
-            cols = self.numerical_columns()
         for c in cols:
             if self.kind_of(c) != NUMERICAL:
                 raise SchemaError("column %r is not numerical" % c)
@@ -222,9 +209,6 @@ class ScalingParams:
 
     per_column: dict  # name -> ColumnScale
 
-    def columns(self) -> tuple[str, ...]:
-        return tuple(self.per_column)
-
 
 def scale_fit(d: Dataset, l_n) -> ScalingParams:
     per = {}
@@ -254,29 +238,12 @@ def scale_apply(d: Dataset, p: ScalingParams) -> Dataset:
     return Dataset(columns=d.columns, data=data, rows=d.rows)
 
 
-def scale_value(v: float, col: str, p: ScalingParams) -> float:
-    if col not in p.per_column:
-        raise SchemaError("no scaling params for column %r" % col)
-    sc = p.per_column[col]
-    if sc.degenerate:
-        return 0.0
-    return (v - sc.min) / (sc.max - sc.min)
-
-
 # ---------------------------------------------------------------------------
 # Cyclical encoding
 # ---------------------------------------------------------------------------
 
-def cyclical_encode(v: float, period: float) -> tuple[float, float]:
-    """Map a periodic value onto the unit circle as (sin, cos)."""
-    if period <= 0:
-        raise ConfigError("cyclical period must be positive, got %r" % period)
-    angle = 2.0 * math.pi * v / period
-    return math.sin(angle), math.cos(angle)
-
-
 def cyclical_decode(s: float, c: float, period: float) -> float:
-    """Invert cyclical_encode; result lies in [0, period)."""
+    """The value whose expand_cyclical pair is (s, c); result lies in [0, period)."""
     if period <= 0:
         raise ConfigError("cyclical period must be positive, got %r" % period)
     if s == 0.0 and c == 0.0:

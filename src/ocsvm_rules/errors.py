@@ -42,7 +42,3 @@ class ExtractionConvergenceError(OcsvmRulesError):
         super().__init__(message)
         self.last_n_clusters = last_n_clusters
         self.offending_boxes = offending_boxes or []
-
-
-class ExplanationError(OcsvmRulesError):
-    """No counterfactual exists within the observed categorical states."""

@@ -52,11 +52,8 @@ MODEL_FORMAT = "ocsvm-model/1"
 @dataclass(frozen=True)
 class KernelParams:
     gamma: float
-    kind: str = "rbf"
 
     def __post_init__(self):
-        if self.kind != "rbf":
-            raise ConfigError("only the rbf kernel is supported, got %r" % self.kind)
         if not self.gamma > 0:
             raise ConfigError("gamma must be positive, got %r" % self.gamma)
 
@@ -305,10 +302,14 @@ def decision_values(m: OcsvmModel, X) -> np.ndarray:
     return K @ m.alphas - m.rho
 
 
-def predict_many(m: OcsvmModel, X) -> np.ndarray:
-    """+1 non-anomalous, -1 anomalous per row; the zero boundary counts as +1."""
-    g = decision_values(m, X)
+def _labels(g: np.ndarray) -> np.ndarray:
+    """+1 non-anomalous, -1 anomalous per decision value; 0 counts as +1."""
     return np.where(g >= 0, NON_ANOMALOUS, ANOMALOUS)
+
+
+def predict_many(m: OcsvmModel, X) -> np.ndarray:
+    """The label of each row of the model matrix X."""
+    return _labels(decision_values(m, X))
 
 
 def dataset_decision_values(m: OcsvmModel, d: Dataset) -> np.ndarray:
@@ -318,10 +319,14 @@ def dataset_decision_values(m: OcsvmModel, d: Dataset) -> np.ndarray:
     return decision_values(m, encode_matrix(scaled, m.schema))
 
 
+def predict_dataset(m: OcsvmModel, d: Dataset) -> np.ndarray:
+    """The label of each row of d, through the model's preprocessing."""
+    return _labels(dataset_decision_values(m, d))
+
+
 def split_by_prediction(d: Dataset, m: OcsvmModel) -> tuple[Dataset, Dataset]:
     """Partition rows into (anomalous, non-anomalous) per the model."""
-    g = dataset_decision_values(m, d)
-    anomalous = g < 0
+    anomalous = predict_dataset(m, d) == ANOMALOUS
     return d.take(anomalous), d.take(~anomalous)
 
 

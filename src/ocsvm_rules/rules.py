@@ -39,6 +39,7 @@ returns or raises.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,7 +57,6 @@ from .dataset import (
 )
 from .errors import (
     ConfigError,
-    ExplanationError,
     ExtractionConvergenceError,
     InsufficientDataError,
     SchemaError,
@@ -97,7 +97,6 @@ class RuleSet:
     columns: tuple[str, ...]
     rules: tuple[Rule, ...]
     cyclical: dict = field(default_factory=dict)  # original column -> CyclicalInfo
-    n_v: int | None = None  # box vertex count used during mining; 2^d by default
 
     def __post_init__(self):
         if self.target not in (TARGET_NON_ANOMALOUS, TARGET_ANOMALOUS):
@@ -105,10 +104,6 @@ class RuleSet:
         for r in self.rules:
             if r.columns != self.columns:
                 raise ConfigError("rule columns differ from rule set columns")
-        if self.n_v is None:
-            object.__setattr__(self, "n_v", 2 ** len(self.columns))
-        elif self.n_v < 1:
-            raise ConfigError("n_v must be >= 1, got %r" % self.n_v)
 
 
 @dataclass(frozen=True)
@@ -136,19 +131,16 @@ class ExtractionConfig:
         if self.box_mode not in (BOX_ALL, BOX_FARTHEST):
             raise ConfigError("box_mode must be %r or %r, got %r"
                               % (BOX_ALL, BOX_FARTHEST, self.box_mode))
-        if self.discard_factor < 0:
-            raise ConfigError("discard_factor must be >= 0, got %r" % self.discard_factor)
-        if self.n_v is not None and self.n_v < 1:
-            raise ConfigError("n_v must be >= 1, got %r" % self.n_v)
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) \
-                or self.seed < 0:
-            raise ConfigError("seed must be a non-negative integer, got %r" % (self.seed,))
-        if self.max_clusters is not None and self.max_clusters < 1:
-            raise ConfigError("max_clusters must be >= 1, got %r" % self.max_clusters)
-        if self.n_init < 1:
-            raise ConfigError("n_init must be >= 1, got %r" % self.n_init)
-        if self.kmeans_max_iter < 1:
-            raise ConfigError("kmeans_max_iter must be >= 1, got %r" % self.kmeans_max_iter)
+        if not (math.isfinite(self.discard_factor) and self.discard_factor >= 0):
+            raise ConfigError("discard_factor must be finite and >= 0, got %r"
+                              % (self.discard_factor,))
+        for name, minimum in (("n_v", 1), ("max_clusters", 1), ("seed", 0),
+                              ("n_init", 1), ("kmeans_max_iter", 1)):
+            v = getattr(self, name)
+            if v is None and name in ("n_v", "max_clusters"):
+                continue
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < minimum:
+                raise ConfigError("%s must be an integer >= %d, got %r" % (name, minimum, v))
 
 
 @dataclass(frozen=True)
@@ -430,13 +422,6 @@ def extract_rule_sets(d: Dataset, model: OcsvmModel,
                             discarded_rows=discarded_rows, stats=stats)
 
 
-def extract_rules(d: Dataset, model: OcsvmModel,
-                  target: str = TARGET_NON_ANOMALOUS,
-                  config: ExtractionConfig | None = None) -> RuleSet:
-    """Pruned rules in original units; see extract_rule_sets for the rest."""
-    return extract_rule_sets(d, model, target=target, config=config).ruleset
-
-
 # ---------------------------------------------------------------------------
 # Pruning
 # ---------------------------------------------------------------------------
@@ -467,12 +452,6 @@ def prune_survivors(rules) -> list[int]:
     return keep
 
 
-def prune_rules(rs: RuleSet) -> RuleSet:
-    survivors = prune_survivors(rs.rules)
-    return RuleSet(target=rs.target, scaled=rs.scaled, columns=rs.columns,
-                   rules=tuple(rs.rules[i] for i in survivors), cyclical=rs.cyclical)
-
-
 # ---------------------------------------------------------------------------
 # Matching and coverage
 # ---------------------------------------------------------------------------
@@ -491,65 +470,6 @@ def covered_mask(rs: RuleSet, d: Dataset) -> np.ndarray:
             inside = np.all((Vs >= rule.lower) & (Vs <= rule.upper), axis=1)
             out[rows[inside]] = True
     return out
-
-
-# ---------------------------------------------------------------------------
-# Counterfactuals
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Counterfactual:
-    """Cheapest edit that moves a point inside some rule of the set."""
-
-    rule_index: int
-    distance: float                 # L1 over numerical columns only
-    moves: tuple                    # (column, from, to) numeric adjustments
-    state_changes: tuple            # (column, from, to) categorical edits
-
-    @property
-    def satisfied(self) -> bool:
-        return self.distance == 0.0 and not self.moves and not self.state_changes
-
-
-def explain_point(rs: RuleSet, values, state: CategoricalState = ()) -> Counterfactual:
-    """Nearest rule by clip distance: clamp each coordinate into the box.
-
-    Rules matching the point's categorical state are preferred; if none
-    exist the search widens and the result includes the category edits.
-    """
-    if not rs.rules:
-        raise ExplanationError("rule set is empty")
-    if isinstance(values, dict):
-        try:
-            vec = np.array([float(values[c]) for c in rs.columns])
-        except KeyError as e:
-            raise ExplanationError("missing value for column %s" % e) from None
-    else:
-        vec = np.asarray(values, dtype=np.float64)
-        if vec.shape != (len(rs.columns),):
-            raise ExplanationError(
-                "expected %d values, got shape %s" % (len(rs.columns), vec.shape))
-
-    candidates = [i for i, r in enumerate(rs.rules) if r.state == tuple(state)]
-    if not candidates:
-        candidates = list(range(len(rs.rules)))
-
-    best_i, best_dist = -1, np.inf
-    for i in candidates:
-        r = rs.rules[i]
-        clipped = np.clip(vec, r.lower, r.upper)
-        dist = float(np.abs(clipped - vec).sum())
-        if dist < best_dist:
-            best_i, best_dist = i, dist
-    rule = rs.rules[best_i]
-    clipped = np.clip(vec, rule.lower, rule.upper)
-    moves = tuple((c, float(v), float(t))
-                  for c, v, t in zip(rs.columns, vec, clipped) if v != t)
-    have = dict(state)
-    state_changes = tuple((c, have.get(c), t) for c, t in rule.state
-                          if have.get(c) != t)
-    return Counterfactual(rule_index=best_i, distance=best_dist, moves=moves,
-                          state_changes=state_changes)
 
 
 # ---------------------------------------------------------------------------
@@ -628,20 +548,28 @@ def ruleset_to_json(rs: RuleSet) -> str:
 
 
 def ruleset_from_json(text: str) -> RuleSet:
-    doc = json.loads(text)
-    if doc.get("format") != RULESET_FORMAT:
-        raise SchemaError("unsupported rule set format: %r" % doc.get("format"))
-    columns = tuple(doc["columns"])
-    rules = tuple(
-        Rule(
-            state=tuple((c, t) for c, t in rd["state"]),
-            columns=columns,
-            lower=tuple(float(v) for v in rd["lower"]),
-            upper=tuple(float(v) for v in rd["upper"]),
-            n_points=int(rd["n_points"]),
+    """Inverse of ruleset_to_json; SchemaError for any other text."""
+    try:
+        doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise SchemaError("expected a JSON object, got %s" % type(doc).__name__)
+        if doc.get("format") != RULESET_FORMAT:
+            raise SchemaError("unsupported rule set format: %r" % doc.get("format"))
+        columns = tuple(doc["columns"])
+        rules = tuple(
+            Rule(
+                state=tuple((c, t) for c, t in rd["state"]),
+                columns=columns,
+                lower=tuple(float(v) for v in rd["lower"]),
+                upper=tuple(float(v) for v in rd["upper"]),
+                n_points=int(rd["n_points"]),
+            )
+            for rd in doc["rules"]
         )
-        for rd in doc["rules"]
-    )
-    return RuleSet(target=doc["target"], scaled=bool(doc["scaled"]),
-                   columns=columns, rules=rules,
-                   cyclical=cyclical_from_doc(doc.get("cyclical", {})))
+        return RuleSet(target=doc["target"], scaled=bool(doc["scaled"]),
+                       columns=columns, rules=rules,
+                       cyclical=cyclical_from_doc(doc.get("cyclical", {})))
+    except KeyError as e:
+        raise SchemaError("rule set has no field %s" % e) from None
+    except (ValueError, TypeError, AttributeError, ConfigError) as e:
+        raise SchemaError(str(e)) from None

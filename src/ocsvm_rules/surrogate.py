@@ -16,14 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, encode_matrix
-from .errors import ConfigError, SchemaError
-from .ocsvm import (
-    ANOMALOUS,
-    NON_ANOMALOUS,
-    OcsvmModel,
-    dataset_decision_values,
-    ensure_expanded,
-)
+from .errors import ConfigError
+from .ocsvm import ANOMALOUS, NON_ANOMALOUS, OcsvmModel, ensure_expanded, predict_dataset
 
 TREE_FORMAT = "surrogate-tree/1"
 
@@ -236,7 +230,7 @@ def fit_surrogate(d: Dataset,
     if model.schema is None or model.scaling is None:
         raise ConfigError("model has no attached preprocessing; fit with fit_dataset")
     d_exp = ensure_expanded(d, model.schema)
-    y = np.where(dataset_decision_values(model, d_exp) >= 0, NON_ANOMALOUS, ANOMALOUS)
+    y = predict_dataset(model, d_exp)
     M = encode_matrix(d_exp, model.schema)  # unscaled numerics plus one-hot
     tree = fit_tree(M, y)
     return tree, model.schema.feature_names(), M, y
@@ -259,20 +253,6 @@ def _node_to_doc(node: TreeNode) -> dict:
     return doc
 
 
-def _node_from_doc(doc: dict) -> TreeNode:
-    counts = tuple((int(l), int(c)) for l, c in doc["counts"])
-    if "feature" not in doc:
-        return TreeNode(prediction=int(doc["prediction"]), counts=counts)
-    return TreeNode(
-        prediction=int(doc["prediction"]),
-        counts=counts,
-        feature=int(doc["feature"]),
-        threshold=float(doc["threshold"]),
-        left=_node_from_doc(doc["left"]),
-        right=_node_from_doc(doc["right"]),
-    )
-
-
 def tree_to_json(tree: TreeNode, feature_names) -> str:
     doc = {
         "format": TREE_FORMAT,
@@ -280,10 +260,3 @@ def tree_to_json(tree: TreeNode, feature_names) -> str:
         "root": _node_to_doc(tree),
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def tree_from_json(text: str) -> tuple[TreeNode, list]:
-    doc = json.loads(text)
-    if doc.get("format") != TREE_FORMAT:
-        raise SchemaError("unsupported tree format: %r" % doc.get("format"))
-    return _node_from_doc(doc["root"]), list(doc["features"])

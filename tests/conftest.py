@@ -1,9 +1,18 @@
+import os
+from pathlib import Path
+
 import pytest
 from hypothesis import settings
 
 import ocsvm_rules as o
 
 import synth
+
+# pyproject's pythonpath reaches this process only; the CLI tests' child
+# interpreters (python -m ocsvm_rules.cli) find the package through this
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")

@@ -25,7 +25,7 @@ from ocsvm_rules.rules import (
     RuleSet,
     covered_mask,
     extract_rule_sets,
-    prune_rules,
+    prune_survivors,
 )
 from ocsvm_rules.surrogate import fit_tree, predict_tree, tree_stats, tree_to_rules
 
@@ -194,7 +194,9 @@ def test_criterion_05_pruning_soundness(capsys, monkeypatch,
                 raw_res = extract_rule_sets(d, model)
             raw = raw_res.ruleset
             assert len(raw.rules) == pruned_res.stats["n_rules_raw"]
-            pruned = prune_rules(raw)
+            pruned = RuleSet(target=raw.target, scaled=raw.scaled, columns=raw.columns,
+                             rules=tuple(raw.rules[i] for i in prune_survivors(raw.rules)),
+                             cyclical=raw.cyclical)
             assert len(pruned.rules) == len(pruned_res.ruleset.rules)
 
             probes = _probe_dataset(raw, rng, 10_000)

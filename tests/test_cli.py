@@ -77,6 +77,13 @@ def test_config_rejects_unlisted_cyclical_column(tmp_path, capsys):
     assert "cyclical" in _read_error(capsys, 2)["message"]
 
 
+def test_discard_factor_nan_exits_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path, synth.two_blobs())
+    assert main(["extract", "--config", str(cfg), "--discard-factor", "nan"]) == 2
+    assert _read_error(capsys, 2)["error"] == "ConfigError"
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_dataset_file(tmp_path, capsys):
     cfg = _write_config(tmp_path, synth.two_blobs())
     (tmp_path / "data.csv").unlink()
@@ -372,6 +379,27 @@ def test_plot_requires_extract_first(tmp_path, capsys):
     doc = _read_error(capsys, 2)
     assert "rules_a.json" in doc["message"]
     assert "run extract first" in doc["message"]
+
+
+@pytest.mark.parametrize("text, error", [
+    ("{bad", "SchemaError"), ("[1]", "SchemaError"), ("{}", "SchemaError"),
+    ('{"format": "rule-set/1"}', "SchemaError"), ("\udcff", "ConfigError"),
+    (json.dumps({"format": "rule-set/1", "target": "non_anomalous", "scaled": False,
+                 "columns": ["x", "y"], "rules": [{"state": [], "lower": [1, 0],
+                                                   "upper": [0, 1], "n_points": 1}]}),
+     "SchemaError"),
+], ids=["bad-json", "list", "empty", "format-only", "not-utf8", "inverted-bounds"])
+def test_corrupt_rules_json_exits_2(tmp_path, capsys, text, error):
+    cfg = _write_config(tmp_path, synth.two_blobs())
+    assert main(["extract", "--config", str(cfg)]) == 0
+    (tmp_path / "out" / "rules_na.json").write_text(text, encoding="utf-8",
+                                                    errors="surrogateescape")
+    capsys.readouterr()
+    assert main(["plot", "--config", str(cfg)]) == 2
+    doc = _read_error(capsys, 2)
+    assert doc["error"] == error
+    assert "rules_na.json" in doc["message"]
+    assert not (tmp_path / "out" / "plot_na.svg").exists()
 
 
 def test_plot_writes_svg(tmp_path, capsys):

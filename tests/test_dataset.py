@@ -10,14 +10,12 @@ from ocsvm_rules.dataset import (
     Dataset,
     build_schema,
     cyclical_decode,
-    cyclical_encode,
     encode_matrix,
     expand_cyclical,
     expand_numeric_names,
     load_csv,
     scale_apply,
     scale_fit,
-    scale_value,
     state_mask,
     unique_categorical_states,
 )
@@ -181,8 +179,7 @@ def test_degenerate_column_scales_to_zero_and_unscales_to_min():
 def test_scale_value_stays_in_unit_interval_on_training_range(vals):
     d = make(vals)
     p = scale_fit(d, ["x"])
-    for v in vals:
-        sv = scale_value(v, "x", p)
+    for sv in scale_apply(d, p).data["x"]:
         assert 0.0 <= sv <= 1.0
 
 
@@ -195,14 +192,15 @@ def test_scale_is_weakly_monotone(vals, probe):
     lo, hi = min(vals), max(vals)
     # any value between two training values scales between their images
     if lo <= probe <= hi:
-        assert scale_value(lo, "x", p) <= scale_value(probe, "x", p) <= scale_value(hi, "x", p)
+        s_lo, s_probe, s_hi = scale_apply(make([lo, probe, hi]), p).data["x"]
+        assert s_lo <= s_probe <= s_hi
 
 
 def test_scale_unknown_column():
-    d = make([1.0, 2.0])
-    p = scale_fit(d, ["x"])
+    p = scale_fit(make([1.0, 2.0]), ["x"])
+    other = Dataset(columns=(("nope", NUMERICAL),), data={"nope": np.array([0.5])}, rows=1)
     with pytest.raises(SchemaError):
-        scale_value(0.5, "nope", p)
+        scale_apply(other, p)
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +209,8 @@ def test_scale_unknown_column():
 
 @given(st.floats(0, 1000), st.floats(0.1, 500))
 def test_cyclical_roundtrip_modulo_period(v, period):
-    s, c = cyclical_encode(v, period)
-    back = cyclical_decode(s, c, period)
+    e, _ = expand_cyclical(make([v]), {"x": period})
+    back = cyclical_decode(e.data["x_sin"][0], e.data["x_cos"][0], period)
     assert 0.0 <= back < period
     assert min(abs(back - v % period), period - abs(back - v % period)) < 1e-6 * max(1.0, period)
 
@@ -224,7 +222,7 @@ def test_cyclical_decode_rejects_origin():
 
 def test_cyclical_bad_period():
     with pytest.raises(ConfigError):
-        cyclical_encode(1.0, 0.0)
+        expand_cyclical(make([1.0]), {"x": 0.0})
     with pytest.raises(ConfigError):
         cyclical_decode(0.5, 0.5, -1.0)
 

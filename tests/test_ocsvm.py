@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 import ocsvm_reference
 import synth
 import ocsvm_rules.ocsvm as oc
-from ocsvm_rules.dataset import scale_value
+from ocsvm_rules.dataset import ColumnScale, FeatureSchema, ScalingParams, scale_apply
 from ocsvm_rules.errors import ConfigError, SolverConvergenceError
 from ocsvm_rules.ocsvm import (
     ANOMALOUS,
@@ -24,6 +24,7 @@ from ocsvm_rules.ocsvm import (
     rbf_kernel_matrix,
     split_by_prediction,
 )
+from ocsvm_rules.surrogate import fit_surrogate
 
 finite2d = st.lists(
     st.lists(st.floats(-100, 100), min_size=2, max_size=2),
@@ -99,8 +100,6 @@ def test_kernel_matrix_peak_memory_is_one_result():
 def test_kernel_params_validation():
     with pytest.raises(ConfigError):
         KernelParams(gamma=0.0)
-    with pytest.raises(ConfigError):
-        KernelParams(gamma=1.0, kind="linear")
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +155,17 @@ def test_predict_boundary_is_non_anomalous():
     on_boundary = dataclasses.replace(m, rho=float(s[0]))
     assert decision_values(on_boundary, densest)[0] == 0.0
     assert predict_many(on_boundary, densest).tolist() == [NON_ANOMALOUS]
+    # the same row as a Dataset: identity scaling keeps it exactly on the boundary
+    names = ("x", "y")
+    on_boundary = on_boundary.with_preprocessing(
+        FeatureSchema(numerical=names, categorical=(), levels={}),
+        ScalingParams(per_column={c: ColumnScale(min=0.0, max=1.0, degenerate=False)
+                                  for c in names}))
+    row = synth.matrix_dataset(densest, names)
+    assert dataset_decision_values(on_boundary, row).tolist() == [0.0]
+    X_a, X_na = split_by_prediction(row, on_boundary)
+    assert (X_a.rows, X_na.rows) == (0, 1)
+    assert fit_surrogate(row, on_boundary)[3].tolist() == [NON_ANOMALOUS]
     labels = predict_many(m, X)
     g = decision_values(m, X)
     assert np.array_equal(labels, np.where(g >= 0, NON_ANOMALOUS, ANOMALOUS))
@@ -247,9 +257,8 @@ def test_fit_dataset_split_partition(blob_data, blob_model):
 
 
 def test_fit_dataset_midpoint_is_flagged(blob_data, blob_model):
-    xs = [scale_value(5.0, "x", blob_model.scaling),
-          scale_value(5.0, "y", blob_model.scaling)]
-    assert predict_many(blob_model, [xs]).tolist() == [ANOMALOUS]
+    mid = scale_apply(synth.matrix_dataset([[5.0, 5.0]]), blob_model.scaling)
+    assert predict_many(blob_model, mid.numeric_matrix(["x", "y"])).tolist() == [ANOMALOUS]
 
 
 def test_fit_dataset_with_categoricals(grouped_data, grouped_model):

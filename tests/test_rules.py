@@ -12,7 +12,6 @@ from ocsvm_rules.dataset import (
 )
 from ocsvm_rules.errors import (
     ConfigError,
-    ExplanationError,
     ExtractionConvergenceError,
     InsufficientDataError,
     SchemaError,
@@ -28,10 +27,7 @@ from ocsvm_rules.rules import (
     _extract_boxes,
     bounding_box,
     covered_mask,
-    explain_point,
     extract_rule_sets,
-    extract_rules,
-    prune_rules,
     prune_survivors,
     rule_to_text,
     ruleset_from_json,
@@ -81,6 +77,16 @@ def test_extraction_config_validation():
         ExtractionConfig(n_init=0)
     with pytest.raises(ConfigError):
         ExtractionConfig(seed=-3)
+    # counts must be integers, as seed must; bool is not a count
+    for name in ("n_init", "kmeans_max_iter", "max_clusters", "n_v", "seed"):
+        for bad in (2.5, True):
+            with pytest.raises(ConfigError):
+                ExtractionConfig(**{name: bad})
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            ExtractionConfig(discard_factor=bad)
+    cfg = ExtractionConfig(n_v=np.int64(4), max_clusters=np.int32(9), discard_factor=0)
+    assert (cfg.n_v, cfg.max_clusters) == (4, 9)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +226,7 @@ def test_no_anomalous_point_satisfies_normal_rules(grouped_data, grouped_model):
 
 
 def test_grouped_rules_carry_states(grouped_data, grouped_model):
-    rs = extract_rules(grouped_data, grouped_model)
+    rs = extract_rule_sets(grouped_data, grouped_model).ruleset
     states = {r.state for r in rs.rules}
     assert (("mode", "on"),) in states
     assert (("mode", "off"),) in states
@@ -364,7 +370,8 @@ def test_pruned_set_covers_same_points():
         rules.append(_box_rule(lo.tolist(), hi.tolist()))
     rs = RuleSet(target=TARGET_NON_ANOMALOUS, scaled=False,
                  columns=("x", "y"), rules=tuple(rules))
-    pruned = prune_rules(rs)
+    pruned = RuleSet(target=rs.target, scaled=rs.scaled, columns=rs.columns,
+                     rules=tuple(rules[i] for i in prune_survivors(rules)))
     assert len(pruned.rules) <= len(rs.rules)
     probes = rng.uniform(-1, 13, size=(2000, 2))
     probe_d = synth.matrix_dataset(probes)
@@ -372,11 +379,11 @@ def test_pruned_set_covers_same_points():
 
 
 # ---------------------------------------------------------------------------
-# Matching and explanation
+# Matching
 # ---------------------------------------------------------------------------
 
 def test_covered_mask_agrees_with_row_matching(grouped_data, grouped_model):
-    rs = extract_rules(grouped_data, grouped_model)
+    rs = extract_rule_sets(grouped_data, grouped_model).ruleset
     mask = covered_mask(rs, grouped_data)
     t = synth.plain(grouped_data)
     for i in range(grouped_data.rows):
@@ -415,63 +422,6 @@ def test_covered_mask_matches_row_reference(case):
     assert covered_mask(rs, d).tolist() == want
 
 
-def _toy_ruleset():
-    r0 = Rule(state=(), columns=("x", "y"), lower=(0.0, 0.0),
-              upper=(1.0, 1.0), n_points=5)
-    r1 = Rule(state=(), columns=("x", "y"), lower=(10.0, 10.0),
-              upper=(11.0, 11.0), n_points=5)
-    return RuleSet(target=TARGET_NON_ANOMALOUS, scaled=False,
-                   columns=("x", "y"), rules=(r0, r1))
-
-
-def test_explain_point_inside_is_satisfied():
-    cf = explain_point(_toy_ruleset(), [0.5, 0.5])
-    assert cf.satisfied
-    assert cf.rule_index == 0
-    assert cf.distance == 0.0
-    assert cf.moves == ()
-
-
-def test_explain_point_clips_to_nearest_rule():
-    cf = explain_point(_toy_ruleset(), {"x": 2.0, "y": 0.5})
-    assert cf.rule_index == 0
-    assert cf.distance == 1.0
-    assert cf.moves == (("x", 2.0, 1.0),)
-    assert not cf.satisfied
-
-
-def test_explain_point_prefers_matching_state():
-    on = Rule(state=(("m", "on"),), columns=("x",), lower=(0.0,),
-              upper=(1.0,), n_points=1)
-    off = Rule(state=(("m", "off"),), columns=("x",), lower=(4.9,),
-               upper=(5.1,), n_points=1)
-    rs = RuleSet(target=TARGET_NON_ANOMALOUS, scaled=False, columns=("x",),
-                 rules=(on, off))
-    # matching-state rule wins even though the other box is closer
-    cf = explain_point(rs, [5.0], state=(("m", "on"),))
-    assert cf.rule_index == 0
-    assert cf.distance == 4.0
-    assert cf.state_changes == ()
-    # unknown state widens the search and reports the category edit
-    cf = explain_point(rs, [5.0], state=(("m", "midway"),))
-    assert cf.rule_index == 1
-    assert cf.distance == 0.0
-    assert cf.state_changes == (("m", "midway", "off"),)
-    assert not cf.satisfied
-
-
-def test_explain_point_errors():
-    rs = _toy_ruleset()
-    with pytest.raises(ExplanationError):
-        explain_point(rs, {"x": 1.0})
-    with pytest.raises(ExplanationError):
-        explain_point(rs, [1.0])
-    empty = RuleSet(target=TARGET_NON_ANOMALOUS, scaled=False,
-                    columns=("x",), rules=())
-    with pytest.raises(ExplanationError):
-        explain_point(empty, [1.0])
-
-
 # ---------------------------------------------------------------------------
 # Rendering and serialization
 # ---------------------------------------------------------------------------
@@ -499,7 +449,7 @@ def test_rule_text_decodes_cyclical_pairs():
 
 
 def test_ruleset_text_one_line_per_rule(grouped_data, grouped_model):
-    rs = extract_rules(grouped_data, grouped_model)
+    rs = extract_rule_sets(grouped_data, grouped_model).ruleset
     txt = ruleset_to_text(rs)
     lines = txt.splitlines()
     assert len(lines) == len(rs.rules)
@@ -508,7 +458,7 @@ def test_ruleset_text_one_line_per_rule(grouped_data, grouped_model):
 
 
 def test_ruleset_json_roundtrip(grouped_data, grouped_model):
-    rs = extract_rules(grouped_data, grouped_model)
+    rs = extract_rule_sets(grouped_data, grouped_model).ruleset
     text = ruleset_to_json(rs)
     again = ruleset_from_json(text)
     assert again == rs

@@ -1,15 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 
 import ocsvm_rules as o
-from ocsvm_rules.errors import ConfigError, SchemaError
+from ocsvm_rules.errors import ConfigError
 from ocsvm_rules.ocsvm import ANOMALOUS, NON_ANOMALOUS, dataset_decision_values, ensure_expanded
 from ocsvm_rules.surrogate import (
     fit_surrogate,
     fit_tree,
     predict_tree,
     training_accuracy,
-    tree_from_json,
     tree_rule_to_text,
     tree_stats,
     tree_to_json,
@@ -136,16 +137,21 @@ def test_root_leaf_rule_text():
 
 def test_json_roundtrip():
     t = fit_tree(XOR_X, XOR_Y)
-    text = tree_to_json(t, ["a", "b"])
-    t2, names = tree_from_json(text)
-    assert names == ["a", "b"]
-    assert t2 == t
-    assert tree_to_json(t2, names) == text
+    doc = json.loads(tree_to_json(t, ["a", "b"]))
+    assert doc["format"] == "surrogate-tree/1"
+    assert doc["features"] == ["a", "b"]
 
-
-def test_json_rejects_unknown_format():
-    with pytest.raises(SchemaError):
-        tree_from_json('{"format": "surrogate-tree/9"}')
+    # every node's fields come back from the JSON as they were fitted
+    def check(node, nd):
+        assert nd["prediction"] == node.prediction
+        assert [tuple(lc) for lc in nd["counts"]] == list(node.counts)
+        if node.is_leaf:
+            assert set(nd) == {"prediction", "counts"}
+            return
+        assert (nd["feature"], nd["threshold"]) == (node.feature, node.threshold)
+        check(node.left, nd["left"])
+        check(node.right, nd["right"])
+    check(t, doc["root"])
 
 
 def test_input_validation():
