@@ -10,7 +10,10 @@ byte-identical files. Progress and timings go to stderr; stdout carries
 only the error object on failure.
 
 Exit codes: 0 success, 2 bad configuration or input files, 3 not enough
-data to mine rules, 4 an iterative stage failed to converge.
+data to mine rules, 4 an iterative stage failed to converge. On exit 4 from
+rule extraction the error object also carries last_n_clusters and
+offending_boxes: one [lower, upper] pair per box still contaminated at that
+count, in scaled units and in the rule set's column order.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from .ocsvm import (
 )
 from .plotting import scatter_rules_svg
 from .rules import (
+    BOX_ALL,
     TARGET_ANOMALOUS,
     TARGET_NON_ANOMALOUS,
     ExtractionConfig,
@@ -163,25 +167,7 @@ def load_config(path: str, *, target: str | None = None, out: str | None = None,
                        nullable=True)
 
     km = _section(raw, "kmeans")
-    seed = _number(km, "kmeans", "seed", 0, integer=True, minimum=0)
-    n_init = _number(km, "kmeans", "n_init", 10, integer=True, minimum=1)
-    km_max_iter = _number(km, "kmeans", "max_iter", 100, integer=True, minimum=1)
-
     ex = _section(raw, "extraction")
-    factor = _number(ex, "extraction", "discard_factor", 1.0, minimum=0.0)
-    if discard_factor is not None:
-        factor = discard_factor
-    mode = box_mode or ex.get("box_mode", "all")
-    _expect(mode in ("all", "farthest"),
-            "extraction.box_mode must be 'all' or 'farthest', got %r" % mode)
-    n_v = _number(ex, "extraction", "n_v", None, integer=True, minimum=1, nullable=True)
-    max_clusters = _number(ex, "extraction", "max_clusters", None, integer=True,
-                           minimum=1, nullable=True)
-    literal = ex.get("literal_cluster_threshold", False)
-    _expect(isinstance(literal, bool), "extraction.literal_cluster_threshold must be a bool")
-    per_group = ex.get("per_group_min_check", False)
-    _expect(isinstance(per_group, bool), "extraction.per_group_min_check must be a bool")
-
     if target is not None:
         names = [TARGET_NON_ANOMALOUS, TARGET_ANOMALOUS] if target == "both" else [target]
     else:
@@ -196,16 +182,18 @@ def load_config(path: str, *, target: str | None = None, out: str | None = None,
         if canonical not in targets:
             targets.append(canonical)
 
+    # ExtractionConfig checks every one of these settings
     extraction = ExtractionConfig(
-        discard_factor=float(factor),
-        box_mode=mode,
-        n_v=n_v,
-        max_clusters=max_clusters,
-        literal_cluster_threshold=literal,
-        per_group_min_check=per_group,
-        seed=seed,
-        n_init=n_init,
-        kmeans_max_iter=km_max_iter,
+        discard_factor=(ex.get("discard_factor", 1.0) if discard_factor is None
+                        else discard_factor),
+        box_mode=box_mode or ex.get("box_mode", BOX_ALL),
+        n_v=ex.get("n_v"),
+        max_clusters=ex.get("max_clusters"),
+        literal_cluster_threshold=ex.get("literal_cluster_threshold", False),
+        per_group_min_check=ex.get("per_group_min_check", False),
+        seed=km.get("seed", 0),
+        n_init=km.get("n_init", 10),
+        kmeans_max_iter=km.get("max_iter", 100),
     )
 
     plot = _section(raw, "plot")
@@ -272,7 +260,7 @@ def _load_model(cfg: RunConfig, d):
     try:
         model = model_from_json(text)
         n_features = len(model.schema.feature_names())
-    except (ValueError, KeyError, TypeError, AttributeError) as e:
+    except (ValueError, KeyError, TypeError, AttributeError, SchemaError) as e:
         raise SchemaError("malformed %s: %s" % (path, e)) from None
     if model.support_vectors.shape != (model.alphas.size, n_features):
         raise SchemaError("malformed %s: support vectors do not match alphas "
@@ -540,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit_error(e: Exception, code: int):
     doc = {"error": type(e).__name__, "message": str(e), "exit_code": code}
-    for attr in ("kkt_violation", "iterations", "last_n_clusters"):
+    for attr in ("kkt_violation", "iterations", "last_n_clusters", "offending_boxes"):
         v = getattr(e, attr, None)
         if v is not None:
             doc[attr] = v

@@ -24,7 +24,8 @@ NUMERICAL = "numerical"
 CATEGORICAL = "categorical"
 
 # A categorical state is an ordered tuple of (column, token) pairs, one pair
-# per categorical column. States compare by exact token equality.
+# per categorical column; () is the one state of data with no categorical
+# column. States compare by exact token equality.
 CategoricalState = tuple[tuple[str, str], ...]
 
 
@@ -44,7 +45,8 @@ class Categorical:
 
     @classmethod
     def from_tokens(cls, tokens) -> "Categorical":
-        tokens = list(tokens)
+        """Encode each token as the string str(token)."""
+        tokens = [str(t) for t in tokens]
         levels = tuple(sorted(set(tokens)))
         code = {t: k for k, t in enumerate(levels)}
         return cls(np.fromiter((code[t] for t in tokens), dtype=np.int32,
@@ -268,9 +270,17 @@ def cyclical_to_doc(cyclical: dict) -> dict:
 
 
 def cyclical_from_doc(doc: dict) -> dict:
-    """Inverse of cyclical_to_doc."""
-    return {name: CyclicalInfo(period=spec["period"], sin_col=spec["sin"], cos_col=spec["cos"])
-            for name, spec in doc.items()}
+    """Inverse of cyclical_to_doc; SchemaError unless each period is a finite
+    number > 0 and each column name a string."""
+    out = {}
+    for name, spec in doc.items():
+        period, sin_col, cos_col = spec["period"], spec["sin"], spec["cos"]
+        if (isinstance(period, bool) or not isinstance(period, (int, float))
+                or not 0 < period < math.inf or not isinstance(sin_col, str)
+                or not isinstance(cos_col, str)):
+            raise SchemaError("malformed cyclical entry %r: %r" % (name, spec))
+        out[name] = CyclicalInfo(period=period, sin_col=sin_col, cos_col=cos_col)
+    return out
 
 
 def expand_cyclical(d: Dataset, periods: dict) -> tuple[Dataset, dict]:
@@ -325,10 +335,11 @@ def expand_numeric_names(l_n, info: dict) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 def unique_categorical_states(d: Dataset, l_c) -> list[CategoricalState]:
-    """Distinct combinations of categorical values, in first-appearance order."""
+    """Distinct combinations of categorical values, in first-appearance order.
+
+    With no columns, every row is in the one state ().
+    """
     l_c = list(l_c)
-    if not l_c:
-        raise SchemaError("unique_categorical_states requires at least one categorical column")
     cols = [d.categorical(c) for c in l_c]
     key = np.zeros(d.rows, dtype=np.int64)
     for col in cols:

@@ -14,7 +14,7 @@ reads the two rows of Q it needs, which are contiguous in the dense cache.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -124,18 +124,6 @@ class OcsvmModel:
     @property
     def n_support(self) -> int:
         return int(self.support_vectors.shape[0])
-
-    def with_preprocessing(self, schema: FeatureSchema, scaling: ScalingParams) -> "OcsvmModel":
-        return OcsvmModel(
-            support_vectors=self.support_vectors,
-            alphas=self.alphas,
-            rho=self.rho,
-            nu=self.nu,
-            kernel=self.kernel,
-            n_train=self.n_train,
-            schema=schema,
-            scaling=scaling,
-        )
 
 
 def fit(X, nu: float, kernel: KernelParams, tol: float = 1e-5,
@@ -265,22 +253,18 @@ def fit_dataset(d: Dataset, l_n, l_c, nu: float, kernel: KernelParams,
     ``cyclical`` maps column name to period; those columns are replaced by
     their (sin, cos) pair before scaling.
     """
-    info = {}
-    if cyclical:
-        d, info = expand_cyclical(d, cyclical)
-        l_n = expand_numeric_names(l_n, info)
+    d, info = expand_cyclical(d, cyclical or {})
+    l_n = expand_numeric_names(l_n, info)
     schema = build_schema(d, l_n, l_c, cyclical=info)
-    scaling = scale_fit(d, schema.numerical) if schema.numerical else ScalingParams(per_column={})
+    scaling = scale_fit(d, schema.numerical)
     scaled = scale_apply(d, scaling)
     M = encode_matrix(scaled, schema)
     model = fit(M, nu, kernel, tol=tol, max_iter=max_iter)
-    return model.with_preprocessing(schema, scaling)
+    return replace(model, schema=schema, scaling=scaling)
 
 
 def ensure_expanded(d: Dataset, schema: FeatureSchema) -> Dataset:
     """Expand periodic columns unless the dataset already carries the pairs."""
-    if not schema.cyclical:
-        return d
     names = set(d.column_names)
     periods = {}
     for orig, info in schema.cyclical.items():

@@ -11,13 +11,13 @@ numerical column, plus equality tests on the categorical columns.
 Who computes which cluster count. The sweep over k = 1, 2, ... of one group
 runs in this process until its work, n times the sum of the counts so far
 including the current k, reaches AHEAD_WORK. From then on, if a helper
-process can be forked, it computes counts k + 1, k + 3, ... of that group
-while this process computes k, k + 2, ...; the helper runs the same per-k
-check and ends at its own first clean count. Each group whose sweep reaches
-AHEAD_WORK gets its own helper, forked with only that group's data and
-killed when that group's sweep ends, so at most one helper runs at a time.
-The process and its pipe live in sweep_helper.py, which is imported only
-then.
+process can be forked, it runs k-means for counts k + 1, k + 3, ... of that
+group up to the cluster cap, while this process computes k, k + 2, ... and
+decides, for every count, whether to accept it. Each group whose sweep
+reaches AHEAD_WORK gets its own helper, forked with only that group's points
+and killed when that group's sweep ends, so at most one helper runs at a
+time. The process and its pipe live in sweep_helper.py, which is imported
+only then.
 
 Why the output cannot change. The helper is a fork of this process, so it
 has the same data, code and BLAS, and calls the same kmeans_pp with the same
@@ -30,16 +30,17 @@ same order as a serial sweep.
 Fallbacks. Without os.fork or os.sched_getaffinity, with fewer than 2 CPUs
 available, or with another thread alive (fork is unsafe then), no helper is
 forked and every count is computed here. Once the helper's stream ends,
-because it finished or died, this process computes the count it was waiting
-for and every later one. The helper writes nothing to stdout or stderr,
-ends with os._exit, and is killed and reaped before its group's sweep
-returns or raises.
+because it reached the cap or died, this process computes the count it was
+waiting for and every later one. The helper writes nothing to stdout or
+stderr, ends with os._exit at the cap, and is killed and reaped before its
+group's sweep returns or raises.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,9 +132,13 @@ class ExtractionConfig:
         if self.box_mode not in (BOX_ALL, BOX_FARTHEST):
             raise ConfigError("box_mode must be %r or %r, got %r"
                               % (BOX_ALL, BOX_FARTHEST, self.box_mode))
-        if not (math.isfinite(self.discard_factor) and self.discard_factor >= 0):
-            raise ConfigError("discard_factor must be finite and >= 0, got %r"
-                              % (self.discard_factor,))
+        f = self.discard_factor
+        if (isinstance(f, bool) or not isinstance(f, numbers.Real)
+                or not (math.isfinite(f) and f >= 0)):
+            raise ConfigError("discard_factor must be a finite number >= 0, got %r" % (f,))
+        for name in ("literal_cluster_threshold", "per_group_min_check"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError("%s must be true or false, got %r" % (name, getattr(self, name)))
         for name, minimum in (("n_v", 1), ("max_clusters", 1), ("seed", 0),
                               ("n_init", 1), ("kmeans_max_iter", 1)):
             v = getattr(self, name)
@@ -253,14 +258,6 @@ def _check_clusters(Xs: np.ndarray, Ys: np.ndarray, cl, cfg: ExtractionConfig,
     return step
 
 
-def _box_vertices(cfg: ExtractionConfig, d: int) -> int:
-    return cfg.n_v if cfg.n_v is not None else 2 ** d
-
-
-def _cluster_cap(cfg: ExtractionConfig, n: int) -> int:
-    return min(cfg.max_clusters or n, n)
-
-
 def _extract_boxes(Xs: np.ndarray, Ys: np.ndarray, cfg: ExtractionConfig,
                    target: str, state: CategoricalState):
     """Cluster-and-check loop over one categorical group, scaled space.
@@ -272,8 +269,8 @@ def _extract_boxes(Xs: np.ndarray, Ys: np.ndarray, cfg: ExtractionConfig,
     n = Xs.shape[0]
     if n == 0:
         return [], np.empty(0, dtype=np.int64), 0
-    n_v = _box_vertices(cfg, Xs.shape[1])
-    max_cl = _cluster_cap(cfg, n)
+    n_v = cfg.n_v if cfg.n_v is not None else 2 ** Xs.shape[1]
+    max_cl = min(cfg.max_clusters or n, n)
 
     # k-means++ picks do not depend on k: each step extends the same seeding
     seeds = PlusPlusSeeds(Xs, cfg.seed, cfg.n_init)
@@ -286,7 +283,7 @@ def _extract_boxes(Xs: np.ndarray, Ys: np.ndarray, cfg: ExtractionConfig,
             if helper is None and work >= AHEAD_WORK and n_cl < max_cl:
                 from .sweep_helper import Helper
 
-                helper = Helper(Xs, Ys, cfg, target, n_cl + 1)
+                helper = Helper(Xs, cfg, n_cl + 1, max_cl)
                 seeds.ahead = helper.result
             cl = kmeans_pp(Xs, n_cl, seed=cfg.seed, n_init=cfg.n_init,
                            max_iter=cfg.kmeans_max_iter, seeds=seeds)
@@ -347,41 +344,31 @@ def extract_rule_sets(d: Dataset, model: OcsvmModel,
     elif X_t.rows == 0:
         raise InsufficientDataError("no anomalous points to describe")
 
-    states: list[CategoricalState]
-    if l_c:
-        states = [tuple((str(c), str(t)) for c, t in s)
-                  for s in unique_categorical_states(X_t, l_c)]
-    else:
-        states = [()]
+    states = unique_categorical_states(X_t, l_c)
+    # scaling is elementwise, so a group's rows of these equal its own scaled rows
+    orig_t = X_t.numeric_matrix(l_n)
+    scaled_t = scale_apply(X_t, model.scaling).numeric_matrix(l_n)
+    scaled_o = scale_apply(X_o, model.scaling).numeric_matrix(l_n)
 
     rules_u: list[Rule] = []
     rules_s: list[Rule] = []
     discarded_global: list[int] = []
     clusters_per_group: list[int] = []
     for state in states:
-        if state:
-            t_mask = state_mask(X_t, state)
-            o_mask = state_mask(X_o, state)
-        else:
-            t_mask = np.ones(X_t.rows, dtype=bool)
-            o_mask = np.ones(X_o.rows, dtype=bool)
-        rows = np.flatnonzero(t_mask)
+        rows = np.flatnonzero(state_mask(X_t, state))
         if cfg.per_group_min_check and target == TARGET_NON_ANOMALOUS:
             if 2 ** len(l_n) > rows.size:
                 raise InsufficientDataError(
                     "state %s has %d points, need at least %d"
                     % (_state_text(state), rows.size, 2 ** len(l_n)))
-        grp_t = X_t.take(t_mask)
-        orig_t = grp_t.numeric_matrix(l_n)
-        Xs = scale_apply(grp_t, model.scaling).numeric_matrix(l_n)
-        Ys = scale_apply(X_o.take(o_mask), model.scaling).numeric_matrix(l_n)
+        Xs, Ys = scaled_t[rows], scaled_o[state_mask(X_o, state)]
         boxes, local_discard, n_cl = _extract_boxes(Xs, Ys, cfg, target, state)
         clusters_per_group.append(n_cl)
         discarded_global.extend(int(rows[i]) for i in local_discard)
         for b in boxes:
             # original-unit bounds come from the members' own coordinates
             # so membership is exact in both spaces
-            sub = orig_t[b.bounds_idx]
+            sub = orig_t[rows[b.bounds_idx]]
             rules_u.append(Rule(
                 state=state, columns=l_n,
                 lower=tuple(float(v) for v in sub.min(axis=0)),
@@ -402,8 +389,7 @@ def extract_rule_sets(d: Dataset, model: OcsvmModel,
 
     discarded_rows = tuple(sorted(discarded_global))
     kept = np.ones(X_t.rows, dtype=bool)
-    if discarded_rows:
-        kept[list(discarded_rows)] = False
+    kept[list(discarded_rows)] = False
     covered = int(np.count_nonzero(covered_mask(rs_u, X_t) & kept))
     denom = X_t.rows - len(discarded_rows)
     stats = {
@@ -566,7 +552,9 @@ def ruleset_from_json(text: str) -> RuleSet:
             )
             for rd in doc["rules"]
         )
-        return RuleSet(target=doc["target"], scaled=bool(doc["scaled"]),
+        if not isinstance(doc["scaled"], bool):
+            raise SchemaError("scaled must be true or false, got %r" % (doc["scaled"],))
+        return RuleSet(target=doc["target"], scaled=doc["scaled"],
                        columns=columns, rules=rules,
                        cyclical=cyclical_from_doc(doc.get("cyclical", {})))
     except KeyError as e:

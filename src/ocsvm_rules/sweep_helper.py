@@ -5,12 +5,13 @@ change. This module holds the process: the fork, the pipe, the helper's loop
 and the parent's reads. rules imports it only when a group's sweep reaches
 rules.AHEAD_WORK.
 
-Protocol. The helper has only its group's data. It computes counts k0,
-k0 + 2, ... and writes each on one pipe as a pickle of (k, clustering), in
-order, then ends with os._exit after its own first clean count or at the
-cluster cap. The parent reads the pipe only when its sweep reaches one of
-the helper's counts. End of stream means the helper has no more results:
-the parent computes that count and every later one itself.
+Protocol. The helper has only its group's target points and checks none of
+its clusterings. It computes counts k0, k0 + 2, ... up to the cluster cap and
+writes each on one pipe as a pickle of (k, clustering), in order; it ends
+there with os._exit, or earlier when the parent kills it as its group's
+sweep ends. The parent reads the pipe only when its sweep reaches one of the
+helper's counts. End of stream means the helper has no more results: the
+parent computes that count and every later one itself.
 """
 
 from __future__ import annotations
@@ -32,13 +33,13 @@ def can_fork() -> bool:
 
 
 class Helper:
-    """A forked process computing counts k0, k0 + 2, ... of one group's sweep.
+    """A forked process computing counts k0, k0 + 2, ... cap of one group's sweep.
 
     The constructor forks when it can; otherwise result always returns None.
     close kills and reaps the process.
     """
 
-    def __init__(self, Xs, Ys, cfg, target: str, k0: int):
+    def __init__(self, Xs, cfg, k0: int, cap: int):
         self._k0 = k0
         self._pid: int | None = None
         self._out = None  # read end of the result pipe, None once it ended
@@ -57,7 +58,7 @@ class Helper:
                 null = os.open(os.devnull, os.O_WRONLY)
                 os.dup2(null, 1)
                 os.dup2(null, 2)
-                _serve(out_w, Xs, Ys, cfg, target, k0)
+                _serve(out_w, Xs, cfg, k0, cap)
             finally:
                 os._exit(0)
         os.close(out_w)
@@ -88,21 +89,16 @@ class Helper:
             self._out = None
 
 
-def _serve(out: int, Xs, Ys, cfg, target: str, k: int) -> None:
-    """The helper's loop: compute, send, check.
+def _serve(out: int, Xs, cfg, k0: int, cap: int) -> None:
+    """The helper's loop: compute and send each count up to cap.
 
     kmeans_pp is looked up on rules at each call, as the parent's sweep
     does, so the helper computes with the very function the parent would.
     """
     seeds = PlusPlusSeeds(Xs, cfg.seed, cfg.n_init)
-    n_v = rules._box_vertices(cfg, Xs.shape[1])
-    cap = rules._cluster_cap(cfg, Xs.shape[0])
     with os.fdopen(out, "wb") as stream:
-        while k <= cap:
+        for k in range(k0, cap + 1, 2):
             cl = rules.kmeans_pp(Xs, k, seed=cfg.seed, n_init=cfg.n_init,
                                  max_iter=cfg.kmeans_max_iter, seeds=seeds)
             pickle.dump((k, cl), stream, pickle.HIGHEST_PROTOCOL)
             stream.flush()
-            if not rules._check_clusters(Xs, Ys, cl, cfg, target, n_v).retry:
-                return
-            k += 2

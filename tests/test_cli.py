@@ -84,6 +84,35 @@ def test_discard_factor_nan_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+# one wrong-typed or out-of-range value per kmeans.* and extraction.* key
+BAD_SETTINGS = [
+    ("kmeans", "seed", -1), ("kmeans", "seed", "0"),
+    ("kmeans", "n_init", 0), ("kmeans", "n_init", 2.5),
+    ("kmeans", "max_iter", 0), ("kmeans", "max_iter", True),
+    ("extraction", "discard_factor", -1), ("extraction", "discard_factor", "1"),
+    ("extraction", "discard_factor", True),
+    ("extraction", "box_mode", "vertices"), ("extraction", "box_mode", 3),
+    ("extraction", "n_v", 0), ("extraction", "n_v", 1.5),
+    ("extraction", "max_clusters", 0), ("extraction", "max_clusters", "9"),
+    ("extraction", "literal_cluster_threshold", "yes"),
+    ("extraction", "literal_cluster_threshold", 1),
+    ("extraction", "per_group_min_check", "no"),
+    ("extraction", "per_group_min_check", 0),
+    ("extraction", "targets", "na"), ("extraction", "targets", []),
+]
+
+
+@pytest.mark.parametrize("section, key, value", BAD_SETTINGS,
+                         ids=["%s.%s=%r" % case for case in BAD_SETTINGS])
+def test_bad_setting_exits_2_and_names_it(tmp_path, capsys, section, key, value):
+    cfg = _write_config(tmp_path, synth.two_blobs(), **{section: {key: value}})
+    assert main(["extract", "--config", str(cfg)]) == 2
+    doc = _read_error(capsys, 2)
+    assert doc["error"] == "ConfigError"
+    assert key in doc["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_dataset_file(tmp_path, capsys):
     cfg = _write_config(tmp_path, synth.two_blobs())
     (tmp_path / "data.csv").unlink()
@@ -215,6 +244,31 @@ def test_solver_non_convergence_exit_code(tmp_path, capsys):
     assert doc["kkt_violation"] > 0
 
 
+def test_extraction_non_convergence_reports_offending_boxes(tmp_path, capsys):
+    d = synth.seismic_like()
+    cfg = _write_config(tmp_path, d,
+                        columns={"numerical": ["energy", "pulses"], "categorical": []},
+                        ocsvm={"nu": 0.1, "gamma": 0.1}, extraction={"max_clusters": 3})
+    assert main(["extract", "--config", str(cfg)]) == 4
+    doc = _read_error(capsys, 4)
+    assert doc["error"] == "ExtractionConvergenceError"
+    assert doc["last_n_clusters"] == 3
+    boxes = doc["offending_boxes"]
+    assert boxes
+    for box in boxes:
+        assert len(box) == 2  # [lower, upper]
+        lower, upper = box
+        assert len(lower) == len(upper) == 2  # one value per numerical column
+        # scaled units: every target point, hence every box, lies in [0, 1]
+        assert all(0.0 <= lo <= hi <= 1.0 for lo, hi in zip(lower, upper))
+    # the same boxes, in the same column order, as the library reports
+    model = o.fit_dataset(d, ["energy", "pulses"], [], nu=0.1,
+                          kernel=o.KernelParams(gamma=0.1))
+    with pytest.raises(o.ExtractionConvergenceError) as ei:
+        o.extract_rule_sets(d, model, config=o.ExtractionConfig(max_clusters=3))
+    assert boxes == [[list(lo), list(hi)] for lo, hi in ei.value.offending_boxes]
+
+
 # ---------------------------------------------------------------------------
 # surrogate
 # ---------------------------------------------------------------------------
@@ -291,6 +345,24 @@ def test_corrupt_model_json_exits_2(tmp_path, capsys, command, text):
     capsys.readouterr()
     assert main([command, "--config", str(cfg)]) == 2
     assert _read_error(capsys, 2)["error"] in ("ConfigError", "SchemaError")
+
+
+@pytest.mark.parametrize("entry", [
+    {"period": -24, "sin": "x_sin", "cos": "x_cos"},
+    {"period": 24.0, "sin": 1, "cos": "x_cos"},
+], ids=["negative-period", "non-string-sin"])
+def test_model_json_with_malformed_cyclical_entry_exits_2(tmp_path, capsys, entry):
+    cfg = _write_config(tmp_path, synth.two_blobs())
+    assert main(["extract", "--config", str(cfg)]) == 0
+    path = tmp_path / "out" / "model.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["schema"]["cyclical"] = {"x": entry}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["surrogate", "--config", str(cfg)]) == 2
+    doc = _read_error(capsys, 2)
+    assert doc["error"] == "SchemaError"
+    assert "malformed" in doc["message"] and "model.json" in doc["message"]
 
 
 def test_model_json_with_mismatched_support_vectors_is_rejected(tmp_path, capsys):
@@ -388,7 +460,14 @@ def test_plot_requires_extract_first(tmp_path, capsys):
                  "columns": ["x", "y"], "rules": [{"state": [], "lower": [1, 0],
                                                    "upper": [0, 1], "n_points": 1}]}),
      "SchemaError"),
-], ids=["bad-json", "list", "empty", "format-only", "not-utf8", "inverted-bounds"])
+    (json.dumps({"format": "rule-set/1", "target": "non_anomalous", "scaled": "false",
+                 "columns": ["x", "y"], "rules": []}), "SchemaError"),
+    (json.dumps({"format": "rule-set/1", "target": "non_anomalous", "scaled": False,
+                 "columns": ["x", "y"], "rules": [],
+                 "cyclical": {"x": {"period": -24, "sin": "x_sin", "cos": "x_cos"}}}),
+     "SchemaError"),
+], ids=["bad-json", "list", "empty", "format-only", "not-utf8", "inverted-bounds",
+        "scaled-string", "negative-period"])
 def test_corrupt_rules_json_exits_2(tmp_path, capsys, text, error):
     cfg = _write_config(tmp_path, synth.two_blobs())
     assert main(["extract", "--config", str(cfg)]) == 0

@@ -271,8 +271,8 @@ def test_unique_states_requires_categorical():
     d = make([1.0], ["a"])
     with pytest.raises(SchemaError):
         unique_categorical_states(d, ["x"])
-    with pytest.raises(SchemaError):
-        unique_categorical_states(d, [])
+    # no categorical column: every row is in the one empty state
+    assert unique_categorical_states(d, []) == [()]
 
 
 # '' and non-ASCII tokens, one with a trailing NUL, and orders where sorted

@@ -157,10 +157,10 @@ def test_predict_boundary_is_non_anomalous():
     assert predict_many(on_boundary, densest).tolist() == [NON_ANOMALOUS]
     # the same row as a Dataset: identity scaling keeps it exactly on the boundary
     names = ("x", "y")
-    on_boundary = on_boundary.with_preprocessing(
-        FeatureSchema(numerical=names, categorical=(), levels={}),
-        ScalingParams(per_column={c: ColumnScale(min=0.0, max=1.0, degenerate=False)
-                                  for c in names}))
+    on_boundary = dataclasses.replace(
+        on_boundary, schema=FeatureSchema(numerical=names, categorical=(), levels={}),
+        scaling=ScalingParams(per_column={c: ColumnScale(min=0.0, max=1.0, degenerate=False)
+                                          for c in names}))
     row = synth.matrix_dataset(densest, names)
     assert dataset_decision_values(on_boundary, row).tolist() == [0.0]
     X_a, X_na = split_by_prediction(row, on_boundary)

@@ -85,8 +85,18 @@ def test_extraction_config_validation():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ConfigError):
             ExtractionConfig(discard_factor=bad)
+    # the two flags take only bools, discard_factor only numbers that are not bools
+    for name in ("literal_cluster_threshold", "per_group_min_check"):
+        for bad in ("yes", 1, "1"):
+            with pytest.raises(ConfigError):
+                ExtractionConfig(**{name: bad})
+        assert getattr(ExtractionConfig(**{name: True}), name) is True
+    for bad in ("yes", "1", True):
+        with pytest.raises(ConfigError):
+            ExtractionConfig(discard_factor=bad)
     cfg = ExtractionConfig(n_v=np.int64(4), max_clusters=np.int32(9), discard_factor=0)
     assert (cfg.n_v, cfg.max_clusters) == (4, 9)
+    assert ExtractionConfig(discard_factor=1).discard_factor == 1
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +174,28 @@ def test_empty_group_yields_nothing():
 # ---------------------------------------------------------------------------
 # End-to-end extraction
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("target", [TARGET_NON_ANOMALOUS, TARGET_ANOMALOUS])
+def test_integer_tokens_mine_the_same_rules_as_strings(grouped_data, target):
+    cat = grouped_data.categorical("mode")
+    numbers = [int(c) + 7 for c in cat.codes]
+
+    def rulesets(tokens):
+        d = Dataset(columns=(("x", NUMERICAL), ("y", NUMERICAL), ("mode", CATEGORICAL)),
+                    data={"x": grouped_data.data["x"], "y": grouped_data.data["y"],
+                          "mode": tokens},
+                    rows=grouped_data.rows)
+        model = o.fit_dataset(d, ["x", "y"], ["mode"], nu=0.05,
+                              kernel=o.KernelParams(gamma=15.0))
+        res = extract_rule_sets(d, model, target=target)
+        return ruleset_to_json(res.ruleset), ruleset_to_json(res.ruleset_scaled), res
+
+    as_int, as_str = rulesets(numbers), rulesets([str(t) for t in numbers])
+    assert as_int[:2] == as_str[:2]
+    assert as_int[2].stats["n_rules"] > 0
+    assert as_int[2].stats == as_str[2].stats
+    assert {r.state for r in as_int[2].ruleset.rules} <= {(("mode", "7"),), (("mode", "8"),)}
+
 
 def test_two_blobs_give_two_exact_rules(blob_data, blob_model):
     res = extract_rule_sets(blob_data, blob_model)

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import ocsvm_rules as o
 import ocsvm_rules.rules as rules_module
-from ocsvm_rules.clustering import Clustering
+from ocsvm_rules.clustering import Clustering, kmeans_pp
 from ocsvm_rules.dataset import CATEGORICAL, NUMERICAL, Dataset
 from ocsvm_rules.errors import ExtractionConvergenceError, InsufficientDataError
 from ocsvm_rules.rules import (
@@ -186,6 +186,27 @@ def _groups_with_two_rows(d, model, target):
     sizes = Counter(zip(*(X_t.data[c].codes.tolist() for c in cats))) if cats \
         else Counter({(): X_t.rows})
     return sum(m >= 2 for m in sizes.values())
+
+
+def test_helper_streams_every_count_up_to_the_cap(forks):
+    # the helper checks no clustering: it sends k0, k0 + 2, ... <= cap, then ends
+    from ocsvm_rules.sweep_helper import Helper
+
+    Xs = np.random.default_rng(0).random((40, 2))
+    cfg = ExtractionConfig()
+    helper = Helper(Xs, cfg, 3, 8)
+    try:
+        got = {k: helper.result(k) for k in (3, 5, 7, 9)}
+    finally:
+        helper.close()
+    assert got.pop(9) is None
+    for k, cl in got.items():
+        ref = kmeans_pp(Xs, k, seed=cfg.seed, n_init=cfg.n_init,
+                        max_iter=cfg.kmeans_max_iter)
+        assert _same_array(cl.labels, ref.labels)
+        assert _same_array(cl.centers, ref.centers)
+    assert len(forks) == 1
+    _no_child_left()
 
 
 @pytest.mark.parametrize("target", TARGETS)
