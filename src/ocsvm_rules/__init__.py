@@ -40,7 +40,6 @@ from .ocsvm import (
     fit_dataset,
     model_from_json,
     model_to_json,
-    predict_many,
     rbf_kernel_matrix,
     split_by_prediction,
 )

@@ -38,7 +38,6 @@ from .errors import (
 )
 from .ocsvm import (
     KernelParams,
-    ensure_expanded,
     fit_dataset,
     model_from_json,
     model_to_json,
@@ -299,10 +298,11 @@ def cmd_extract(args) -> int:
     d = _load_dataset(cfg)
     model = _fit_model(cfg, d)
     _write(cfg.output_dir / "model.json", model_to_json(model))
+    split = split_by_prediction(d, model)
     stats = {}
     for target in cfg.targets:
         t0 = time.perf_counter()
-        result = extract_rule_sets(d, model, target=target, config=cfg.extraction)
+        result = extract_rule_sets(split, model, target=target, config=cfg.extraction)
         suffix = _SUFFIX[target]
         _write(cfg.output_dir / ("rules_%s.json" % suffix),
                ruleset_to_json(result.ruleset))
@@ -457,8 +457,7 @@ def cmd_plot(args) -> int:
     cfg = load_config(args.config, target=args.target, out=args.out)
     d = _load_dataset(cfg)
     model = _load_model(cfg, d)
-    d_exp = ensure_expanded(d, model.schema)
-    X_a, X_na = split_by_prediction(d_exp, model)
+    X_a, X_na = split_by_prediction(d, model)
     for target in cfg.targets:
         suffix = _SUFFIX[target]
         path = cfg.output_dir / ("rules_%s.json" % suffix)

@@ -286,30 +286,29 @@ def decision_values(m: OcsvmModel, X) -> np.ndarray:
     return K @ m.alphas - m.rho
 
 
-def _labels(g: np.ndarray) -> np.ndarray:
-    """+1 non-anomalous, -1 anomalous per decision value; 0 counts as +1."""
-    return np.where(g >= 0, NON_ANOMALOUS, ANOMALOUS)
-
-
-def predict_many(m: OcsvmModel, X) -> np.ndarray:
-    """The label of each row of the model matrix X."""
-    return _labels(decision_values(m, X))
+def _expanded(m: OcsvmModel, d: Dataset) -> Dataset:
+    """d with the model's periodic columns expanded; ConfigError for a bare model."""
+    if m.schema is None or m.scaling is None:
+        raise ConfigError("model has no attached preprocessing; fit with fit_dataset")
+    return ensure_expanded(d, m.schema)
 
 
 def dataset_decision_values(m: OcsvmModel, d: Dataset) -> np.ndarray:
-    if m.schema is None or m.scaling is None:
-        raise ConfigError("model has no attached preprocessing; fit with fit_dataset")
-    scaled = scale_apply(ensure_expanded(d, m.schema), m.scaling)
+    scaled = scale_apply(_expanded(m, d), m.scaling)
     return decision_values(m, encode_matrix(scaled, m.schema))
 
 
 def predict_dataset(m: OcsvmModel, d: Dataset) -> np.ndarray:
-    """The label of each row of d, through the model's preprocessing."""
-    return _labels(dataset_decision_values(m, d))
+    """+1 non-anomalous, -1 anomalous per row of d; a decision value of 0 is +1."""
+    return np.where(dataset_decision_values(m, d) >= 0, NON_ANOMALOUS, ANOMALOUS)
 
 
 def split_by_prediction(d: Dataset, m: OcsvmModel) -> tuple[Dataset, Dataset]:
-    """Partition rows into (anomalous, non-anomalous) per the model."""
+    """Partition rows into (anomalous, non-anomalous) per the model.
+
+    Both halves carry the model's periodic columns as their (sin, cos) pairs.
+    """
+    d = _expanded(m, d)
     anomalous = predict_dataset(m, d) == ANOMALOUS
     return d.take(anomalous), d.take(~anomalous)
 

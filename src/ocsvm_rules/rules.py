@@ -62,7 +62,7 @@ from .errors import (
     InsufficientDataError,
     SchemaError,
 )
-from .ocsvm import OcsvmModel, ensure_expanded, split_by_prediction
+from .ocsvm import OcsvmModel
 
 TARGET_NON_ANOMALOUS = "non_anomalous"
 TARGET_ANOMALOUS = "anomalous"
@@ -152,8 +152,7 @@ class ExtractionConfig:
 class ExtractionResult:
     ruleset: RuleSet          # original units, pruned
     ruleset_scaled: RuleSet   # same survivors in scaled units
-    target_data: Dataset      # the rows the rules describe, original units
-    discarded_rows: tuple[int, ...]  # indices into target_data
+    discarded_rows: tuple[int, ...]  # indices into the target side of the split
     stats: dict
 
 
@@ -315,10 +314,13 @@ def _state_text(state: CategoricalState) -> str:
     return ", ".join("%s=%s" % (c, t) for c, t in state) if state else "<none>"
 
 
-def extract_rule_sets(d: Dataset, model: OcsvmModel,
+def extract_rule_sets(split: tuple[Dataset, Dataset], model: OcsvmModel,
                       target: str = TARGET_NON_ANOMALOUS,
                       config: ExtractionConfig | None = None) -> ExtractionResult:
-    """Full pipeline: split by prediction, group by state, mine boxes, prune."""
+    """Group the target side of split by state, mine boxes, prune.
+
+    split is the (anomalous, non-anomalous) pair from split_by_prediction.
+    """
     cfg = config or ExtractionConfig()
     if target not in (TARGET_NON_ANOMALOUS, TARGET_ANOMALOUS):
         raise ConfigError("target must be %r or %r, got %r"
@@ -330,8 +332,7 @@ def extract_rule_sets(d: Dataset, model: OcsvmModel,
     if not l_n:
         raise ConfigError("rule extraction needs at least one numerical column")
 
-    d_exp = ensure_expanded(d, schema)
-    X_a, X_na = split_by_prediction(d_exp, model)
+    X_a, X_na = split
     X_t, X_o = (X_na, X_a) if target == TARGET_NON_ANOMALOUS else (X_a, X_na)
 
     if target == TARGET_NON_ANOMALOUS:
@@ -398,13 +399,13 @@ def extract_rule_sets(d: Dataset, model: OcsvmModel,
         "discarded_points": len(discarded_rows),
         "covered_points": covered,
         "coverage_pct": 100.0 * covered / denom if denom else 100.0,
-        "anomaly_fraction": X_a.rows / d_exp.rows if d_exp.rows else 0.0,
+        "anomaly_fraction": X_a.rows / (X_a.rows + X_na.rows),
         "n_rules_raw": len(rules_u),
         "n_rules": len(survivors),
         "n_groups": len(states),
         "clusters_per_group": clusters_per_group,
     }
-    return ExtractionResult(ruleset=rs_u, ruleset_scaled=rs_s, target_data=X_t,
+    return ExtractionResult(ruleset=rs_u, ruleset_scaled=rs_s,
                             discarded_rows=discarded_rows, stats=stats)
 
 

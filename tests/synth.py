@@ -38,6 +38,20 @@ BLOB_NU = 0.02
 BLOB_GAMMA = 20.0
 
 
+def hourly(seed: int = 17) -> Dataset:
+    """80 rows of an hour of day (a periodic column) and a value, whose
+    first two rows are unambiguous outliers."""
+    rng = np.random.default_rng(seed)
+    hours = rng.integers(0, 24, size=80).astype(np.float64)
+    v = rng.normal(0.0, 1.0, size=80)
+    v[:2] = 40.0
+    return matrix_dataset(np.column_stack([hours, v]), names=("hour", "v"))
+
+
+HOURLY_COLUMNS = {"numerical": ["hour", "v"], "categorical": [], "cyclical": {"hour": 24}}
+HOURLY_OCSVM = {"nu": 0.05, "gamma": 0.5}
+
+
 def seismic_like(seed: int = 11) -> Dataset:
     """669 rows of two heavily skewed features: three dense log-normal
     modes, three sparse far clumps, and uniform scatter between them."""

@@ -59,8 +59,9 @@ def seismic_run():
     t0 = time.perf_counter()
     model = o.fit_dataset(d, ["energy", "pulses"], [], nu=0.1,
                           kernel=o.KernelParams(gamma=0.1))
-    res_na = extract_rule_sets(d, model)
-    res_a = extract_rule_sets(d, model, target=TARGET_ANOMALOUS)
+    split = split_by_prediction(d, model)
+    res_na = extract_rule_sets(split, model)
+    res_a = extract_rule_sets(split, model, target=TARGET_ANOMALOUS)
     elapsed = time.perf_counter() - t0
     return d, model, res_na, res_a, elapsed
 
@@ -70,7 +71,7 @@ def grouped_run():
     d = synth.grouped_dataset()
     model = o.fit_dataset(d, ["x", "y"], ["mode"], nu=0.05,
                           kernel=o.KernelParams(gamma=15.0))
-    return d, model, extract_rule_sets(d, model)
+    return d, model, extract_rule_sets(split_by_prediction(d, model), model)
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +79,7 @@ def blob_run():
     d = synth.two_blobs()
     model = o.fit_dataset(d, ["x", "y"], [], nu=synth.BLOB_NU,
                           kernel=o.KernelParams(gamma=synth.BLOB_GAMMA))
-    return d, model, extract_rule_sets(d, model)
+    return d, model, extract_rule_sets(split_by_prediction(d, model), model)
 
 
 # ---------------------------------------------------------------------------
@@ -133,12 +134,13 @@ def test_criterion_02_solver_matches_oracle(capsys):
 
 def test_criterion_03_full_coverage(capsys, seismic_run, grouped_run, blob_run):
     with _announce(capsys, 3, "non-discarded normal points all covered"):
-        for _, _, res in (blob_run, grouped_run, (None, None, seismic_run[2])):
+        for d, model, res in (blob_run, grouped_run, seismic_run[:3]):
+            _, X_na = split_by_prediction(d, model)
             assert res.stats["coverage_pct"] == 100.0
-            kept = np.ones(res.target_data.rows, dtype=bool)
+            kept = np.ones(X_na.rows, dtype=bool)
             if res.discarded_rows:
                 kept[list(res.discarded_rows)] = False
-            cov = covered_mask(res.ruleset, res.target_data)
+            cov = covered_mask(res.ruleset, X_na)
             assert bool(np.all(cov[kept]))
 
 
@@ -150,8 +152,7 @@ def test_criterion_04_zero_false_admits(capsys, seismic_run, grouped_run, blob_r
             (seismic_run[0], seismic_run[1], seismic_run[2]),
         ]
         for d, model, res in runs:
-            d_exp = ensure_expanded(d, model.schema)
-            X_a, _ = split_by_prediction(d_exp, model)
+            X_a, _ = split_by_prediction(d, model)
             assert X_a.rows > 0
             assert int(covered_mask(res.ruleset, X_a).sum()) == 0
             X_a_scaled = o.scale_apply(X_a, model.scaling)
@@ -191,7 +192,7 @@ def test_criterion_05_pruning_soundness(capsys, monkeypatch,
             with monkeypatch.context() as mp:
                 mp.setattr(rules_mod, "prune_survivors",
                            lambda rules: list(range(len(rules))))
-                raw_res = extract_rule_sets(d, model)
+                raw_res = extract_rule_sets(split_by_prediction(d, model), model)
             raw = raw_res.ruleset
             assert len(raw.rules) == pruned_res.stats["n_rules_raw"]
             pruned = RuleSet(target=raw.target, scaled=raw.scaled, columns=raw.columns,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import ocsvm_rules as o
+import ocsvm_rules.ocsvm as ocsvm_module
 from ocsvm_rules.cli import main
 
 import synth
@@ -204,17 +205,13 @@ def test_extract_with_categorical_and_targets_config(tmp_path, capsys):
     assert (out / "rules_a.json").exists()
 
 
+def _hourly_config(tmp_path):
+    return _write_config(tmp_path, synth.hourly(), columns=synth.HOURLY_COLUMNS,
+                         ocsvm=synth.HOURLY_OCSVM)
+
+
 def test_extract_with_cyclical_column(tmp_path, capsys):
-    rng = np.random.default_rng(17)
-    hours = rng.integers(0, 24, size=80).astype(np.float64)
-    v = rng.normal(0.0, 1.0, size=80)
-    v[:2] = 40.0  # unambiguous outliers
-    d = synth.matrix_dataset(np.column_stack([hours, v]), names=("hour", "v"))
-    cfg = _write_config(
-        tmp_path, d,
-        columns={"numerical": ["hour", "v"], "categorical": [],
-                 "cyclical": {"hour": 24}},
-        ocsvm={"nu": 0.05, "gamma": 0.5})
+    cfg = _hourly_config(tmp_path)
     assert main(["extract", "--config", str(cfg)]) == 0
     out = tmp_path / "out"
     doc = json.loads((out / "rules_na.json").read_text())
@@ -264,8 +261,9 @@ def test_extraction_non_convergence_reports_offending_boxes(tmp_path, capsys):
     # the same boxes, in the same column order, as the library reports
     model = o.fit_dataset(d, ["energy", "pulses"], [], nu=0.1,
                           kernel=o.KernelParams(gamma=0.1))
+    split = o.split_by_prediction(d, model)
     with pytest.raises(o.ExtractionConvergenceError) as ei:
-        o.extract_rule_sets(d, model, config=o.ExtractionConfig(max_clusters=3))
+        o.extract_rule_sets(split, model, config=o.ExtractionConfig(max_clusters=3))
     assert boxes == [[list(lo), list(hi)] for lo, hi in ei.value.offending_boxes]
 
 
@@ -491,6 +489,35 @@ def test_plot_writes_svg(tmp_path, capsys):
     assert svg.count("<rect") >= 2  # background plus one per rule box
     assert main(["plot", "--config", str(cfg)]) == 0  # byte-stable rerun
     assert (tmp_path / "out" / "plot_na.svg").read_text(encoding="utf-8") == svg
+
+
+def test_plot_both_targets_with_cyclical_column(tmp_path, capsys):
+    cfg = _hourly_config(tmp_path)
+    assert main(["extract", "--config", str(cfg), "--target", "both"]) == 0
+    assert main(["plot", "--config", str(cfg), "--target", "both"]) == 0
+    out = tmp_path / "out"
+    first = {s: (out / ("plot_%s.svg" % s)).read_bytes() for s in ("na", "a")}
+    assert all(svg.startswith(b"<svg") for svg in first.values())
+    assert main(["plot", "--config", str(cfg), "--target", "both"]) == 0
+    for suffix, svg in first.items():
+        assert (out / ("plot_%s.svg" % suffix)).read_bytes() == svg, suffix
+
+
+@pytest.mark.parametrize("command", ["extract", "plot"])
+def test_both_targets_score_the_rows_once(tmp_path, capsys, monkeypatch, command):
+    cfg = _hourly_config(tmp_path)
+    assert main(["extract", "--config", str(cfg), "--target", "both"]) == 0
+    # dataset_decision_values looks decision_values up as a module global
+    calls = []
+    inner = ocsvm_module.decision_values
+
+    def counting(m, X):
+        calls.append(len(X))
+        return inner(m, X)
+
+    monkeypatch.setattr(ocsvm_module, "decision_values", counting)
+    assert main([command, "--config", str(cfg), "--target", "both"]) == 0
+    assert calls == [synth.hourly().rows]
 
 
 # ---------------------------------------------------------------------------

@@ -76,8 +76,9 @@ def test_model_json_golden(name, request):
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_ruleset_json_golden(name, target, request):
     data_fx, model_fx = FIXTURES[name]
-    res = o.extract_rule_sets(request.getfixturevalue(data_fx),
-                              request.getfixturevalue(model_fx), target=target)
+    model = request.getfixturevalue(model_fx)
+    split = o.split_by_prediction(request.getfixturevalue(data_fx), model)
+    res = o.extract_rule_sets(split, model, target=target)
     original, scaled = GOLDEN[name][target]
     assert _sha(o.ruleset_to_json(res.ruleset)) == original
     assert _sha(o.ruleset_to_json(res.ruleset_scaled)) == scaled

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 import ocsvm_reference
 import synth
 import ocsvm_rules.ocsvm as oc
-from ocsvm_rules.dataset import ColumnScale, FeatureSchema, ScalingParams, scale_apply
+from ocsvm_rules.dataset import ColumnScale, FeatureSchema, ScalingParams
 from ocsvm_rules.errors import ConfigError, SolverConvergenceError
 from ocsvm_rules.ocsvm import (
     ANOMALOUS,
@@ -20,7 +20,7 @@ from ocsvm_rules.ocsvm import (
     fit_dataset,
     model_from_json,
     model_to_json,
-    predict_many,
+    predict_dataset,
     rbf_kernel_matrix,
     split_by_prediction,
 )
@@ -146,27 +146,27 @@ def test_interior_support_vectors_sit_on_the_boundary():
 
 def test_predict_boundary_is_non_anomalous():
     X = synth.gaussian_cloud(100, seed=1)
-    m = fit(X, nu=0.1, kernel=KernelParams(gamma=0.2))
+    # identity scaling: a row as a Dataset scores exactly as the matrix row
+    names = ("x", "y")
+    m = dataclasses.replace(
+        fit(X, nu=0.1, kernel=KernelParams(gamma=0.2)),
+        schema=FeatureSchema(numerical=names, categorical=(), levels={}),
+        scaling=ScalingParams(per_column={c: ColumnScale(min=0.0, max=1.0, degenerate=False)
+                                          for c in names}))
     densest = X[np.argmax(decision_values(m, X))][None]
-    assert predict_many(m, densest).tolist() == [NON_ANOMALOUS]
+    row = synth.matrix_dataset(densest, names)
+    assert predict_dataset(m, row).tolist() == [NON_ANOMALOUS]
     assert decision_values(m, densest)[0] > 0
     # a model whose rho equals the kernel sum at densest puts it on the boundary
     s = rbf_kernel_matrix(densest, m.support_vectors, m.kernel.gamma) @ m.alphas
     on_boundary = dataclasses.replace(m, rho=float(s[0]))
     assert decision_values(on_boundary, densest)[0] == 0.0
-    assert predict_many(on_boundary, densest).tolist() == [NON_ANOMALOUS]
-    # the same row as a Dataset: identity scaling keeps it exactly on the boundary
-    names = ("x", "y")
-    on_boundary = dataclasses.replace(
-        on_boundary, schema=FeatureSchema(numerical=names, categorical=(), levels={}),
-        scaling=ScalingParams(per_column={c: ColumnScale(min=0.0, max=1.0, degenerate=False)
-                                          for c in names}))
-    row = synth.matrix_dataset(densest, names)
     assert dataset_decision_values(on_boundary, row).tolist() == [0.0]
+    assert predict_dataset(on_boundary, row).tolist() == [NON_ANOMALOUS]
     X_a, X_na = split_by_prediction(row, on_boundary)
     assert (X_a.rows, X_na.rows) == (0, 1)
     assert fit_surrogate(row, on_boundary)[3].tolist() == [NON_ANOMALOUS]
-    labels = predict_many(m, X)
+    labels = predict_dataset(m, synth.matrix_dataset(X, names))
     g = decision_values(m, X)
     assert np.array_equal(labels, np.where(g >= 0, NON_ANOMALOUS, ANOMALOUS))
 
@@ -257,8 +257,8 @@ def test_fit_dataset_split_partition(blob_data, blob_model):
 
 
 def test_fit_dataset_midpoint_is_flagged(blob_data, blob_model):
-    mid = scale_apply(synth.matrix_dataset([[5.0, 5.0]]), blob_model.scaling)
-    assert predict_many(blob_model, mid.numeric_matrix(["x", "y"])).tolist() == [ANOMALOUS]
+    mid = synth.matrix_dataset([[5.0, 5.0]])
+    assert predict_dataset(blob_model, mid).tolist() == [ANOMALOUS]
 
 
 def test_fit_dataset_with_categoricals(grouped_data, grouped_model):

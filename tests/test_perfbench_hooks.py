@@ -4,11 +4,16 @@
 or ``Dataset.take`` with timing wrappers, and ``perfbench/checks.py``
 imports the package's readers to check every run's outputs. A renamed or
 deleted function would make every benchmark run fail while every other test
-still passes, so this checks each name the tracer wraps and loads the checks.
+still passes, so this checks each name the tracer wraps and runs the checks.
 """
 
 import importlib.util
+import json
 from pathlib import Path
+
+from ocsvm_rules import cli
+
+import synth
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -34,3 +39,18 @@ def test_output_checks_load_with_their_package_imports():
     checks = _load("checks")
     assert callable(checks.check_command)
     assert callable(checks.digests)
+
+
+def test_extract_check_passes_on_a_periodic_column(tmp_path, capsys):
+    # no benchmark workload has a periodic column: this runs checks.py's
+    # split of the written model over one
+    csv_path = tmp_path / "data.csv"
+    synth.write_csv(csv_path, synth.hourly())
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"dataset": "data.csv", "columns": synth.HOURLY_COLUMNS,
+                               "ocsvm": synth.HOURLY_OCSVM}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["extract", "--config", str(cfg), "--out", str(out),
+                     "--target", "both"]) == 0
+    checks = _load("checks")
+    assert checks.check_command("extract", out, csv_path, synth.HOURLY_COLUMNS) == []

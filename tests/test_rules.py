@@ -16,7 +16,7 @@ from ocsvm_rules.errors import (
     InsufficientDataError,
     SchemaError,
 )
-from ocsvm_rules.ocsvm import ensure_expanded, split_by_prediction
+from ocsvm_rules.ocsvm import split_by_prediction
 from ocsvm_rules.rules import (
     BOX_FARTHEST,
     TARGET_ANOMALOUS,
@@ -187,7 +187,7 @@ def test_integer_tokens_mine_the_same_rules_as_strings(grouped_data, target):
                     rows=grouped_data.rows)
         model = o.fit_dataset(d, ["x", "y"], ["mode"], nu=0.05,
                               kernel=o.KernelParams(gamma=15.0))
-        res = extract_rule_sets(d, model, target=target)
+        res = extract_rule_sets(split_by_prediction(d, model), model, target=target)
         return ruleset_to_json(res.ruleset), ruleset_to_json(res.ruleset_scaled), res
 
     as_int, as_str = rulesets(numbers), rulesets([str(t) for t in numbers])
@@ -198,14 +198,14 @@ def test_integer_tokens_mine_the_same_rules_as_strings(grouped_data, target):
 
 
 def test_two_blobs_give_two_exact_rules(blob_data, blob_model):
-    res = extract_rule_sets(blob_data, blob_model)
+    split = split_by_prediction(blob_data, blob_model)
+    res = extract_rule_sets(split, blob_model)
     rs = res.ruleset
     assert len(rs.rules) == 2
     assert res.stats["n_groups"] == 1
     assert res.discarded_rows == ()
 
-    d_exp = ensure_expanded(blob_data, blob_model.schema)
-    _, X_na = split_by_prediction(d_exp, blob_model)
+    _, X_na = split
     t_na = synth.plain(X_na)
     for rule in rs.rules:
         members = [i for i in range(X_na.rows)
@@ -218,12 +218,14 @@ def test_two_blobs_give_two_exact_rules(blob_data, blob_model):
 
 
 def test_coverage_is_total_after_discards(grouped_data, grouped_model):
-    res = extract_rule_sets(grouped_data, grouped_model)
+    split = split_by_prediction(grouped_data, grouped_model)
+    res = extract_rule_sets(split, grouped_model)
+    _, X_na = split
     assert res.stats["coverage_pct"] == 100.0
-    kept = np.ones(res.target_data.rows, dtype=bool)
+    kept = np.ones(X_na.rows, dtype=bool)
     if res.discarded_rows:
         kept[list(res.discarded_rows)] = False
-    cov = covered_mask(res.ruleset, res.target_data)
+    cov = covered_mask(res.ruleset, X_na)
     assert np.all(cov[kept])
 
 
@@ -238,16 +240,17 @@ def test_sweep_calls_kmeans_once_per_k(grouped_data, grouped_model, monkeypatch,
         return inner(X, k, **kwargs)
 
     monkeypatch.setattr(rules_module, "kmeans_pp", counting)
-    res = extract_rule_sets(grouped_data, grouped_model, target=target)
+    split = split_by_prediction(grouped_data, grouped_model)
+    res = extract_rule_sets(split, grouped_model, target=target)
     per_group = res.stats["clusters_per_group"]
     assert calls == [k for n_cl in per_group for k in range(1, n_cl + 1)]
     assert len(calls) == sum(per_group)
 
 
 def test_no_anomalous_point_satisfies_normal_rules(grouped_data, grouped_model):
-    res = extract_rule_sets(grouped_data, grouped_model)
-    d_exp = ensure_expanded(grouped_data, grouped_model.schema)
-    X_a, _ = split_by_prediction(d_exp, grouped_model)
+    split = split_by_prediction(grouped_data, grouped_model)
+    res = extract_rule_sets(split, grouped_model)
+    X_a, _ = split
     assert X_a.rows > 0
     hits = covered_mask(res.ruleset, X_a)
     assert not hits.any()
@@ -258,7 +261,7 @@ def test_no_anomalous_point_satisfies_normal_rules(grouped_data, grouped_model):
 
 
 def test_grouped_rules_carry_states(grouped_data, grouped_model):
-    rs = extract_rule_sets(grouped_data, grouped_model).ruleset
+    rs = extract_rule_sets(split_by_prediction(grouped_data, grouped_model), grouped_model).ruleset
     states = {r.state for r in rs.rules}
     assert (("mode", "on"),) in states
     assert (("mode", "off"),) in states
@@ -267,7 +270,8 @@ def test_grouped_rules_carry_states(grouped_data, grouped_model):
 
 
 def test_anomalous_target_rules(grouped_data, grouped_model):
-    res = extract_rule_sets(grouped_data, grouped_model, target=TARGET_ANOMALOUS)
+    split = split_by_prediction(grouped_data, grouped_model)
+    res = extract_rule_sets(split, grouped_model, target=TARGET_ANOMALOUS)
     assert res.stats["target"] == TARGET_ANOMALOUS
     assert len(res.ruleset.rules) >= 1
     txt = ruleset_to_text(res.ruleset)
@@ -278,9 +282,9 @@ def test_anomalous_target_rules(grouped_data, grouped_model):
 
 
 def test_farthest_boxes_nest_inside_full_boxes(blob_data, blob_model):
-    full = extract_rule_sets(blob_data, blob_model).ruleset_scaled
+    full = extract_rule_sets(split_by_prediction(blob_data, blob_model), blob_model).ruleset_scaled
     far = extract_rule_sets(
-        blob_data, blob_model,
+        split_by_prediction(blob_data, blob_model), blob_model,
         config=ExtractionConfig(box_mode=BOX_FARTHEST, n_v=4)).ruleset_scaled
     assert len(far.rules) == len(full.rules)
     for fr in far.rules:
@@ -297,7 +301,7 @@ def test_minimum_data_gate():
     m = o.fit_dataset(d, ["x", "y"], [], nu=0.5, kernel=o.KernelParams(gamma=0.1))
     # fewer normal points than the 2^d minimum for two numerical columns
     with pytest.raises(InsufficientDataError):
-        extract_rule_sets(d, m)
+        extract_rule_sets(split_by_prediction(d, m), m)
 
 
 def test_anomalous_target_needs_anomalies():
@@ -306,11 +310,11 @@ def test_anomalous_target_needs_anomalies():
     pts = np.array([[1.0, 2.0]] * 5)
     d = synth.matrix_dataset(pts)
     m = o.fit_dataset(d, ["x", "y"], [], nu=0.2, kernel=o.KernelParams(gamma=0.5))
-    d_exp = ensure_expanded(d, m.schema)
-    X_a, _ = split_by_prediction(d_exp, m)
+    split = split_by_prediction(d, m)
+    X_a, _ = split
     assert X_a.rows == 0
     with pytest.raises(InsufficientDataError):
-        extract_rule_sets(d, m, target=TARGET_ANOMALOUS)
+        extract_rule_sets(split, m, target=TARGET_ANOMALOUS)
 
 
 def test_per_group_minimum_check():
@@ -327,31 +331,31 @@ def test_per_group_minimum_check():
                       kernel=o.KernelParams(gamma=0.001))
 
     # the rare state must survive the split but stay under the 2^d minimum
-    d_exp = ensure_expanded(d, m.schema)
-    _, X_na = split_by_prediction(d_exp, m)
+    split = split_by_prediction(d, m)
+    _, X_na = split
     n_rare = synth.tokens(X_na, "kind").count("rare")
     assert 1 <= n_rare < 4
 
-    res = extract_rule_sets(d, m)  # default: global minimum only
+    res = extract_rule_sets(split, m)  # default: global minimum only
     assert res.stats["n_groups"] == 2
     with pytest.raises(InsufficientDataError):
-        extract_rule_sets(d, m, config=ExtractionConfig(per_group_min_check=True))
+        extract_rule_sets(split, m, config=ExtractionConfig(per_group_min_check=True))
 
 
 def test_extraction_requires_preprocessed_model(blob_data):
     X = np.column_stack([blob_data.data["x"], blob_data.data["y"]])
     bare = o.fit(X, nu=0.1, kernel=o.KernelParams(gamma=0.5))
     with pytest.raises(ConfigError):
-        extract_rule_sets(blob_data, bare)
+        extract_rule_sets(split_by_prediction(blob_data, bare), bare)
     m = o.fit_dataset(blob_data, ["x", "y"], [], nu=0.1,
                       kernel=o.KernelParams(gamma=0.5))
     with pytest.raises(ConfigError):
-        extract_rule_sets(blob_data, m, target="both")
+        extract_rule_sets(split_by_prediction(blob_data, m), m, target="both")
 
 
 def test_extraction_is_deterministic(grouped_data, grouped_model):
-    a = extract_rule_sets(grouped_data, grouped_model)
-    b = extract_rule_sets(grouped_data, grouped_model)
+    a = extract_rule_sets(split_by_prediction(grouped_data, grouped_model), grouped_model)
+    b = extract_rule_sets(split_by_prediction(grouped_data, grouped_model), grouped_model)
     assert ruleset_to_json(a.ruleset) == ruleset_to_json(b.ruleset)
     assert ruleset_to_json(a.ruleset_scaled) == ruleset_to_json(b.ruleset_scaled)
     assert a.stats == b.stats
@@ -415,7 +419,7 @@ def test_pruned_set_covers_same_points():
 # ---------------------------------------------------------------------------
 
 def test_covered_mask_agrees_with_row_matching(grouped_data, grouped_model):
-    rs = extract_rule_sets(grouped_data, grouped_model).ruleset
+    rs = extract_rule_sets(split_by_prediction(grouped_data, grouped_model), grouped_model).ruleset
     mask = covered_mask(rs, grouped_data)
     t = synth.plain(grouped_data)
     for i in range(grouped_data.rows):
@@ -481,7 +485,7 @@ def test_rule_text_decodes_cyclical_pairs():
 
 
 def test_ruleset_text_one_line_per_rule(grouped_data, grouped_model):
-    rs = extract_rule_sets(grouped_data, grouped_model).ruleset
+    rs = extract_rule_sets(split_by_prediction(grouped_data, grouped_model), grouped_model).ruleset
     txt = ruleset_to_text(rs)
     lines = txt.splitlines()
     assert len(lines) == len(rs.rules)
@@ -490,7 +494,7 @@ def test_ruleset_text_one_line_per_rule(grouped_data, grouped_model):
 
 
 def test_ruleset_json_roundtrip(grouped_data, grouped_model):
-    rs = extract_rule_sets(grouped_data, grouped_model).ruleset
+    rs = extract_rule_sets(split_by_prediction(grouped_data, grouped_model), grouped_model).ruleset
     text = ruleset_to_json(rs)
     again = ruleset_from_json(text)
     assert again == rs

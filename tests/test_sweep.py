@@ -158,7 +158,7 @@ def forks(monkeypatch):
 def _outcome(d, model, target, cfg=None):
     """Everything extraction decides, or the error it raised."""
     try:
-        res = extract_rule_sets(d, model, target=target, config=cfg)
+        res = extract_rule_sets(o.split_by_prediction(d, model), model, target=target, config=cfg)
     except (ExtractionConvergenceError, InsufficientDataError) as e:
         return (type(e).__name__, str(e), getattr(e, "offending_boxes", None))
     return (ruleset_to_json(res.ruleset), ruleset_to_json(res.ruleset_scaled),
@@ -287,7 +287,7 @@ def test_no_child_left_after_convergence_error(monkeypatch, forks, seismic_data,
                                                seismic_model):
     monkeypatch.setattr(rules_module, "AHEAD_WORK", 0)
     with pytest.raises(ExtractionConvergenceError):
-        extract_rule_sets(seismic_data, seismic_model,
+        extract_rule_sets(o.split_by_prediction(seismic_data, seismic_model), seismic_model,
                           config=ExtractionConfig(max_clusters=4))
     assert len(forks) == 1
     _no_child_left()
@@ -308,13 +308,14 @@ def test_earlier_convergence_error_wins_over_later_group_minimum():
                 rows=len(pts))
     model = o.fit_dataset(d, ["x", "y"], ["kind"], nu=0.1,
                           kernel=o.KernelParams(gamma=2.0))
+    split = o.split_by_prediction(d, model)
     with pytest.raises(InsufficientDataError):
-        extract_rule_sets(d, model, config=ExtractionConfig(per_group_min_check=True))
+        extract_rule_sets(split, model, config=ExtractionConfig(per_group_min_check=True))
     with pytest.raises(ExtractionConvergenceError):
-        extract_rule_sets(d, model, config=ExtractionConfig(max_clusters=1))
+        extract_rule_sets(split, model, config=ExtractionConfig(max_clusters=1))
     with pytest.raises(ExtractionConvergenceError):
-        extract_rule_sets(d, model, config=ExtractionConfig(max_clusters=1,
-                                                            per_group_min_check=True))
+        extract_rule_sets(split, model, config=ExtractionConfig(max_clusters=1,
+                                                               per_group_min_check=True))
 
 
 def _refuse_fork():
@@ -329,7 +330,7 @@ def test_no_fork_with_a_second_thread(monkeypatch, grouped_data, grouped_model):
     waiter = threading.Thread(target=release.wait)
     waiter.start()
     try:
-        res = extract_rule_sets(grouped_data, grouped_model)
+        res = extract_rule_sets(o.split_by_prediction(grouped_data, grouped_model), grouped_model)
     finally:
         release.set()
         waiter.join(timeout=10)
@@ -345,7 +346,7 @@ def test_no_fork_on_one_cpu_or_without_the_calls(monkeypatch, grouped_data,
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     if missing:
         monkeypatch.delattr(os, missing)
-    res = extract_rule_sets(grouped_data, grouped_model)
+    res = extract_rule_sets(o.split_by_prediction(grouped_data, grouped_model), grouped_model)
     assert res.stats["n_rules"] > 0
 
 
