@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -101,6 +102,20 @@ def _section(raw: dict, key: str) -> dict:
     return v
 
 
+def _finite(v) -> bool:
+    """v is a JSON number, not a bool, that is a finite float.
+
+    json reads Infinity, NaN and an overflowing literal such as 1e400 as
+    non-finite floats, and an integer literal of any length as an int.
+    """
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def _number(sec: dict, section: str, key: str, default, *, minimum=None,
             positive=False, integer=False, nullable=False):
     v = sec.get(key, default)
@@ -111,8 +126,7 @@ def _number(sec: dict, section: str, key: str, default, *, minimum=None,
         _expect(isinstance(v, int) and not isinstance(v, bool),
                 "%s must be an integer" % where)
     else:
-        _expect(isinstance(v, (int, float)) and not isinstance(v, bool),
-                "%s must be a number" % where)
+        _expect(_finite(v), "%s must be a finite number" % where)
         v = float(v)
     if positive:
         _expect(v > 0, "%s must be positive" % where)
@@ -152,8 +166,8 @@ def load_config(path: str, *, target: str | None = None, out: str | None = None,
     _expect(isinstance(cyc_raw, dict), "columns.cyclical must map column to period")
     cyclical = {}
     for c, period in cyc_raw.items():
-        _expect(isinstance(period, (int, float)) and not isinstance(period, bool)
-                and period > 0, "columns.cyclical[%r] must be a positive period" % c)
+        _expect(_finite(period) and period > 0,
+                "columns.cyclical[%r] must be a positive finite period" % c)
         _expect(c in numerical, "cyclical column %r must also be in columns.numerical" % c)
         cyclical[c] = float(period)
 
@@ -259,7 +273,8 @@ def _load_model(cfg: RunConfig, d):
     try:
         model = model_from_json(text)
         n_features = len(model.schema.feature_names())
-    except (ValueError, KeyError, TypeError, AttributeError, SchemaError) as e:
+    except (ValueError, KeyError, TypeError, AttributeError, SchemaError,
+            ConfigError) as e:
         raise SchemaError("malformed %s: %s" % (path, e)) from None
     if model.support_vectors.shape != (model.alphas.size, n_features):
         raise SchemaError("malformed %s: support vectors do not match alphas "

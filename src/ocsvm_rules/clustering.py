@@ -23,6 +23,12 @@ result for the counts the helper owns. When ahead is unset or returns None
 (not the helper's count, or the helper's stream ended), kmeans_pp computes
 the result here as before.
 
+With one cluster a single restart runs. Every restart's Lloyd loop then
+labels all rows 0, moves the centre to the same mean in its first step and
+stops with the same inertia, so the first restart would win the tie anyway.
+The seeding picks the other restarts skip are drawn when a later k needs
+them, from the same per-restart generators in the same order.
+
 Centres are updated with one bincount per column, which adds each
 cluster's rows in ascending row order. For d >= 2 that is the order of
 X[members].mean(axis=0), so the centres are bit-identical to a
@@ -180,7 +186,7 @@ def kmeans_pp(X, k: int, seed: int = 0, n_init: int = 10, max_iter: int = 100,
 
     xx = np.sum(X * X, axis=1)
     best: Clustering | None = None
-    for r in range(n_init):
+    for r in range(n_init if k > 1 else 1):
         result = _lloyd(X, xx, seeds.centers(r, k), max_iter)
         if best is None or result.inertia < best.inertia:
             best = result

@@ -9,6 +9,12 @@ with Q the RBF Gram matrix. Optimization uses two-coordinate descent with
 most-violating-pair selection; ties resolve to the lowest index so training
 is deterministic for a fixed input. Q is exactly symmetric, so each step
 reads the two rows of Q it needs, which are contiguous in the dense cache.
+
+The dense cache holds the raw Gram products X @ X.T, computed once. A row
+becomes a row of Q, in place, the first time the solver reads it: the
+solver usually reads a small share of the rows, and the kernel transform
+is elementwise, so a row finished on its own rounds exactly as the whole
+matrix would. The loop itself works in buffers allocated before it starts.
 """
 
 from __future__ import annotations
@@ -37,9 +43,10 @@ from .errors import ConfigError, SchemaError, SolverConvergenceError
 NON_ANOMALOUS = 1
 ANOMALOUS = -1
 
-# Above this size the Gram matrix is no longer cached densely; kernel
-# rows are recomputed on demand inside the solver loop. The dense cache
-# costs 8 * n**2 bytes once (3.2 GB at the limit) and no n x n temporaries.
+# Above this size X @ X.T is no longer cached densely; kernel rows are
+# recomputed on demand inside the solver loop. The dense cache costs
+# 8 * n**2 bytes once (3.2 GB at the limit) and no n x n temporaries; each
+# of its rows becomes a kernel row when the solver first reads it.
 DENSE_KERNEL_LIMIT = 20_000
 
 # Entries per block while rbf_kernel_matrix finishes its result in place:
@@ -54,8 +61,24 @@ class KernelParams:
     gamma: float
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ConfigError("gamma must be positive, got %r" % self.gamma)
+        if not 0 < self.gamma < np.inf:
+            raise ConfigError("gamma must be positive and finite, got %r" % self.gamma)
+
+
+def _rbf_from_gram(blk: np.ndarray, xx: np.ndarray, yy: np.ndarray,
+                   gamma: float) -> None:
+    """Turn a block of X @ Y.T into its RBF kernel values, in place.
+
+    blk holds the rows of X whose squared norms are xx against all of Y
+    (norms yy). The result is exp(-gamma * max((xx + yy) - 2 * xy, 0)) with
+    the same roundings as that whole-matrix expression: every step is
+    elementwise, so no choice of block changes a float.
+    """
+    blk *= 2.0
+    np.subtract(xx[:, None] + yy[None, :], blk, out=blk)
+    np.maximum(blk, 0.0, out=blk)  # guard tiny negatives from cancellation
+    blk *= -gamma
+    np.exp(blk, out=blk)
 
 
 def rbf_kernel_matrix(X, Y, gamma: float) -> np.ndarray:
@@ -77,34 +100,42 @@ def rbf_kernel_matrix(X, Y, gamma: float) -> np.ndarray:
     K = X @ Y.T
     rows = max(1, _KERNEL_BLOCK // max(1, K.shape[1]))
     for start in range(0, K.shape[0], rows):
-        blk = K[start : start + rows]
-        # exp(-gamma * max((xx + yy) - 2 * xy, 0)) with the same roundings
-        # as that whole-matrix expression: blocking changes no float
-        blk *= 2.0
-        np.subtract(xx[start : start + rows, None] + yy[None, :], blk, out=blk)
-        np.maximum(blk, 0.0, out=blk)  # guard tiny negatives from cancellation
-        blk *= -gamma
-        np.exp(blk, out=blk)
+        _rbf_from_gram(K[start : start + rows], xx[start : start + rows], yy, gamma)
     return K
 
 
 class _KernelRows:
-    """Row access to the Gram matrix, dense-cached for small n."""
+    """Row access to the Gram matrix Q, dense-cached for small n.
+
+    The dense cache is X @ X.T; row i becomes row i of Q, in place, on its
+    first read and is returned as it is from then on. Unread rows are never
+    transformed. The rows read equal rbf_kernel_matrix(X, X, gamma)'s bit
+    for bit: the products are the same single X @ X.T, and the transform is
+    the one that function applies to each of its blocks.
+    """
 
     def __init__(self, X: np.ndarray, gamma: float):
         self.X = X
         self.gamma = gamma
-        self._dense = rbf_kernel_matrix(X, X, gamma) if X.shape[0] <= DENSE_KERNEL_LIMIT else None
+        self._dense = None
+        if X.shape[0] <= DENSE_KERNEL_LIMIT:
+            self._xx = np.sum(X * X, axis=1)
+            self._dense = X @ X.T
+            self._ready = np.zeros(X.shape[0], dtype=bool)
 
     def row(self, i: int) -> np.ndarray:
-        """Row i of Q, which is column i: the dense Q is exactly symmetric.
+        """Row i of Q, which is column i: Q is exactly symmetric.
 
         A row of the C-order dense cache is contiguous; a column would
         touch one cache line per entry.
         """
-        if self._dense is not None:
-            return self._dense[i]
-        return rbf_kernel_matrix(self.X, self.X[i : i + 1], self.gamma)[:, 0]
+        if self._dense is None:
+            return rbf_kernel_matrix(self.X, self.X[i : i + 1], self.gamma)[:, 0]
+        if not self._ready[i]:
+            _rbf_from_gram(self._dense[i : i + 1], self._xx[i : i + 1], self._xx,
+                           self.gamma)
+            self._ready[i] = True
+        return self._dense[i]
 
 
 @dataclass(frozen=True)
@@ -166,20 +197,28 @@ def fit(X, nu: float, kernel: KernelParams, tol: float = 1e-5,
     for i in np.flatnonzero(alpha > 0):
         G += alpha[i] * kr.row(i)
 
+    # pen_up is 0 where alpha can grow and +inf where it cannot; pen_down is
+    # 0 where alpha can shrink and -inf where it cannot. Adding 0 leaves G
+    # exact, so the selection is the first extremum of G over each set.
+    pen_up = np.where(alpha < C, 0.0, np.inf)
+    pen_down = np.where(alpha > 0, 0.0, -np.inf)
+    n_up = int(np.count_nonzero(alpha < C))
+    n_down = int(np.count_nonzero(alpha > 0))
+    scratch = np.empty(n, dtype=np.float64)
+    t_i = np.empty(n, dtype=np.float64)
+    t_j = np.empty(n, dtype=np.float64)
+
     converged = False
     violation = np.inf
     for _ in range(max_iter):
-        up = alpha < C      # can grow
-        down = alpha > 0    # can shrink
-        if not up.any() or not down.any():
+        if n_up == 0 or n_down == 0:
             converged = True
             violation = 0.0
             break
-        neg_G = -G
-        # argmax/argmin return the first extremum: ties go to the lowest index
-        i = int(np.argmax(np.where(up, neg_G, -np.inf)))
-        j = int(np.argmin(np.where(down, neg_G, np.inf)))
-        violation = neg_G[i] - neg_G[j]
+        # argmin/argmax return the first extremum: ties go to the lowest index
+        i = int(np.add(G, pen_up, out=scratch).argmin())
+        j = int(np.add(G, pen_down, out=scratch).argmax())
+        violation = G[j] - G[i]
         if violation <= tol:
             converged = True
             break
@@ -190,7 +229,7 @@ def fit(X, nu: float, kernel: KernelParams, tol: float = 1e-5,
         quad = 2.0 - 2.0 * row_i[j]
         if quad <= 0:
             quad = 1e-12
-        delta = (G[j] - G[i]) / quad
+        delta = violation / quad
 
         s = alpha[i] + alpha[j]
         old_i, old_j = alpha[i], alpha[j]
@@ -200,7 +239,23 @@ def fit(X, nu: float, kernel: KernelParams, tol: float = 1e-5,
         new_i = max(new_i, 0.0, s - C)
         alpha[i] = new_i
         alpha[j] = s - new_i
-        G += (alpha[i] - old_i) * row_i + (alpha[j] - old_j) * row_j
+        # G += (alpha[i] - old_i) * row_i + (alpha[j] - old_j) * row_j, in
+        # the same operations and order
+        np.multiply(alpha[i] - old_i, row_i, out=t_i)
+        np.multiply(alpha[j] - old_j, row_j, out=t_j)
+        t_i += t_j
+        G += t_i
+        # only alpha[i] and alpha[j] moved; .item() runs the bound checks
+        # on Python floats, which is cheaper than on numpy scalars
+        for k in (i, j):
+            a = alpha.item(k)
+            grows, shrinks = a < C, a > 0
+            if grows != (pen_up.item(k) == 0.0):
+                pen_up[k] = 0.0 if grows else np.inf
+                n_up += 1 if grows else -1
+            if shrinks != (pen_down.item(k) == 0.0):
+                pen_down[k] = 0.0 if shrinks else -np.inf
+                n_down += 1 if shrinks else -1
 
     if not converged:
         raise SolverConvergenceError(

@@ -100,13 +100,21 @@ BAD_SETTINGS = [
     ("extraction", "per_group_min_check", "no"),
     ("extraction", "per_group_min_check", 0),
     ("extraction", "targets", "na"), ("extraction", "targets", []),
+    # json reads Infinity, and a literal such as 1e400 overflows to it; an
+    # integer literal stays an int too large for a float
+    ("ocsvm", "gamma", float("inf")), ("ocsvm", "tol", float("inf")),
+    ("ocsvm", "nu", 10 ** 400), ("columns", "cyclical", {"x": float("inf")}),
 ]
+
+# the rest of each section a bad setting is written into
+BASE_SECTIONS = {"columns": {"numerical": ["x", "y"], "categorical": []}}
 
 
 @pytest.mark.parametrize("section, key, value", BAD_SETTINGS,
-                         ids=["%s.%s=%r" % case for case in BAD_SETTINGS])
+                         ids=["%s.%s=%.20r" % case for case in BAD_SETTINGS])
 def test_bad_setting_exits_2_and_names_it(tmp_path, capsys, section, key, value):
-    cfg = _write_config(tmp_path, synth.two_blobs(), **{section: {key: value}})
+    cfg = _write_config(tmp_path, synth.two_blobs(),
+                        **{section: {**BASE_SECTIONS.get(section, {}), key: value}})
     assert main(["extract", "--config", str(cfg)]) == 2
     doc = _read_error(capsys, 2)
     assert doc["error"] == "ConfigError"
@@ -361,6 +369,20 @@ def test_model_json_with_malformed_cyclical_entry_exits_2(tmp_path, capsys, entr
     doc = _read_error(capsys, 2)
     assert doc["error"] == "SchemaError"
     assert "malformed" in doc["message"] and "model.json" in doc["message"]
+
+
+def test_model_json_with_infinite_gamma_exits_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path, synth.two_blobs())
+    assert main(["extract", "--config", str(cfg)]) == 0
+    path = tmp_path / "out" / "model.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["gamma"] = float("inf")
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["surrogate", "--config", str(cfg)]) == 2
+    doc = _read_error(capsys, 2)
+    assert doc["error"] == "SchemaError"
+    assert "malformed" in doc["message"] and "gamma" in doc["message"]
 
 
 def test_model_json_with_mismatched_support_vectors_is_rejected(tmp_path, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ocsvm_rules import clustering
 from ocsvm_rules.clustering import PlusPlusSeeds, _lloyd, kmeans_pp
 from ocsvm_rules.errors import ConfigError
 
@@ -15,6 +16,27 @@ def test_single_cluster_center_is_mean():
     assert res.k == 1
     assert np.allclose(res.centers[0], X.mean(axis=0))
     assert np.all(res.labels == 0)
+
+
+@pytest.mark.parametrize("X", [synth.gaussian_cloud(60, seed=3),
+                               np.repeat(np.eye(3), [5, 1, 4], axis=0)],
+                         ids=["gauss", "duplicates"])
+def test_one_cluster_runs_one_restart_like_ten(monkeypatch, X):
+    # every restart reaches the same mean in one step, and the first wins ties
+    calls = []
+    real = clustering._lloyd
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(clustering, "_lloyd", counting)
+    got = kmeans_pp(X, 1, seed=4, n_init=10)
+    assert len(calls) == 1
+    ref = kmeans_reference.kmeans_pp(X, 1, 4, 10)
+    assert np.array_equal(got.centers, ref.centers)
+    assert np.array_equal(got.labels, ref.labels)
+    assert got.inertia == ref.inertia and got.n_iter == ref.n_iter
 
 
 def test_inertia_matches_definition():

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import ocsvm_reference
 import synth
@@ -230,6 +230,51 @@ def test_fit_matches_reference(kind, nu, gamma):
     assert np.array_equal(m.alphas, alpha[sv])
     assert np.array_equal(m.support_vectors, X[sv])
     assert m.rho == rho
+
+
+@st.composite
+def _fit_problems(draw):
+    """Small rounded matrices drawn from a pool of rows, so rows repeat."""
+    n = draw(st.integers(2, 120))
+    d = draw(st.integers(1, 4))
+    pool = draw(st.integers(1, n))
+    decimals = draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = np.round(rng.normal(size=(pool, d)), decimals)
+    X = rows[rng.integers(0, pool, size=n)]
+    nu = draw(st.floats(1.0 / n, 1.0))
+    assume(nu * n >= 1)
+    return X, nu, draw(st.floats(0.01, 20.0))
+
+
+@given(_fit_problems())
+def test_fit_matches_reference_on_random_matrices(problem):
+    # bound flips of many alphas, ties among duplicate rows, quad == 0
+    X, nu, gamma = problem
+    try:
+        alpha, rho = ocsvm_reference.fit(X, nu, gamma)
+    except RuntimeError:
+        with pytest.raises(SolverConvergenceError):
+            fit(X, nu=nu, kernel=KernelParams(gamma=gamma))
+        return
+    m = fit(X, nu=nu, kernel=KernelParams(gamma=gamma))
+    sv = alpha > 0
+    assert np.array_equal(m.alphas, alpha[sv])
+    assert np.array_equal(m.support_vectors, X[sv])
+    assert m.rho == rho
+
+
+@pytest.mark.parametrize("kind", ["rounded", "onehot"])
+def test_kernel_rows_match_the_matrix_in_any_read_order(kind):
+    # a row read again must not be transformed again
+    X = _kernel_data(kind, 300, seed=3)
+    K = rbf_kernel_matrix(X, X, 0.7)
+    kr = oc._KernelRows(X, 0.7)
+    rng = np.random.default_rng(4)
+    first = rng.permutation(300)[:150]
+    for i in np.concatenate([first, rng.permutation(300)]):
+        assert np.array_equal(kr.row(i), K[i]), i
+        assert np.array_equal(kr.row(i), K[i]), i
 
 
 def test_lazy_kernel_path_matches_dense(monkeypatch):

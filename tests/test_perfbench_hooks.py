@@ -1,17 +1,18 @@
 """The benchmark reaches into the package by name.
 
 ``perfbench/tracing.py`` replaces attributes such as ``rules.state_mask``
-or ``Dataset.take`` with timing wrappers, and ``perfbench/checks.py``
-imports the package's readers to check every run's outputs. A renamed or
-deleted function would make every benchmark run fail while every other test
-still passes, so this checks each name the tracer wraps and runs the checks.
+or ``Dataset.take`` with timing wrappers, ``perfbench/checks.py`` imports
+the package's readers to check every run's outputs, and ``perfbench/run.py``
+reads ``ocsvm.DENSE_KERNEL_LIMIT``. A renamed or deleted name would make
+every benchmark run fail while every other test still passes, so this checks
+each name the tracer wraps, that constant, and runs the checks.
 """
 
 import importlib.util
 import json
 from pathlib import Path
 
-from ocsvm_rules import cli
+from ocsvm_rules import cli, ocsvm
 
 import synth
 
@@ -32,6 +33,12 @@ def test_every_traced_name_resolves_to_a_callable():
     for owner, attr, name, _ in targets:
         fn = getattr(owner, attr, None)
         assert callable(fn), "%s: %s.%s is %r" % (name, owner.__name__, attr, fn)
+
+
+def test_dense_kernel_limit_is_a_positive_int():
+    # run.py passes it to tracing.layer_metrics for ocsvm.gram_mb
+    limit = getattr(ocsvm, "DENSE_KERNEL_LIMIT", None)
+    assert isinstance(limit, int) and not isinstance(limit, bool) and limit > 0, limit
 
 
 def test_output_checks_load_with_their_package_imports():
