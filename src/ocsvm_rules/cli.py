@@ -266,19 +266,19 @@ def _read_artifact(path: Path) -> str:
         raise ConfigError("cannot read %s: %s" % (path, e)) from None
 
 
+def _parse_artifact(path: Path, parse):
+    """parse(text of path), with "malformed <path>" before its SchemaError."""
+    text = _read_artifact(path)
+    try:
+        return parse(text)
+    except SchemaError as e:
+        raise SchemaError("malformed %s: %s" % (path, e)) from None
+
+
 def _load_model(cfg: RunConfig, d):
     """The model extract wrote to <out>/model.json, checked against cfg and d."""
     path = cfg.output_dir / "model.json"
-    text = _read_artifact(path)
-    try:
-        model = model_from_json(text)
-        n_features = len(model.schema.feature_names())
-    except (ValueError, KeyError, TypeError, AttributeError, SchemaError,
-            ConfigError) as e:
-        raise SchemaError("malformed %s: %s" % (path, e)) from None
-    if model.support_vectors.shape != (model.alphas.size, n_features):
-        raise SchemaError("malformed %s: support vectors do not match alphas "
-                          "and features" % path)
+    model = _parse_artifact(path, model_from_json)
     schema = model.schema
     periods = {c: info.period for c, info in schema.cyclical.items()}
     for what, saved, wanted in (
@@ -476,10 +476,7 @@ def cmd_plot(args) -> int:
     for target in cfg.targets:
         suffix = _SUFFIX[target]
         path = cfg.output_dir / ("rules_%s.json" % suffix)
-        try:
-            rs = ruleset_from_json(_read_artifact(path))
-        except SchemaError as e:
-            raise SchemaError("malformed %s: %s" % (path, e)) from None
+        rs = _parse_artifact(path, ruleset_from_json)
         cols = cfg.plot_columns or list(rs.columns[:2])
         _expect(len(cols) == 2, "plotting needs two numerical columns")
         try:

@@ -21,7 +21,7 @@ program image, so its result is the one the parent would compute. The parent
 still calls kmeans_pp once per k, and seeds.ahead(k) hands it the helper's
 result for the counts the helper owns. When ahead is unset or returns None
 (not the helper's count, or the helper's stream ended), kmeans_pp computes
-the result here as before.
+the result itself.
 
 With one cluster a single restart runs. Every restart's Lloyd loop then
 labels all rows 0, moves the centre to the same mean in its first step and

@@ -9,6 +9,9 @@ with Q the RBF Gram matrix. Optimization uses two-coordinate descent with
 most-violating-pair selection; ties resolve to the lowest index so training
 is deterministic for a fixed input. Q is exactly symmetric, so each step
 reads the two rows of Q it needs, which are contiguous in the dense cache.
+Penalty arrays, 0 or +-inf per alpha, are the only record of which alphas
+can grow or shrink. An infinite minimum of G plus the growth penalty means
+every alpha is at C (nu = 1), and the loop stops with the dual solved.
 
 The dense cache holds the raw Gram products X @ X.T, computed once. A row
 becomes a row of Q, in place, the first time the solver reads it: the
@@ -20,6 +23,8 @@ matrix would. The loop itself works in buffers allocated before it starts.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -165,9 +170,11 @@ def fit(X, nu: float, kernel: KernelParams, tol: float = 1e-5,
     on unit-scaled data the gradient spread is tiny and a loose stop puts
     the offset far enough off to misclassify a big slice of the data.
 
-    Raises SolverConvergenceError (carrying the best iterate and the
-    remaining KKT violation) if the pair-selection loop hits max_iter,
-    which defaults to 100 * n.
+    Raises ConfigError unless X is a 2-D matrix of at least 2 rows, nu lies
+    in (0, 1] with nu * n >= 1, tol is a finite number > 0, and max_iter is
+    None or an integer >= 1. Raises SolverConvergenceError (carrying the
+    best iterate and the remaining KKT violation) if the pair-selection
+    loop hits max_iter, which defaults to 100 * n.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -179,8 +186,14 @@ def fit(X, nu: float, kernel: KernelParams, tol: float = 1e-5,
         raise ConfigError("nu must lie in (0, 1], got %r" % nu)
     if nu * n < 1:
         raise ConfigError("nu * n must be >= 1 (nu=%r, n=%d)" % (nu, n))
+    if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
+            or not (math.isfinite(tol) and tol > 0)):
+        raise ConfigError("tol must be a finite number > 0, got %r" % (tol,))
     if max_iter is None:
         max_iter = 100 * n
+    elif (isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer))
+            or max_iter < 1):
+        raise ConfigError("max_iter must be None or an integer >= 1, got %r" % (max_iter,))
 
     C = 1.0 / (nu * n)
     kr = _KernelRows(X, kernel.gamma)
@@ -197,30 +210,25 @@ def fit(X, nu: float, kernel: KernelParams, tol: float = 1e-5,
     for i in np.flatnonzero(alpha > 0):
         G += alpha[i] * kr.row(i)
 
-    # pen_up is 0 where alpha can grow and +inf where it cannot; pen_down is
-    # 0 where alpha can shrink and -inf where it cannot. Adding 0 leaves G
-    # exact, so the selection is the first extremum of G over each set.
+    # The penalties are the only record of which alphas can move: pen_up is
+    # 0 where alpha can grow and +inf where it cannot; pen_down is 0 where
+    # alpha can shrink and -inf where it cannot. Adding 0 leaves G exact, so
+    # the selection is the first extremum of G over each set.
     pen_up = np.where(alpha < C, 0.0, np.inf)
     pen_down = np.where(alpha > 0, 0.0, -np.inf)
-    n_up = int(np.count_nonzero(alpha < C))
-    n_down = int(np.count_nonzero(alpha > 0))
     scratch = np.empty(n, dtype=np.float64)
     t_i = np.empty(n, dtype=np.float64)
     t_j = np.empty(n, dtype=np.float64)
 
-    converged = False
-    violation = np.inf
     for _ in range(max_iter):
-        if n_up == 0 or n_down == 0:
-            converged = True
-            violation = 0.0
-            break
         # argmin/argmax return the first extremum: ties go to the lowest index
         i = int(np.add(G, pen_up, out=scratch).argmin())
+        if scratch.item(i) == np.inf:  # every alpha is at C: none can grow
+            break
+        # finite: some alpha is > 0, as a step keeps alpha[i] + alpha[j] > 0
         j = int(np.add(G, pen_down, out=scratch).argmax())
         violation = G[j] - G[i]
         if violation <= tol:
-            converged = True
             break
 
         row_i = kr.row(i)
@@ -249,15 +257,9 @@ def fit(X, nu: float, kernel: KernelParams, tol: float = 1e-5,
         # on Python floats, which is cheaper than on numpy scalars
         for k in (i, j):
             a = alpha.item(k)
-            grows, shrinks = a < C, a > 0
-            if grows != (pen_up.item(k) == 0.0):
-                pen_up[k] = 0.0 if grows else np.inf
-                n_up += 1 if grows else -1
-            if shrinks != (pen_down.item(k) == 0.0):
-                pen_down[k] = 0.0 if shrinks else -np.inf
-                n_down += 1 if shrinks else -1
-
-    if not converged:
+            pen_up[k] = 0.0 if a < C else np.inf
+            pen_down[k] = 0.0 if a > 0 else -np.inf
+    else:  # no break in max_iter >= 1 steps, so violation is set
         raise SolverConvergenceError(
             "solver did not converge after %d iterations (KKT violation %.3e)"
             % (max_iter, violation),
@@ -287,17 +289,11 @@ def _estimate_rho(alpha: np.ndarray, G: np.ndarray, C: float) -> float:
     interior = (alpha > 0) & (alpha < C)
     if interior.any():
         return float(G[interior].mean())
-    at_upper = alpha >= C
+    # none interior: the alphas sum to 1, so some sit at C; rho is their
+    # largest G, or its midpoint with the smallest G at 0 if any alpha is 0
+    lo = float(G[alpha >= C].max())
     at_zero = alpha <= 0
-    lo = float(G[at_upper].max()) if at_upper.any() else None
-    hi = float(G[at_zero].min()) if at_zero.any() else None
-    if lo is not None and hi is not None:
-        return 0.5 * (lo + hi)
-    if lo is not None:
-        return lo
-    if hi is not None:
-        return hi
-    return 0.0
+    return 0.5 * (lo + float(G[at_zero].min())) if at_zero.any() else lo
 
 
 def fit_dataset(d: Dataset, l_n, l_c, nu: float, kernel: KernelParams,
@@ -398,32 +394,43 @@ def model_to_json(m: OcsvmModel) -> str:
 
 
 def model_from_json(text: str) -> OcsvmModel:
-    doc = json.loads(text)
-    if doc.get("format") != MODEL_FORMAT:
-        raise SchemaError("unsupported model format: %r" % doc.get("format"))
-    schema = FeatureSchema(
-        numerical=tuple(doc["schema"]["numerical"]),
-        categorical=tuple(doc["schema"]["categorical"]),
-        levels={c: tuple(toks) for c, toks in doc["schema"]["levels"].items()},
-        cyclical=cyclical_from_doc(doc["schema"].get("cyclical", {})),
-    )
-    scaling = ScalingParams(per_column={
-        c: ColumnScale(min=s["min"], max=s["max"], degenerate=s["degenerate"])
-        for c, s in doc["scaling"].items()
-    })
-    sv = np.array(doc["support_vectors"], dtype=np.float64)
-    if sv.size == 0:
-        sv = sv.reshape(0, len(schema.feature_names()))
-    model = OcsvmModel(
-        support_vectors=sv,
-        alphas=np.array(doc["alphas"], dtype=np.float64),
-        rho=float(doc["rho"]),
-        nu=float(doc["nu"]),
-        kernel=KernelParams(gamma=float(doc["gamma"])),
-        n_train=int(doc["n_train"]),
-        schema=schema,
-        scaling=scaling,
-    )
+    """Inverse of model_to_json; SchemaError for any other text."""
+    try:
+        doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise SchemaError("expected a JSON object, got %s" % type(doc).__name__)
+        if doc.get("format") != MODEL_FORMAT:
+            raise SchemaError("unsupported model format: %r" % doc.get("format"))
+        schema = FeatureSchema(
+            numerical=tuple(doc["schema"]["numerical"]),
+            categorical=tuple(doc["schema"]["categorical"]),
+            levels={c: tuple(toks) for c, toks in doc["schema"]["levels"].items()},
+            cyclical=cyclical_from_doc(doc["schema"].get("cyclical", {})),
+        )
+        scaling = ScalingParams(per_column={
+            c: ColumnScale(min=s["min"], max=s["max"], degenerate=s["degenerate"])
+            for c, s in doc["scaling"].items()
+        })
+        n_features = len(schema.feature_names())
+        sv = np.array(doc["support_vectors"], dtype=np.float64)
+        alphas = np.array(doc["alphas"], dtype=np.float64)
+        if alphas.ndim != 1 or sv.shape != (alphas.size, n_features):
+            raise SchemaError("support vectors of shape %s do not match %d alphas "
+                              "and %d features" % (sv.shape, alphas.size, n_features))
+        model = OcsvmModel(
+            support_vectors=sv,
+            alphas=alphas,
+            rho=float(doc["rho"]),
+            nu=float(doc["nu"]),
+            kernel=KernelParams(gamma=float(doc["gamma"])),
+            n_train=int(doc["n_train"]),
+            schema=schema,
+            scaling=scaling,
+        )
+    except KeyError as e:
+        raise SchemaError("model has no field %s" % e) from None
+    except (ValueError, TypeError, AttributeError, OverflowError, ConfigError) as e:
+        raise SchemaError(str(e)) from None
     model.support_vectors.flags.writeable = False
     model.alphas.flags.writeable = False
     return model

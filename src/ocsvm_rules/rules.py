@@ -198,12 +198,11 @@ def _boxes_hit(lower: np.ndarray, upper: np.ndarray, Ys: np.ndarray) -> np.ndarr
 
 @dataclass
 class _Step:
-    """The per-k check of one clustering, in cluster order."""
+    """Per-k check of one clustering, in cluster order; offending boxes force a retry."""
 
     boxes: list[_Box]            # clean boxes, and tolerated ones for anomalies
     discard: list[np.ndarray]    # members of small contaminated clusters
     offending: list[_Box]        # contaminated clusters too large to drop
-    retry: bool
 
 
 def _check_clusters(Xs: np.ndarray, Ys: np.ndarray, cl, cfg: ExtractionConfig,
@@ -242,7 +241,7 @@ def _check_clusters(Xs: np.ndarray, Ys: np.ndarray, cl, cfg: ExtractionConfig,
     sizes = ends - starts
     limit = cfg.discard_factor * (n_cl if cfg.literal_cluster_threshold else n_v)
     big = (sizes >= n_v) | (sizes > limit)
-    step = _Step(boxes=[], discard=[], offending=[], retry=bool((hit & big).any()))
+    step = _Step(boxes=[], discard=[], offending=[])
     for box, h, b in zip(boxes, hit.tolist(), big.tolist()):
         if not h:
             step.boxes.append(box)
@@ -287,7 +286,7 @@ def _extract_boxes(Xs: np.ndarray, Ys: np.ndarray, cfg: ExtractionConfig,
             cl = kmeans_pp(Xs, n_cl, seed=cfg.seed, n_init=cfg.n_init,
                            max_iter=cfg.kmeans_max_iter, seeds=seeds)
             step = _check_clusters(Xs, Ys, cl, cfg, target, n_v)
-            if not step.retry:
+            if not step.offending:
                 discarded = (np.sort(np.concatenate(step.discard)) if step.discard
                              else np.empty(0, dtype=np.int64))
                 return step.boxes, discarded, n_cl
@@ -560,5 +559,5 @@ def ruleset_from_json(text: str) -> RuleSet:
                        cyclical=cyclical_from_doc(doc.get("cyclical", {})))
     except KeyError as e:
         raise SchemaError("rule set has no field %s" % e) from None
-    except (ValueError, TypeError, AttributeError, ConfigError) as e:
+    except (ValueError, TypeError, AttributeError, OverflowError, ConfigError) as e:
         raise SchemaError(str(e)) from None

@@ -50,10 +50,6 @@ def _majority(counts: tuple) -> int:
     return best_label
 
 
-def _gini(counts: tuple, total: int) -> float:
-    return 1.0 - sum((c / total) ** 2 for _, c in counts)
-
-
 def _best_split(X: np.ndarray, y: np.ndarray, idx: np.ndarray):
     """(feature, threshold) minimizing weighted child Gini, or None.
 
@@ -99,7 +95,7 @@ def _best_split(X: np.ndarray, y: np.ndarray, idx: np.ndarray):
 def _grow(X: np.ndarray, y: np.ndarray, idx: np.ndarray) -> TreeNode:
     counts = _counts(y[idx])
     prediction = _majority(counts)
-    if _gini(counts, idx.size) == 0.0:
+    if len(counts) == 1:  # pure
         return TreeNode(prediction=prediction, counts=counts)
     split = _best_split(X, y, idx)
     if split is None:
@@ -165,8 +161,8 @@ class TreeRule:
     n_samples: int
 
 
-def tree_to_rules(tree: TreeNode, feature_names, label: int | None = None) -> tuple:
-    """One rule per leaf, left to right; optionally only leaves of a label.
+def tree_to_rules(tree: TreeNode, feature_names) -> tuple:
+    """One rule per leaf, left to right.
 
     Repeated tests on a feature collapse to the tightest bound, so each
     feature appears at most once per op.
@@ -176,8 +172,6 @@ def tree_to_rules(tree: TreeNode, feature_names, label: int | None = None) -> tu
 
     def walk(node, path):
         if node.is_leaf:
-            if label is not None and node.prediction != label:
-                return
             bounds = {}
             for f, op, v in path:
                 key = (f, op)

@@ -6,6 +6,7 @@ doubles as a checklist; the assertions carry the actual tolerances.
 
 import json
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -250,10 +251,8 @@ def test_criterion_07_surrogate_tree(capsys, grouped_run):
         M = o.encode_matrix(d_exp, model.schema)
         assert float(np.mean(predict_tree(tree, M) == y_det)) == 1.0
         for t_, names_ in ((xor, ["a", "b"]), (tree, names)):
-            per_label = _leaves_by_label(t_)
-            for label, n_leaves in per_label.items():
-                assert len(tree_to_rules(t_, names_, label=label)) == n_leaves
-            assert len(tree_to_rules(t_, names_)) == sum(per_label.values())
+            labels = Counter(r.label for r in tree_to_rules(t_, names_))
+            assert labels == _leaves_by_label(t_)
 
 
 def test_criterion_08_two_blob_fixture(capsys, blob_run):

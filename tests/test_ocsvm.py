@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ import ocsvm_reference
 import synth
 import ocsvm_rules.ocsvm as oc
 from ocsvm_rules.dataset import ColumnScale, FeatureSchema, ScalingParams
-from ocsvm_rules.errors import ConfigError, SolverConvergenceError
+from ocsvm_rules.errors import ConfigError, SchemaError, SolverConvergenceError
 from ocsvm_rules.ocsvm import (
     ANOMALOUS,
     NON_ANOMALOUS,
@@ -185,6 +186,17 @@ def test_input_validation():
         fit(np.zeros(5), nu=0.5, kernel=KernelParams(gamma=1.0))
 
 
+@pytest.mark.parametrize("setting", [
+    {"tol": float("nan")}, {"tol": -1.0}, {"tol": float("inf")},
+    {"max_iter": 0}, {"max_iter": -5}, {"max_iter": True},
+], ids=["tol-nan", "tol-negative", "tol-inf", "max_iter-0", "max_iter-negative",
+        "max_iter-bool"])
+def test_stopping_settings_are_checked(setting):
+    X = synth.gaussian_cloud(50, seed=4)
+    with pytest.raises(ConfigError):
+        fit(X, nu=0.2, kernel=KernelParams(gamma=0.2), **setting)
+
+
 def test_non_convergence_carries_diagnostics():
     X = synth.gaussian_cloud(200, seed=3)
     with pytest.raises(SolverConvergenceError) as ei:
@@ -262,6 +274,39 @@ def test_fit_matches_reference_on_random_matrices(problem):
     assert np.array_equal(m.alphas, alpha[sv])
     assert np.array_equal(m.support_vectors, X[sv])
     assert m.rho == rho
+
+
+def _assert_matches_reference(X, nu, gamma):
+    m = fit(X, nu=nu, kernel=KernelParams(gamma=gamma))
+    alpha, rho = ocsvm_reference.fit(X, nu, gamma)
+    sv = alpha > 0
+    assert np.array_equal(m.alphas, alpha[sv])
+    assert np.array_equal(m.support_vectors, X[sv])
+    assert m.rho == rho
+    return m
+
+
+def test_fit_with_every_alpha_at_the_bound():
+    # nu = 1: every alpha starts at C, so no alpha can grow, the first
+    # selection meets the +inf extremum, and rho is the at-C maximum alone
+    X = synth.gaussian_cloud(60, seed=9)
+    m = _assert_matches_reference(X, 1.0, 0.5)
+    assert m.n_support == 60
+    assert np.all(m.alphas == 1.0 / 60)
+    G = rbf_kernel_matrix(X, X, 0.5) @ np.full(60, 1.0 / 60)
+    assert m.rho == pytest.approx(G.max(), abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["cloud", "one-point"])
+def test_fit_with_nu_n_one(kind):
+    # nu * n = 1 puts C at 1: the start is one alpha at C and the rest at 0;
+    # with every row the same the gradient is flat and the start is optimal
+    X = synth.gaussian_cloud(40, seed=10)
+    if kind == "one-point":
+        X = np.repeat(X[:1], 40, axis=0)
+    m = _assert_matches_reference(X, 1.0 / 40, 0.5)
+    if kind == "one-point":
+        assert m.alphas.tolist() == [1.0]
 
 
 @pytest.mark.parametrize("kind", ["rounded", "onehot"])
@@ -344,6 +389,39 @@ def test_model_json_roundtrip_preserves_scores(blob_data, blob_model):
 def test_model_json_rejects_unknown_format():
     with pytest.raises(Exception):
         model_from_json('{"format": "something-else"}')
+
+
+def _drop_rho(doc):
+    del doc["rho"]
+
+
+def _drop_alpha(doc):
+    doc["alphas"] = doc["alphas"][1:]
+
+
+def _lengthen_row(doc):
+    doc["support_vectors"][0].append(0.0)
+
+
+def _lengthen_rows(doc):
+    for row in doc["support_vectors"]:
+        row.append(0.0)
+
+
+def _infinite_n_train(doc):
+    doc["n_train"] = float("inf")
+
+
+@pytest.mark.parametrize("corrupt", [
+    _drop_rho, _drop_alpha, _lengthen_row, _lengthen_rows, _infinite_n_train,
+    lambda doc: [doc],
+], ids=["missing-key", "alphas-one-short", "row-too-long", "rows-too-long",
+        "infinite-n_train", "list-root"])
+def test_model_json_rejects_malformed_documents(blob_model, corrupt):
+    doc = json.loads(model_to_json(blob_model))
+    doc = corrupt(doc) or doc
+    with pytest.raises(SchemaError):
+        model_from_json(json.dumps(doc))
 
 
 def test_model_without_preprocessing_does_not_serialize():

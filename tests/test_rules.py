@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -516,3 +518,13 @@ def test_ruleset_json_roundtrip_with_cyclical():
 def test_ruleset_json_rejects_unknown_format():
     with pytest.raises(SchemaError):
         ruleset_from_json('{"format": "rule-set/9", "rules": []}')
+
+
+def test_ruleset_json_rejects_an_infinite_count():
+    rs = RuleSet(target=TARGET_ANOMALOUS, scaled=False, columns=("x",),
+                 rules=(Rule(state=(), columns=("x",), lower=(0.0,), upper=(1.0,),
+                             n_points=3),))
+    doc = json.loads(ruleset_to_json(rs))
+    doc["rules"][0]["n_points"] = float("inf")
+    with pytest.raises(SchemaError):
+        ruleset_from_json(json.dumps(doc))

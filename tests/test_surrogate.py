@@ -85,10 +85,6 @@ def test_rules_match_leaves():
     t = fit_tree(XOR_X, XOR_Y)
     rules = tree_to_rules(t, ["a", "b"])
     assert len(rules) == tree_stats(t)["n_leaves"]
-    ones = tree_to_rules(t, ["a", "b"], label=1)
-    zeros = tree_to_rules(t, ["a", "b"], label=0)
-    assert len(ones) + len(zeros) == len(rules)
-    assert all(r.label == 1 for r in ones)
     # each point lands in exactly one rule of its own label
     for x, lab in zip(XOR_X, XOR_Y):
         hits = [r for r in rules if _satisfies(r, {"a": x[0], "b": x[1]})]
