@@ -54,6 +54,7 @@ from .rules import (
     ruleset_from_json,
     ruleset_to_json,
     ruleset_to_text,
+    state_text,
 )
 from .surrogate import (
     fit_surrogate,
@@ -443,7 +444,7 @@ def cmd_report(args) -> int:
             continue
         per_state: dict = {}
         for r in rs.rules:
-            key = ", ".join("%s=%s" % (c, t) for c, t in r.state) or "<none>"
+            key = state_text(r.state)
             per_state[key] = per_state.get(key, 0) + 1
         report["rules"][suffix] = {
             "n_rules": len(rs.rules),

@@ -394,7 +394,11 @@ def model_to_json(m: OcsvmModel) -> str:
 
 
 def model_from_json(text: str) -> OcsvmModel:
-    """Inverse of model_to_json; SchemaError for any other text."""
+    """Inverse of model_to_json; SchemaError for any other text.
+
+    Every number the model scores with (rho, nu, gamma, the alphas, the
+    support vectors and the scaling bounds) must be finite.
+    """
     try:
         doc = json.loads(text)
         if not isinstance(doc, dict):
@@ -417,11 +421,17 @@ def model_from_json(text: str) -> OcsvmModel:
         if alphas.ndim != 1 or sv.shape != (alphas.size, n_features):
             raise SchemaError("support vectors of shape %s do not match %d alphas "
                               "and %d features" % (sv.shape, alphas.size, n_features))
+        rho, nu = float(doc["rho"]), float(doc["nu"])
+        bounds = [(sc.min, sc.max) for sc in scaling.per_column.values()]
+        for what, values in (("rho", rho), ("nu", nu), ("alphas", alphas),
+                             ("support_vectors", sv), ("scaling", bounds)):
+            if not np.all(np.isfinite(values)):
+                raise SchemaError("%s holds a non-finite number" % what)
         model = OcsvmModel(
             support_vectors=sv,
             alphas=alphas,
-            rho=float(doc["rho"]),
-            nu=float(doc["nu"]),
+            rho=rho,
+            nu=nu,
             kernel=KernelParams(gamma=float(doc["gamma"])),
             n_train=int(doc["n_train"]),
             schema=schema,

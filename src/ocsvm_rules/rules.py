@@ -296,7 +296,7 @@ def _extract_boxes(Xs: np.ndarray, Ys: np.ndarray, cfg: ExtractionConfig,
 
     raise ExtractionConvergenceError(
         "state %r still has %d contaminated clusters at %d clusters"
-        % (_state_text(state), len(step.offending), max_cl),
+        % (state_text(state), len(step.offending), max_cl),
         last_n_clusters=max_cl,
         offending_boxes=[(tuple(map(float, b.lower)), tuple(map(float, b.upper)))
                          for b in step.offending],
@@ -309,7 +309,8 @@ def _extract_boxes(Xs: np.ndarray, Ys: np.ndarray, cfg: ExtractionConfig,
 AHEAD_WORK = 50_000
 
 
-def _state_text(state: CategoricalState) -> str:
+def state_text(state: CategoricalState) -> str:
+    """The state as "c=t, ..." in its column order; "<none>" for the empty state."""
     return ", ".join("%s=%s" % (c, t) for c, t in state) if state else "<none>"
 
 
@@ -360,7 +361,7 @@ def extract_rule_sets(split: tuple[Dataset, Dataset], model: OcsvmModel,
             if 2 ** len(l_n) > rows.size:
                 raise InsufficientDataError(
                     "state %s has %d points, need at least %d"
-                    % (_state_text(state), rows.size, 2 ** len(l_n)))
+                    % (state_text(state), rows.size, 2 ** len(l_n)))
         Xs, Ys = scaled_t[rows], scaled_o[state_mask(X_o, state)]
         boxes, local_discard, n_cl = _extract_boxes(Xs, Ys, cfg, target, state)
         clusters_per_group.append(n_cl)

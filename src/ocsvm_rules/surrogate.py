@@ -6,6 +6,18 @@ exactly. Splits minimize Gini impurity over midpoint thresholds; ties go
 to the lowest feature index, then the lowest threshold, which makes
 fitting deterministic. A split with zero impurity decrease is still taken
 on an impure node (parity patterns need it to make progress).
+
+Each column is sorted once, at the root (the presorted attribute lists of
+SLIQ, Mehta, Agrawal & Rissanen 1996). A node holds one stable order of
+its rows per feature, and a split partitions every order stably, so each
+child's orders are again sorted with ties in row order, the order a
+stable sort of the child's rows would give. The split search reads the
+sorted values and prefix label counts from those orders and scores only
+the cuts between neighbouring distinct values. Growth keeps a stack of
+pending nodes instead of recursing: a node's orders are freed once its
+children's are made, and the pending nodes hold disjoint rows, so at most
+F * N order entries are alive at once for F features and N rows, and the
+depth of the tree is not bounded by Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -36,11 +48,6 @@ class TreeNode:
         return self.feature is None
 
 
-def _counts(y: np.ndarray) -> tuple:
-    labels, counts = np.unique(y, return_counts=True)
-    return tuple((int(l), int(c)) for l, c in zip(labels, counts))
-
-
 def _majority(counts: tuple) -> int:
     # highest count wins; equal counts fall to the lowest label
     best_label, best_count = counts[0]
@@ -50,65 +57,60 @@ def _majority(counts: tuple) -> int:
     return best_label
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, idx: np.ndarray):
+def _best_split(XT: np.ndarray, codes: np.ndarray, S: np.ndarray,
+                tally: np.ndarray, present: np.ndarray):
     """(feature, threshold) minimizing weighted child Gini, or None.
 
-    Thresholds are midpoints between consecutive distinct values. Each
-    feature scores all of its thresholds at once from prefix label counts
-    over the stably sorted column. The first minimum within a feature
-    (lowest threshold) and strict improvement across features (lowest
-    feature index) make tie-breaking deterministic.
+    XT is the training matrix transposed, codes the label code of each row,
+    S the node's (F, n) row orders, one stably sorted order per feature,
+    tally the node's row count per label code, and present the codes it
+    holds, ascending. Thresholds are midpoints between neighbouring
+    distinct values. Every cut of every feature is scored at once from
+    prefix label counts over the sorted rows; the first minimum in
+    (feature, cut) order wins, which is the lowest feature, then the
+    lowest threshold.
     """
-    n = idx.size
-    labels, codes = np.unique(y[idx], return_inverse=True)
-    onehot = np.zeros((n, labels.size))
-    onehot[np.arange(n), codes] = 1.0
-    Xt = X[idx].T
-    best = None
-    best_score = np.inf
-    for f in range(Xt.shape[0]):
-        vals = Xt[f]
-        order = np.argsort(vals, kind="stable")
-        sv = vals[order]
-        # each sorted row c followed by a different value can end the left side
-        cut = np.flatnonzero(sv[:-1] != sv[1:])
-        if cut.size == 0:
-            continue
-        prefix = np.cumsum(onehot[order], axis=0)
-        left = prefix[cut]
-        right = prefix[-1] - left
-        p = cut + 1.0  # rows on the left
-        gl = 1.0 - np.sum((left / p[:, None]) ** 2, axis=1)
-        gr = 1.0 - np.sum((right / (n - p)[:, None]) ** 2, axis=1)
-        score = (p * gl + (n - p) * gr) / n
-        j = int(np.argmin(score))
-        if score[j] < best_score:
-            c = cut[j]
-            thr = (sv[c] + sv[c + 1]) / 2.0
-            if thr >= sv[c + 1]:  # midpoint rounded up to the right value
-                thr = sv[c]
-            best = (f, float(thr))
-            best_score = score[j]
-    return best
-
-
-def _grow(X: np.ndarray, y: np.ndarray, idx: np.ndarray) -> TreeNode:
-    counts = _counts(y[idx])
-    prediction = _majority(counts)
-    if len(counts) == 1:  # pure
-        return TreeNode(prediction=prediction, counts=counts)
-    split = _best_split(X, y, idx)
-    if split is None:
-        return TreeNode(prediction=prediction, counts=counts)
-    f, thr = split
-    mask = X[idx, f] <= thr
-    left = _grow(X, y, idx[mask])
-    right = _grow(X, y, idx[~mask])
-    return TreeNode(prediction=prediction, counts=counts,
-                    feature=f, threshold=thr, left=left, right=right)
+    n = S.shape[1]
+    sv = np.take_along_axis(XT, S, axis=1)
+    # each sorted row followed by a different value can end the left side
+    fi, ci = np.nonzero(sv[:, :-1] != sv[:, 1:])
+    if fi.size == 0:
+        return None
+    sc = codes[S]
+    left = np.empty((fi.size, present.size))  # rows of each label left of each cut
+    for k, code in enumerate(present):
+        # int32 sums twice as fast as the default int64 and holds any node's count
+        left[:, k] = np.cumsum(sc == code, axis=1, dtype=np.int32)[fi, ci]
+    right = tally[present] - left
+    p = ci + 1.0  # rows on the left
+    gl = 1.0 - np.sum((left / p[:, None]) ** 2, axis=1)
+    gr = 1.0 - np.sum((right / (n - p)[:, None]) ** 2, axis=1)
+    score = (p * gl + (n - p) * gr) / n
+    j = int(np.argmin(score))
+    f, c = int(fi[j]), ci[j]
+    lo, hi = float(sv[f, c]), float(sv[f, c + 1])
+    thr = (lo + hi) / 2.0
+    if not lo <= thr < hi:  # midpoint rounded up to hi, or lo + hi overflowed
+        thr = lo
+    return f, thr
 
 
 def fit_tree(X, y) -> TreeNode:
+    """Grow an unpruned CART tree on the rows of X labelled y.
+
+    Raises ConfigError unless X is a 2-D matrix of at least one row and
+    one column with only finite values, and y holds one integer label per
+    row (bool and float labels are refused, not truncated).
+
+    The split search sorts each column once, at the root, and never again:
+    a split partitions the node's per-feature row orders stably, which
+    keeps each child's orders sorted (see the module docstring). Only the
+    cuts between distinct neighbouring values are scored, and the first
+    best cut in (feature, position) order wins. Growth pops nodes from a
+    stack in pre-order and builds the frozen nodes bottom-up afterwards,
+    so no depth hits the recursion limit; the orders alive at once belong
+    to disjoint nodes and take O(F * N) memory for F features and N rows.
+    """
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.asarray(y)
     if X.ndim != 2:
@@ -117,18 +119,59 @@ def fit_tree(X, y) -> TreeNode:
         raise ConfigError("labels must be one per row, got %s" % (y.shape,))
     if X.shape[0] == 0:
         raise ConfigError("cannot fit a tree on zero rows")
-    y = y.astype(np.int64)
-    return _grow(X, y, np.arange(X.shape[0]))
+    if X.shape[1] == 0:
+        raise ConfigError("cannot fit a tree on zero columns")
+    if not np.all(np.isfinite(X)):
+        raise ConfigError("training data must be finite")
+    if y.dtype == np.bool_ or not np.can_cast(y.dtype, np.int64):
+        raise ConfigError("labels must be integers, got dtype %s" % y.dtype)
+    labels, codes = np.unique(y, return_inverse=True)
+    XT = np.ascontiguousarray(X.T)
+    F = XT.shape[0]
+    records = []  # (prediction, counts, split or None), in pre-order
+    stack = [np.argsort(XT, axis=1, kind="stable")]
+    while stack:
+        S = stack.pop()
+        tally = np.bincount(codes[S[0]], minlength=labels.size)
+        present = np.flatnonzero(tally)
+        counts = tuple((int(labels[k]), int(tally[k])) for k in present)
+        split = _best_split(XT, codes, S, tally, present) if present.size > 1 else None
+        records.append((_majority(counts), counts, split))
+        if split is None:
+            continue
+        f, thr = split
+        keep = (XT[f] <= thr)[S]
+        right, left = S[~keep].reshape(F, -1), S[keep].reshape(F, -1)
+        del S, keep  # free the node's orders before its children run
+        stack += [right, left]
+    # reversed pre-order meets a node's right subtree, then its left, then it
+    built: list[TreeNode] = []
+    for prediction, counts, split in reversed(records):
+        if split is None:
+            built.append(TreeNode(prediction=prediction, counts=counts))
+        else:
+            left, right = built.pop(), built.pop()
+            built.append(TreeNode(prediction=prediction, counts=counts, feature=split[0],
+                                  threshold=split[1], left=left, right=right))
+    return built[0]
 
 
 def predict_tree(tree: TreeNode, X) -> np.ndarray:
+    """Label of the leaf each row of X reaches.
+
+    Rows go left when their value is <= the threshold, so a NaN goes right.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     out = np.empty(X.shape[0], dtype=np.int64)
-    for i, row in enumerate(X):
-        node = tree
-        while not node.is_leaf:
-            node = node.left if row[node.feature] <= node.threshold else node.right
-        out[i] = node.prediction
+    stack = [(tree, np.arange(X.shape[0]))]
+    while stack:
+        node, idx = stack.pop()
+        if node.is_leaf:
+            out[idx] = node.prediction
+            continue
+        go_left = X[idx, node.feature] <= node.threshold
+        stack.append((node.right, idx[~go_left]))
+        stack.append((node.left, idx[go_left]))
     return out
 
 

@@ -8,6 +8,7 @@ import pytest
 import ocsvm_rules as o
 import ocsvm_rules.ocsvm as ocsvm_module
 from ocsvm_rules.cli import main
+from ocsvm_rules.rules import state_text
 
 import synth
 
@@ -385,6 +386,33 @@ def test_model_json_with_infinite_gamma_exits_2(tmp_path, capsys):
     assert "malformed" in doc["message"] and "gamma" in doc["message"]
 
 
+def _first_scaling(doc):
+    return doc["scaling"][sorted(doc["scaling"])[0]]
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda doc: doc.update(rho=float("nan")),
+    lambda doc: doc.update(nu=float("inf")),
+    lambda doc: doc["alphas"].__setitem__(0, float("nan")),
+    lambda doc: doc["support_vectors"][0].__setitem__(0, float("-inf")),
+    lambda doc: _first_scaling(doc).update(min=float("nan")),
+    lambda doc: _first_scaling(doc).update(max=float("inf")),
+], ids=["rho", "nu", "alpha", "support-vector", "scaling-min", "scaling-max"])
+def test_model_json_with_non_finite_number_exits_2(tmp_path, capsys, corrupt):
+    cfg = _hourly_config(tmp_path)
+    assert main(["extract", "--config", str(cfg)]) == 0
+    path = tmp_path / "out" / "model.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    corrupt(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["surrogate", "--config", str(cfg)]) == 2
+    doc = _read_error(capsys, 2)
+    assert doc["error"] == "SchemaError"
+    assert "malformed" in doc["message"] and "non-finite" in doc["message"]
+    assert not (tmp_path / "out" / "tree.json").exists()
+
+
 def test_model_json_with_mismatched_support_vectors_is_rejected(tmp_path, capsys):
     cfg = _write_config(tmp_path, synth.two_blobs())
     assert main(["extract", "--config", str(cfg)]) == 0
@@ -443,6 +471,30 @@ def test_report_isolates_corrupt_artifacts(tmp_path, capsys):
     txt = (tmp_path / "out" / "report.txt").read_text(encoding="utf-8")
     assert "model: unreadable" in txt
     assert "extraction: unreadable" in txt
+
+
+def _grouped_config(tmp_path):
+    return _write_config(tmp_path, synth.grouped_dataset(),
+                         columns={"numerical": ["x", "y"], "categorical": ["mode"]},
+                         ocsvm={"nu": 0.05, "gamma": 15.0})
+
+
+@pytest.mark.parametrize("grouped", [True, False], ids=["grouped", "no-categorical"])
+def test_report_counts_rules_per_state_text(tmp_path, capsys, grouped):
+    cfg = _grouped_config(tmp_path) if grouped else _write_config(tmp_path, synth.two_blobs())
+    assert main(["extract", "--config", str(cfg)]) == 0
+    assert main(["report", "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    rules = o.ruleset_from_json((out / "rules_na.json").read_text(encoding="utf-8")).rules
+    per_state = json.loads((out / "report.json").read_text())["rules"]["na"]["per_state"]
+    want = {}
+    for r in rules:
+        want[state_text(r.state)] = want.get(state_text(r.state), 0) + 1
+    assert per_state == want
+    if grouped:
+        assert set(per_state) == {"mode=off", "mode=on"}
+    else:
+        assert set(per_state) == {"<none>"}
 
 
 def test_report_rerun_is_byte_identical(tmp_path, capsys):
@@ -545,6 +597,21 @@ def test_both_targets_score_the_rows_once(tmp_path, capsys, monkeypatch, command
 # ---------------------------------------------------------------------------
 # packaging
 # ---------------------------------------------------------------------------
+
+def test_commands_do_not_import_numpy_ma(tmp_path):
+    # numpy.ma costs about 15 ms of import in every fresh process; plain
+    # np.unique is one call that loads it
+    cfg = _grouped_config(tmp_path)
+    script = (
+        "import sys\n"
+        "from ocsvm_rules.cli import main\n"
+        "for argv in (['extract', '--target', 'both'], ['surrogate'],\n"
+        "             ['plot', '--target', 'both'], ['report']):\n"
+        "    assert main(argv + ['--config', sys.argv[1]]) == 0, argv\n"
+        "    assert 'numpy.ma' not in sys.modules, argv\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(cfg)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 def test_console_entry_point(tmp_path):
     cfg = _write_config(tmp_path, synth.two_blobs())

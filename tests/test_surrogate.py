@@ -1,7 +1,11 @@
 import json
+import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import ocsvm_rules as o
 from ocsvm_rules.errors import ConfigError
@@ -151,12 +155,54 @@ def test_json_roundtrip():
 
 
 def test_input_validation():
-    with pytest.raises(ConfigError):
-        fit_tree(np.zeros((0, 2)), [])
-    with pytest.raises(ConfigError):
-        fit_tree([[0.0], [1.0]], [1])
-    with pytest.raises(ConfigError):
-        fit_tree(np.zeros(3), [1, 2, 3])
+    for X, y in [
+        (np.zeros((0, 2)), []),
+        ([[0.0], [1.0]], [1]),
+        (np.zeros(3), [1, 2, 3]),
+        (np.zeros((3, 0)), [1, 2, 3]),
+        # NaN differs from itself, so it makes cuts with an empty side
+        ([[0.0], [np.nan], [1.0]], [0, 1, 0]),
+        ([[0.0], [np.inf]], [0, 1]),
+        # labels that int64 cannot hold exactly are refused, not truncated
+        ([[0.0], [1.0]], [0.5, 1.7]),
+        ([[0.0], [1.0]], [0.0, 1.0]),
+        ([[0.0], [1.0]], [False, True]),
+        ([[0.0], [1.0]], np.array([0, 2 ** 63], dtype=np.uint64)),
+    ]:
+        with pytest.raises(ConfigError):
+            fit_tree(X, y)
+
+
+def test_split_between_values_whose_sum_overflows():
+    # (lo + hi) / 2 is -inf here; the threshold falls back to lo
+    X = [[-1.7e308], [-1e308]]
+    t = fit_tree(X, [0, 1])
+    assert t.threshold == -1.7e308
+    assert predict_tree(t, X).tolist() == [0, 1]
+
+
+def test_growth_needs_no_recursion_and_little_memory():
+    # labels alternate along x, so every split peels off one row: a chain
+    n = 400
+    X = np.zeros((n, 16))
+    X[:, 0] = np.arange(n)
+    y = np.arange(n) % 2
+    tracemalloc.start()
+    try:
+        t = fit_tree(X, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tree_stats(t)["depth"] == n - 1
+    # the orders alive at once are disjoint: about 16 * 400 int64 entries;
+    # keeping every ancestor's orders would take n / 2 times that
+    assert peak < 2_000_000
+
+    # deeper than the interpreter's recursion limit
+    n = sys.getrecursionlimit() + 200
+    X = np.arange(n, dtype=np.float64)[:, None]
+    y = np.arange(n) % 2
+    assert predict_tree(fit_tree(X, y), X).tolist() == y.tolist()
 
 
 def test_surrogate_mimics_detector(grouped_data, grouped_model):
@@ -246,3 +292,60 @@ def test_split_search_matches_loop_reference(case, seed):
     assert split_sizes  # every case splits at least once
     if case == "pairs":
         assert 2 in split_sizes
+
+
+# Values drawn from a small pool repeat, so ties, duplicate rows and constant
+# columns all occur; -0.0 and 0.0 tie in the sort but print differently.
+POOL = (-2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 4.0)
+
+
+@st.composite
+def _tree_inputs(draw):
+    n = draw(st.integers(1, 120))
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        values = draw(st.lists(st.sampled_from(POOL), min_size=1, max_size=len(POOL)))
+        columns.append(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)))
+    levels = draw(st.integers(0, 3))  # one-hot columns of a categorical
+    if levels:
+        level = draw(st.lists(st.integers(0, levels - 1), min_size=n, max_size=n))
+        columns.extend(np.eye(levels)[level].T)
+    X = np.column_stack(columns)
+    labels = (-1, 1, 7)[:draw(st.integers(2, 3))]
+    y = np.array(draw(st.lists(st.sampled_from(labels), min_size=n, max_size=n)))
+    return X, y
+
+
+@given(_tree_inputs())
+def test_fit_tree_matches_loop_reference(case):
+    X, y = case
+    names = ["f%d" % j for j in range(X.shape[1])]
+    # JSON text compares every node's fields, the sign of a zero threshold too
+    assert (tree_to_json(fit_tree(X, y), names)
+            == tree_to_json(cart_reference.fit_tree(X, y), names))
+
+
+def _walk(tree, row):
+    node = tree
+    while not node.is_leaf:
+        node = node.left if row[node.feature] <= node.threshold else node.right
+    return node.prediction
+
+
+def _thresholds(node):
+    if node.is_leaf:
+        return []
+    return [node.threshold] + _thresholds(node.left) + _thresholds(node.right)
+
+
+@given(_tree_inputs(), st.data())
+def test_predict_tree_matches_row_walk(case, data):
+    X, y = case
+    t = fit_tree(X, y)
+    # thresholds themselves, pool values and non-finite values
+    values = list(POOL) + _thresholds(t) + [math.nan, math.inf, -math.inf]
+    rows = data.draw(st.lists(
+        st.lists(st.sampled_from(values), min_size=X.shape[1], max_size=X.shape[1]),
+        min_size=1, max_size=40))
+    Q = np.array(rows)
+    assert predict_tree(t, Q).tolist() == [_walk(t, row) for row in Q]
