@@ -454,11 +454,14 @@ def cmd_report(args) -> int:
         lines.append("rules %s: %d rules over %s"
                      % (suffix, len(rs.rules), ", ".join(rs.columns)))
         try:
-            for line in (out / ("rules_%s.txt" % suffix)).read_text(
-                    encoding="utf-8").splitlines():
-                lines.append("  " + line)
+            text = (out / ("rules_%s.txt" % suffix)).read_text(encoding="utf-8")
         except OSError:
-            pass
+            continue
+        except UnicodeDecodeError as e:
+            report["rules"][suffix]["text"] = "unreadable: %s" % e
+            lines.append("rules %s text: unreadable (%s)" % (suffix, e))
+            continue
+        lines += ["  " + line for line in text.splitlines()]
 
     report["surrogate"], section = _summarise(out / "surrogate_stats.json",
                                               "surrogate", _surrogate_summary)

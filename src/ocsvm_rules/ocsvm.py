@@ -8,16 +8,20 @@ The dual problem solved here is
 with Q the RBF Gram matrix. Optimization uses two-coordinate descent with
 most-violating-pair selection; ties resolve to the lowest index so training
 is deterministic for a fixed input. Q is exactly symmetric, so each step
-reads the two rows of Q it needs, which are contiguous in the dense cache.
+reads the two rows of Q it needs, which are contiguous in the kernel cache.
 Penalty arrays, 0 or +-inf per alpha, are the only record of which alphas
 can grow or shrink. An infinite minimum of G plus the growth penalty means
 every alpha is at C (nu = 1), and the loop stops with the dual solved.
 
-The dense cache holds the raw Gram products X @ X.T, computed once. A row
-becomes a row of Q, in place, the first time the solver reads it: the
-solver usually reads a small share of the rows, and the kernel transform
-is elementwise, so a row finished on its own rounds exactly as the whole
-matrix would. The loop itself works in buffers allocated before it starts.
+Rows of Q are kept in at most KERNEL_CACHE_BYTES, LIBSVM's default 100 MiB
+cache. When the whole Gram fits, the cache holds the raw products X @ X.T,
+computed once, and a row becomes a row of Q, in place, the first time the
+solver reads it: the solver usually reads a small share of the rows, and
+the kernel transform is elementwise, so a row finished on its own rounds
+exactly as the whole matrix would. Above that size each row is computed on
+its first read from one row of products and kept in a least-recently-used
+cache of as many rows as the budget holds. The loop itself works in
+buffers allocated before it starts.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -48,11 +53,13 @@ from .errors import ConfigError, SchemaError, SolverConvergenceError
 NON_ANOMALOUS = 1
 ANOMALOUS = -1
 
-# Above this size X @ X.T is no longer cached densely; kernel rows are
-# recomputed on demand inside the solver loop. The dense cache costs
-# 8 * n**2 bytes once (3.2 GB at the limit) and no n x n temporaries; each
-# of its rows becomes a kernel row when the solver first reads it.
-DENSE_KERNEL_LIMIT = 20_000
+# Bytes of kernel rows the solver keeps, LIBSVM's default cache size (-m 100).
+KERNEL_CACHE_BYTES = 100 * 2**20
+# Up to this many rows the whole 8 * n**2-byte X @ X.T fits in the budget and
+# is cached densely (3620 rows, 100 MiB at the limit); each of its rows
+# becomes a kernel row when the solver first reads it. Above it, rows are
+# computed on first read and kept in an LRU cache of the budget's size.
+DENSE_KERNEL_LIMIT = math.isqrt(KERNEL_CACHE_BYTES // 8)
 
 # Entries per block while rbf_kernel_matrix finishes its result in place:
 # a 512 KiB block stays in cache through the five elementwise passes.
@@ -110,23 +117,35 @@ def rbf_kernel_matrix(X, Y, gamma: float) -> np.ndarray:
 
 
 class _KernelRows:
-    """Row access to the Gram matrix Q, dense-cached for small n.
+    """Row access to the Gram matrix Q within KERNEL_CACHE_BYTES.
 
-    The dense cache is X @ X.T; row i becomes row i of Q, in place, on its
-    first read and is returned as it is from then on. Unread rows are never
-    transformed. The rows read equal rbf_kernel_matrix(X, X, gamma)'s bit
-    for bit: the products are the same single X @ X.T, and the transform is
-    the one that function applies to each of its blocks.
+    Up to DENSE_KERNEL_LIMIT rows the cache is the dense X @ X.T; row i
+    becomes row i of Q, in place, on its first read and is returned as it
+    is from then on. Unread rows are never transformed, and the rows read
+    equal rbf_kernel_matrix(X, X, gamma)'s bit for bit: the products are the
+    same single X @ X.T, and the transform is the one that function applies
+    to each of its blocks.
+
+    Above the limit, a row is X[i] @ X.T finished by the same transform on
+    its first read, and an LRU cache keeps the last max(2, budget // (8 n))
+    rows read. A one-row product rounds differently from the whole matrix,
+    so these rows match rbf_kernel_matrix's only to the last bits. The two
+    rows of a step are the two most recent, so reading the second never
+    evicts the first.
     """
 
     def __init__(self, X: np.ndarray, gamma: float):
+        n = X.shape[0]
         self.X = X
         self.gamma = gamma
+        self._xx = np.sum(X * X, axis=1)
         self._dense = None
-        if X.shape[0] <= DENSE_KERNEL_LIMIT:
-            self._xx = np.sum(X * X, axis=1)
+        if n <= DENSE_KERNEL_LIMIT:
             self._dense = X @ X.T
-            self._ready = np.zeros(X.shape[0], dtype=bool)
+            self._ready = np.zeros(n, dtype=bool)
+        else:
+            self._cache = OrderedDict()
+            self._capacity = max(2, KERNEL_CACHE_BYTES // (8 * n))
 
     def row(self, i: int) -> np.ndarray:
         """Row i of Q, which is column i: Q is exactly symmetric.
@@ -134,13 +153,22 @@ class _KernelRows:
         A row of the C-order dense cache is contiguous; a column would
         touch one cache line per entry.
         """
-        if self._dense is None:
-            return rbf_kernel_matrix(self.X, self.X[i : i + 1], self.gamma)[:, 0]
-        if not self._ready[i]:
-            _rbf_from_gram(self._dense[i : i + 1], self._xx[i : i + 1], self._xx,
-                           self.gamma)
-            self._ready[i] = True
-        return self._dense[i]
+        if self._dense is not None:
+            if not self._ready[i]:
+                _rbf_from_gram(self._dense[i : i + 1], self._xx[i : i + 1],
+                               self._xx, self.gamma)
+                self._ready[i] = True
+            return self._dense[i]
+        cache = self._cache
+        row = cache.get(i)
+        if row is not None:
+            cache.move_to_end(i)
+            return row[0]
+        if len(cache) >= self._capacity:
+            cache.popitem(last=False)
+        row = cache[i] = self.X[i : i + 1] @ self.X.T
+        _rbf_from_gram(row, self._xx[i : i + 1], self._xx, self.gamma)
+        return row[0]
 
 
 @dataclass(frozen=True)
@@ -169,6 +197,10 @@ def fit(X, nu: float, kernel: KernelParams, tol: float = 1e-5,
     The default tolerance is tighter than the usual 1e-3: with a wide RBF
     on unit-scaled data the gradient spread is tiny and a loose stop puts
     the offset far enough off to misclassify a big slice of the data.
+
+    Kernel rows take at most KERNEL_CACHE_BYTES (see _KernelRows); beyond
+    them the fit holds X and a few vectors of n floats, so no n x n array
+    is built above DENSE_KERNEL_LIMIT rows.
 
     Raises ConfigError unless X is a 2-D matrix of at least 2 rows, nu lies
     in (0, 1] with nu * n >= 1, tol is a finite number > 0, and max_iter is

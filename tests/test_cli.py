@@ -473,6 +473,20 @@ def test_report_isolates_corrupt_artifacts(tmp_path, capsys):
     assert "extraction: unreadable" in txt
 
 
+def test_report_survives_rules_text_that_is_not_utf8(tmp_path, capsys):
+    cfg = _write_config(tmp_path, synth.two_blobs())
+    assert main(["extract", "--config", str(cfg), "--target", "both"]) == 0
+    (tmp_path / "out" / "rules_na.txt").write_bytes(b"\xff\xfe")
+    assert main(["report", "--config", str(cfg)]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["rules"]["na"]["n_rules"] == 2  # the JSON rules still count
+    assert report["rules"]["na"]["text"].startswith("unreadable")
+    assert "text" not in report["rules"]["a"]
+    txt = (tmp_path / "out" / "report.txt").read_text(encoding="utf-8")
+    assert "rules na text: unreadable" in txt
+    assert "  OUTLIER IF " in txt  # the anomalous rules text is still shown
+
+
 def _grouped_config(tmp_path):
     return _write_config(tmp_path, synth.grouped_dataset(),
                          columns={"numerical": ["x", "y"], "categorical": ["mode"]},

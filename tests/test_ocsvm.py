@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import ocsvm_reference
+import qp_oracle
 import synth
 import ocsvm_rules.ocsvm as oc
 from ocsvm_rules.dataset import ColumnScale, FeatureSchema, ScalingParams
@@ -323,8 +324,9 @@ def test_kernel_rows_match_the_matrix_in_any_read_order(kind):
 
 
 def test_lazy_kernel_path_matches_dense(monkeypatch):
-    # column-at-a-time kernels go through a different BLAS path, so only
-    # near-equality of the solution is promised across modes
+    # a one-row product X[i] @ X.T rounds differently from the whole
+    # X @ X.T, so only near-equality of the solution is promised across the
+    # dense cache and the row cache
     X = synth.gaussian_cloud(80, seed=8)
     dense = fit(X, nu=0.1, kernel=KernelParams(gamma=0.3))
     monkeypatch.setattr(oc, "DENSE_KERNEL_LIMIT", 10)
@@ -333,6 +335,79 @@ def test_lazy_kernel_path_matches_dense(monkeypatch):
     g1 = decision_values(dense, X)
     g2 = decision_values(lazy, X)
     assert np.max(np.abs(g1 - g2)) < 1e-4
+
+
+def _full_alphas(X, m) -> np.ndarray:
+    alpha = np.zeros(X.shape[0])
+    for sv, a in zip(m.support_vectors, m.alphas):
+        idx = np.flatnonzero((X == sv).all(axis=1))
+        assert idx.size == 1
+        alpha[idx[0]] = a
+    return alpha
+
+
+def test_row_cache_eviction_matches_dense(monkeypatch):
+    # a 3-row cache for 80 points: rows are evicted and computed again
+    X = synth.gaussian_cloud(80, seed=8)
+    nu, gamma = 0.1, 0.3
+    dense = fit(X, nu=nu, kernel=KernelParams(gamma=gamma))
+    monkeypatch.setattr(oc, "DENSE_KERNEL_LIMIT", 10)
+    unbounded = fit(X, nu=nu, kernel=KernelParams(gamma=gamma))
+    monkeypatch.setattr(oc, "KERNEL_CACHE_BYTES", 8 * 80 * 3)
+
+    computed = []
+    row = oc._KernelRows.row
+
+    def watched_row(self, i):
+        assert self._capacity == 3
+        if i not in self._cache:
+            computed.append(i)
+        out = row(self, i)
+        assert len(self._cache) <= self._capacity
+        return out
+
+    monkeypatch.setattr(oc._KernelRows, "row", watched_row)
+    evicting = fit(X, nu=nu, kernel=KernelParams(gamma=gamma))
+    assert len(computed) > 2 * len(set(computed))
+
+    # a row computed again is the row computed first, so eviction moves
+    # nothing against a cache that holds every row
+    assert np.array_equal(evicting.alphas, unbounded.alphas)
+    assert np.array_equal(evicting.support_vectors, unbounded.support_vectors)
+    assert evicting.rho == unbounded.rho
+
+    # against the dense cache, criterion 02's tolerances
+    K = rbf_kernel_matrix(X, X, gamma)
+    C = 1.0 / (nu * 80)
+    obj_dense = qp_oracle.dual_objective(K, _full_alphas(X, dense))
+    obj_evict = qp_oracle.dual_objective(K, _full_alphas(X, evicting))
+    assert abs(obj_evict - obj_dense) / obj_dense <= 1e-4
+    assert qp_oracle.kkt_violation(K, _full_alphas(X, evicting), C) <= 1e-3
+    # both fits stop within tol, so rows on the margin (|g| of order tol)
+    # may take either side; every other row keeps its label
+    g_dense = decision_values(dense, X)
+    g_evict = decision_values(evicting, X)
+    off_margin = np.abs(g_dense) > 1e-4
+    assert off_margin.sum() > 0.8 * 80
+    assert np.array_equal(g_dense[off_margin] >= 0, g_evict[off_margin] >= 0)
+
+
+def test_fit_above_the_dense_limit_builds_no_gram(monkeypatch):
+    # one row above the dense limit, with a budget of n / 8 rows: the
+    # kernel rows take at most an eighth of 8 n^2 bytes
+    n = 600
+    X = synth.gaussian_cloud(n, seed=8)
+    monkeypatch.setattr(oc, "DENSE_KERNEL_LIMIT", n - 1)
+    monkeypatch.setattr(oc, "KERNEL_CACHE_BYTES", 8 * n * (n // 8))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        m = fit(X, nu=0.05, kernel=KernelParams(gamma=2.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m.n_support > 100
+    assert peak < 8 * n * n / 4
 
 
 # ---------------------------------------------------------------------------
