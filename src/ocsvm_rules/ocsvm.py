@@ -7,21 +7,18 @@ The dual problem solved here is
 
 with Q the RBF Gram matrix. Optimization uses two-coordinate descent with
 most-violating-pair selection; ties resolve to the lowest index so training
-is deterministic for a fixed input. Q is exactly symmetric, so each step
-reads the two rows of Q it needs, which are contiguous in the kernel cache.
-Penalty arrays, 0 or +-inf per alpha, are the only record of which alphas
-can grow or shrink. An infinite minimum of G plus the growth penalty means
-every alpha is at C (nu = 1), and the loop stops with the dual solved.
+is deterministic for a fixed input. The rows the solver reads form an
+exactly symmetric matrix, so each step reads the two rows of Q it needs in
+place of its two columns. Penalty arrays, 0 or +-inf per alpha, are the
+only record of which alphas can grow or shrink. An infinite minimum of G
+plus the growth penalty means every alpha is at C (nu = 1), and the loop
+stops with the dual solved.
 
-Rows of Q are kept in at most KERNEL_CACHE_BYTES, LIBSVM's default 100 MiB
-cache. When the whole Gram fits, the cache holds the raw products X @ X.T,
-computed once, and a row becomes a row of Q, in place, the first time the
-solver reads it: the solver usually reads a small share of the rows, and
-the kernel transform is elementwise, so a row finished on its own rounds
-exactly as the whole matrix would. Above that size each row is computed on
-its first read from one row of products and kept in a least-recently-used
-cache of as many rows as the budget holds. The loop itself works in
-buffers allocated before it starts.
+Row i of Q is computed on its first read from the one-row product
+X[i] @ X.T and kept in a least-recently-used cache of at most
+KERNEL_CACHE_BYTES, LIBSVM's default 100 MiB. The solver usually reads a
+small share of the rows, and no n x n array is built. The loop itself
+works in buffers allocated before it starts.
 """
 
 from __future__ import annotations
@@ -55,10 +52,9 @@ ANOMALOUS = -1
 
 # Bytes of kernel rows the solver keeps, LIBSVM's default cache size (-m 100).
 KERNEL_CACHE_BYTES = 100 * 2**20
-# Up to this many rows the whole 8 * n**2-byte X @ X.T fits in the budget and
-# is cached densely (3620 rows, 100 MiB at the limit); each of its rows
-# becomes a kernel row when the solver first reads it. Above it, rows are
-# computed on first read and kept in an LRU cache of the budget's size.
+# The most rows whose whole 8 * n**2-byte Gram fits in the budget (3620).
+# No fit builds that Gram; the name stays only because the benchmark's
+# perfbench/run.py reads it to compute ocsvm.gram_mb.
 DENSE_KERNEL_LIMIT = math.isqrt(KERNEL_CACHE_BYTES // 8)
 
 # Entries per block while rbf_kernel_matrix finishes its result in place:
@@ -119,46 +115,25 @@ def rbf_kernel_matrix(X, Y, gamma: float) -> np.ndarray:
 class _KernelRows:
     """Row access to the Gram matrix Q within KERNEL_CACHE_BYTES.
 
-    Up to DENSE_KERNEL_LIMIT rows the cache is the dense X @ X.T; row i
-    becomes row i of Q, in place, on its first read and is returned as it
-    is from then on. Unread rows are never transformed, and the rows read
-    equal rbf_kernel_matrix(X, X, gamma)'s bit for bit: the products are the
-    same single X @ X.T, and the transform is the one that function applies
-    to each of its blocks.
-
-    Above the limit, a row is X[i] @ X.T finished by the same transform on
-    its first read, and an LRU cache keeps the last max(2, budget // (8 n))
-    rows read. A one-row product rounds differently from the whole matrix,
-    so these rows match rbf_kernel_matrix's only to the last bits. The two
-    rows of a step are the two most recent, so reading the second never
-    evicts the first.
+    Row i is X[i] @ X.T finished by rbf_kernel_matrix's elementwise
+    transform on its first read, and an LRU cache keeps the last
+    max(2, budget // (8 n)) rows read; up to 3620 rows that is every row.
+    A one-row product rounds differently from the whole X @ X.T, so these
+    rows match rbf_kernel_matrix(X, X, gamma)'s only to the last bits, but
+    they equal rbf_kernel_matrix(X[i:i+1], X, gamma)[0] exactly, and the
+    rows together form an exactly symmetric matrix. The two rows of a step
+    are the two most recent, so reading the second never evicts the first.
     """
 
     def __init__(self, X: np.ndarray, gamma: float):
-        n = X.shape[0]
         self.X = X
         self.gamma = gamma
         self._xx = np.sum(X * X, axis=1)
-        self._dense = None
-        if n <= DENSE_KERNEL_LIMIT:
-            self._dense = X @ X.T
-            self._ready = np.zeros(n, dtype=bool)
-        else:
-            self._cache = OrderedDict()
-            self._capacity = max(2, KERNEL_CACHE_BYTES // (8 * n))
+        self._cache = OrderedDict()
+        self._capacity = max(2, KERNEL_CACHE_BYTES // (8 * X.shape[0]))
 
     def row(self, i: int) -> np.ndarray:
-        """Row i of Q, which is column i: Q is exactly symmetric.
-
-        A row of the C-order dense cache is contiguous; a column would
-        touch one cache line per entry.
-        """
-        if self._dense is not None:
-            if not self._ready[i]:
-                _rbf_from_gram(self._dense[i : i + 1], self._xx[i : i + 1],
-                               self._xx, self.gamma)
-                self._ready[i] = True
-            return self._dense[i]
+        """Row i of Q, which the solver reads as column i: Q is symmetric."""
         cache = self._cache
         row = cache.get(i)
         if row is not None:
@@ -199,8 +174,8 @@ def fit(X, nu: float, kernel: KernelParams, tol: float = 1e-5,
     the offset far enough off to misclassify a big slice of the data.
 
     Kernel rows take at most KERNEL_CACHE_BYTES (see _KernelRows); beyond
-    them the fit holds X and a few vectors of n floats, so no n x n array
-    is built above DENSE_KERNEL_LIMIT rows.
+    them the fit holds X and a few vectors of n floats, so no fit builds an
+    n x n array.
 
     Raises ConfigError unless X is a 2-D matrix of at least 2 rows, nu lies
     in (0, 1] with nu * n >= 1, tol is a finite number > 0, and max_iter is
@@ -265,7 +240,8 @@ def fit(X, nu: float, kernel: KernelParams, tol: float = 1e-5,
 
         row_i = kr.row(i)
         row_j = kr.row(j)
-        # Q_ii + Q_jj - 2 Q_ij; RBF diagonal entries are exactly 1
+        # Q_ii + Q_jj - 2 Q_ij with the RBF diagonal taken as 1; a computed
+        # Q_ii can fall short of 1 by rounding (1e-15 to 5e-13 measured)
         quad = 2.0 - 2.0 * row_i[j]
         if quad <= 0:
             quad = 1e-12

@@ -534,6 +534,23 @@ def ruleset_to_json(rs: RuleSet) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _rule_from_doc(rd: dict, columns: tuple[str, ...]) -> Rule:
+    """One rule of a rule-set document: the bounding box of a non-empty cluster.
+
+    SchemaError for a non-finite bound or an n_points that is not an
+    integer >= 1.
+    """
+    lower = tuple(float(v) for v in rd["lower"])
+    upper = tuple(float(v) for v in rd["upper"])
+    if not all(map(math.isfinite, lower + upper)):
+        raise SchemaError("rule bounds hold a non-finite number")
+    n_points = rd["n_points"]
+    if isinstance(n_points, bool) or not isinstance(n_points, int) or n_points < 1:
+        raise SchemaError("n_points must be an integer >= 1, got %r" % (n_points,))
+    return Rule(state=tuple((c, t) for c, t in rd["state"]), columns=columns,
+                lower=lower, upper=upper, n_points=n_points)
+
+
 def ruleset_from_json(text: str) -> RuleSet:
     """Inverse of ruleset_to_json; SchemaError for any other text."""
     try:
@@ -543,16 +560,7 @@ def ruleset_from_json(text: str) -> RuleSet:
         if doc.get("format") != RULESET_FORMAT:
             raise SchemaError("unsupported rule set format: %r" % doc.get("format"))
         columns = tuple(doc["columns"])
-        rules = tuple(
-            Rule(
-                state=tuple((c, t) for c, t in rd["state"]),
-                columns=columns,
-                lower=tuple(float(v) for v in rd["lower"]),
-                upper=tuple(float(v) for v in rd["upper"]),
-                n_points=int(rd["n_points"]),
-            )
-            for rd in doc["rules"]
-        )
+        rules = tuple(_rule_from_doc(rd, columns) for rd in doc["rules"])
         if not isinstance(doc["scaled"], bool):
             raise SchemaError("scaled must be true or false, got %r" % (doc["scaled"],))
         return RuleSet(target=doc["target"], scaled=doc["scaled"],

@@ -1,8 +1,19 @@
 import os
+import warnings
 from pathlib import Path
 
 import pytest
 from hypothesis import settings
+
+# On a failing property the Hypothesis plugin imports this module, which
+# imports libcst, whose import warns that mypy_extensions.TypedDict is
+# deprecated. Under filterwarnings = ["error"] that warning would abort the
+# whole session from inside the plugin's report hook, before the falsifying
+# example is printed and before any later test runs. Importing it here,
+# once, with that warning ignored leaves nothing to warn about later.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 import ocsvm_rules as o
 

@@ -2,10 +2,12 @@
 
 ``rbf_kernel_matrix`` is the whole-matrix formula and ``fit`` the solver
 loop that ocsvm_rules.ocsvm used before it built the Gram matrix in place
-and read rows instead of columns. The loop, the column access and
-``_estimate_rho`` are kept verbatim (the dense cache only) as the oracle
-the tests compare the production solver against bit for bit. Nothing here
-imports ocsvm_rules.
+and read rows instead of columns. The loop and ``_estimate_rho`` are kept
+verbatim as the oracle the tests compare the production solver against bit
+for bit. Column i is the one-row product ``rbf_kernel_matrix(X[i:i+1], X,
+gamma)[0]``, which rounds as the production solver's kernel row i does;
+a column of the whole matrix would differ from it in the last bits.
+Nothing here imports ocsvm_rules.
 """
 
 from __future__ import annotations
@@ -26,13 +28,14 @@ def rbf_kernel_matrix(X, Y, gamma: float) -> np.ndarray:
 
 
 class _KernelColumns:
-    """Column access to the dense Gram matrix."""
+    """Column access to the Gram matrix, one one-row product per column."""
 
     def __init__(self, X: np.ndarray, gamma: float):
-        self._dense = rbf_kernel_matrix(X, X, gamma)
+        self._X = X
+        self._gamma = gamma
 
     def col(self, i: int) -> np.ndarray:
-        return self._dense[:, i]
+        return rbf_kernel_matrix(self._X[i : i + 1], self._X, self._gamma)[0]
 
     def diag2(self, i: int, j: int, qij: float) -> float:
         # RBF diagonal entries are exactly 1

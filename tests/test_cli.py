@@ -453,6 +453,18 @@ def test_report_summarizes_artifacts(tmp_path, capsys):
     assert "  NOT OUTLIER IF " in txt
 
 
+def test_report_marks_a_rule_with_an_infinite_bound_unreadable(tmp_path):
+    cfg = _write_config(tmp_path, synth.two_blobs())
+    assert main(["extract", "--config", str(cfg)]) == 0
+    path = tmp_path / "out" / "rules_na.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["rules"][0]["upper"][0] = float("inf")
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["report", "--config", str(cfg)]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["rules"]["na"]["status"].startswith("unreadable")
+
+
 def test_report_isolates_corrupt_artifacts(tmp_path, capsys):
     cfg = _write_config(tmp_path, synth.two_blobs())
     assert main(["extract", "--config", str(cfg)]) == 0
@@ -552,8 +564,16 @@ def test_plot_requires_extract_first(tmp_path, capsys):
                  "columns": ["x", "y"], "rules": [],
                  "cyclical": {"x": {"period": -24, "sin": "x_sin", "cos": "x_cos"}}}),
      "SchemaError"),
+    (json.dumps({"format": "rule-set/1", "target": "non_anomalous", "scaled": False,
+                 "columns": ["x", "y"], "rules": [{"state": [], "lower": [float("nan"), 0],
+                                                   "upper": [1, 1], "n_points": 1}]}),
+     "SchemaError"),
+    (json.dumps({"format": "rule-set/1", "target": "non_anomalous", "scaled": False,
+                 "columns": ["x", "y"], "rules": [{"state": [], "lower": [0, 0],
+                                                   "upper": [1, 1], "n_points": -7}]}),
+     "SchemaError"),
 ], ids=["bad-json", "list", "empty", "format-only", "not-utf8", "inverted-bounds",
-        "scaled-string", "negative-period"])
+        "scaled-string", "negative-period", "nan-bound", "negative-count"])
 def test_corrupt_rules_json_exits_2(tmp_path, capsys, text, error):
     cfg = _write_config(tmp_path, synth.two_blobs())
     assert main(["extract", "--config", str(cfg)]) == 0

@@ -312,29 +312,27 @@ def test_fit_with_nu_n_one(kind):
 
 @pytest.mark.parametrize("kind", ["rounded", "onehot"])
 def test_kernel_rows_match_the_matrix_in_any_read_order(kind):
-    # a row read again must not be transformed again
+    # row i is the one-row product's kernel row, and a row read again must
+    # not be transformed again
     X = _kernel_data(kind, 300, seed=3)
-    K = rbf_kernel_matrix(X, X, 0.7)
     kr = oc._KernelRows(X, 0.7)
     rng = np.random.default_rng(4)
     first = rng.permutation(300)[:150]
     for i in np.concatenate([first, rng.permutation(300)]):
-        assert np.array_equal(kr.row(i), K[i]), i
-        assert np.array_equal(kr.row(i), K[i]), i
+        expected = rbf_kernel_matrix(X[i : i + 1], X, 0.7)[0]
+        assert np.array_equal(kr.row(i), expected), i
+        assert np.array_equal(kr.row(i), expected), i
 
 
-def test_lazy_kernel_path_matches_dense(monkeypatch):
-    # a one-row product X[i] @ X.T rounds differently from the whole
-    # X @ X.T, so only near-equality of the solution is promised across the
-    # dense cache and the row cache
-    X = synth.gaussian_cloud(80, seed=8)
-    dense = fit(X, nu=0.1, kernel=KernelParams(gamma=0.3))
-    monkeypatch.setattr(oc, "DENSE_KERNEL_LIMIT", 10)
-    lazy = fit(X, nu=0.1, kernel=KernelParams(gamma=0.3))
-    assert dense.rho == pytest.approx(lazy.rho, abs=1e-4)
-    g1 = decision_values(dense, X)
-    g2 = decision_values(lazy, X)
-    assert np.max(np.abs(g1 - g2)) < 1e-4
+@pytest.mark.parametrize("kind", ["rounded", "large_scale", "onehot"])
+def test_kernel_rows_form_a_symmetric_matrix(kind):
+    # the solver reads row i in place of column i, so Q[i, j] == Q[j, i]
+    # must hold exactly for rows built from separate one-row products
+    X = _kernel_data(kind, 300, seed=5)
+    gamma = 1e-9 if kind == "large_scale" else 0.7
+    kr = oc._KernelRows(X, gamma)
+    Q = np.array([kr.row(i) for i in range(300)])
+    assert np.array_equal(Q, Q.T)
 
 
 def _full_alphas(X, m) -> np.ndarray:
@@ -346,13 +344,26 @@ def _full_alphas(X, m) -> np.ndarray:
     return alpha
 
 
+class _WholeGramColumns(ocsvm_reference._KernelColumns):
+    """The reference solver's columns taken from the whole X @ X.T Gram."""
+
+    def __init__(self, X, gamma):
+        self._K = ocsvm_reference.rbf_kernel_matrix(X, X, gamma)
+
+    def col(self, i):
+        return self._K[:, i]
+
+
 def test_row_cache_eviction_matches_dense(monkeypatch):
     # a 3-row cache for 80 points: rows are evicted and computed again
     X = synth.gaussian_cloud(80, seed=8)
     nu, gamma = 0.1, 0.3
-    dense = fit(X, nu=nu, kernel=KernelParams(gamma=gamma))
-    monkeypatch.setattr(oc, "DENSE_KERNEL_LIMIT", 10)
     unbounded = fit(X, nu=nu, kernel=KernelParams(gamma=gamma))
+    monkeypatch.setattr(ocsvm_reference, "_KernelColumns", _WholeGramColumns)
+    alpha_dense, rho_dense = ocsvm_reference.fit(X, nu, gamma)
+    sv = alpha_dense > 0
+    dense = dataclasses.replace(unbounded, support_vectors=X[sv],
+                                alphas=alpha_dense[sv], rho=rho_dense)
     monkeypatch.setattr(oc, "KERNEL_CACHE_BYTES", 8 * 80 * 3)
 
     computed = []
@@ -376,28 +387,31 @@ def test_row_cache_eviction_matches_dense(monkeypatch):
     assert np.array_equal(evicting.support_vectors, unbounded.support_vectors)
     assert evicting.rho == unbounded.rho
 
-    # against the dense cache, criterion 02's tolerances
+    # a one-row product X[i] @ X.T rounds differently from the whole
+    # X @ X.T, so against the dual solved on the whole Gram only criterion
+    # 02's tolerances are promised
     K = rbf_kernel_matrix(X, X, gamma)
     C = 1.0 / (nu * 80)
-    obj_dense = qp_oracle.dual_objective(K, _full_alphas(X, dense))
+    obj_dense = qp_oracle.dual_objective(K, alpha_dense)
     obj_evict = qp_oracle.dual_objective(K, _full_alphas(X, evicting))
     assert abs(obj_evict - obj_dense) / obj_dense <= 1e-4
     assert qp_oracle.kkt_violation(K, _full_alphas(X, evicting), C) <= 1e-3
-    # both fits stop within tol, so rows on the margin (|g| of order tol)
-    # may take either side; every other row keeps its label
+    assert evicting.rho == pytest.approx(dense.rho, abs=1e-4)
     g_dense = decision_values(dense, X)
     g_evict = decision_values(evicting, X)
+    assert np.max(np.abs(g_dense - g_evict)) < 1e-4
+    # both fits stop within tol, so rows on the margin (|g| of order tol)
+    # may take either side; every other row keeps its label
     off_margin = np.abs(g_dense) > 1e-4
     assert off_margin.sum() > 0.8 * 80
     assert np.array_equal(g_dense[off_margin] >= 0, g_evict[off_margin] >= 0)
 
 
-def test_fit_above_the_dense_limit_builds_no_gram(monkeypatch):
-    # one row above the dense limit, with a budget of n / 8 rows: the
-    # kernel rows take at most an eighth of 8 n^2 bytes
+def test_fit_builds_no_gram(monkeypatch):
+    # a budget of n / 8 rows: the kernel rows take at most an eighth of
+    # 8 n^2 bytes, and no n x n array is built besides them
     n = 600
     X = synth.gaussian_cloud(n, seed=8)
-    monkeypatch.setattr(oc, "DENSE_KERNEL_LIMIT", n - 1)
     monkeypatch.setattr(oc, "KERNEL_CACHE_BYTES", 8 * n * (n // 8))
     tracemalloc.start()
     try:

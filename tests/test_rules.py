@@ -520,11 +520,31 @@ def test_ruleset_json_rejects_unknown_format():
         ruleset_from_json('{"format": "rule-set/9", "rules": []}')
 
 
-def test_ruleset_json_rejects_an_infinite_count():
+def _one_rule_doc() -> dict:
     rs = RuleSet(target=TARGET_ANOMALOUS, scaled=False, columns=("x",),
                  rules=(Rule(state=(), columns=("x",), lower=(0.0,), upper=(1.0,),
                              n_points=3),))
-    doc = json.loads(ruleset_to_json(rs))
+    return json.loads(ruleset_to_json(rs))
+
+
+def test_ruleset_json_rejects_an_infinite_count():
+    doc = _one_rule_doc()
     doc["rules"][0]["n_points"] = float("inf")
+    with pytest.raises(SchemaError):
+        ruleset_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("lower", [float("nan")]), ("upper", [float("inf")]),
+    ("lower", [float("-inf")]), ("n_points", -7), ("n_points", 0),
+    ("n_points", True), ("n_points", 2.5), ("n_points", "3"),
+], ids=["lower-nan", "upper-inf", "lower-minus-inf", "n_points-negative",
+        "n_points-zero", "n_points-bool", "n_points-fraction", "n_points-string"])
+def test_ruleset_json_rejects_what_no_cluster_gives(field, value):
+    # every box is the bounding box of a non-empty cluster: finite bounds
+    # and at least one point
+    doc = _one_rule_doc()
+    assert ruleset_from_json(json.dumps(doc)).rules[0].n_points == 3
+    doc["rules"][0][field] = value
     with pytest.raises(SchemaError):
         ruleset_from_json(json.dumps(doc))
