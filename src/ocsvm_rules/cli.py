@@ -363,18 +363,22 @@ def cmd_surrogate(args) -> int:
     return 0
 
 
-def _summarise(path: Path, name: str, summarise):
+def _json_object(text: str) -> dict:
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("expected a JSON object, got %s" % type(doc).__name__)
+    return doc
+
+
+def _summarise(path: Path, name: str, summarise, parse=_json_object):
     """(report entry, text lines) for one JSON artifact. Never raises.
 
-    ``summarise`` maps the parsed object to its entry and lines. A missing
-    file becomes status "missing"; bad JSON, a document that is not an
-    object, or one ``summarise`` cannot read becomes "unreadable: ...".
+    ``summarise`` maps what ``parse`` reads from the file's text to its entry
+    and lines. A missing file becomes status "missing"; text ``parse``
+    rejects, or a document ``summarise`` cannot read, becomes "unreadable: ...".
     """
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        if not isinstance(doc, dict):
-            raise ValueError("expected a JSON object, got %s" % type(doc).__name__)
-        return summarise(doc)
+        return summarise(parse(path.read_text(encoding="utf-8")))
     except FileNotFoundError:
         err = "missing"
     except Exception as e:  # noqa: broad on purpose, report must not die
@@ -382,20 +386,17 @@ def _summarise(path: Path, name: str, summarise):
     return {"status": err}, ["%s: %s" % (name, err)]
 
 
-def _model_summary(doc: dict):
-    n_sv = len(doc.get("alphas", []))
-    n_train = doc.get("n_train", 0)
+def _model_summary(m):
     summary = {
-        "nu": doc.get("nu"),
-        "gamma": doc.get("gamma"),
-        "rho": doc.get("rho"),
-        "n_support": n_sv,
-        "n_train": n_train,
-        "support_fraction": (n_sv / n_train) if n_train else None,
+        "nu": m.nu,
+        "gamma": m.kernel.gamma,
+        "rho": m.rho,
+        "n_support": m.n_support,
+        "n_train": m.n_train,
+        "support_fraction": m.n_support / m.n_train,
     }
     return summary, ["model: nu=%g gamma=%g rho=%r support=%d/%d"
-                     % (summary["nu"], summary["gamma"], summary["rho"],
-                        n_sv, n_train)]
+                     % (m.nu, m.kernel.gamma, m.rho, m.n_support, m.n_train)]
 
 
 def _extraction_summary(doc: dict):
@@ -424,7 +425,8 @@ def cmd_report(args) -> int:
     report: dict = {}
     lines: list[str] = []
 
-    report["model"], section = _summarise(out / "model.json", "model", _model_summary)
+    report["model"], section = _summarise(out / "model.json", "model", _model_summary,
+                                          model_from_json)
     lines += section
     report["extraction"], section = _summarise(out / "extract_stats.json",
                                                "extraction", _extraction_summary)

@@ -405,7 +405,8 @@ def model_from_json(text: str) -> OcsvmModel:
     """Inverse of model_to_json; SchemaError for any other text.
 
     Every number the model scores with (rho, nu, gamma, the alphas, the
-    support vectors and the scaling bounds) must be finite.
+    support vectors and the scaling bounds) must be finite, and n_train must
+    be an integer >= 2 and >= the support-vector count.
     """
     try:
         doc = json.loads(text)
@@ -429,6 +430,11 @@ def model_from_json(text: str) -> OcsvmModel:
         if alphas.ndim != 1 or sv.shape != (alphas.size, n_features):
             raise SchemaError("support vectors of shape %s do not match %d alphas "
                               "and %d features" % (sv.shape, alphas.size, n_features))
+        n_train = doc["n_train"]
+        if (isinstance(n_train, bool) or not isinstance(n_train, int)
+                or n_train < max(2, alphas.size)):
+            raise SchemaError("n_train must be an integer >= 2 and >= the %d support "
+                              "vectors, got %r" % (alphas.size, n_train))
         rho, nu = float(doc["rho"]), float(doc["nu"])
         bounds = [(sc.min, sc.max) for sc in scaling.per_column.values()]
         for what, values in (("rho", rho), ("nu", nu), ("alphas", alphas),
@@ -441,7 +447,7 @@ def model_from_json(text: str) -> OcsvmModel:
             rho=rho,
             nu=nu,
             kernel=KernelParams(gamma=float(doc["gamma"])),
-            n_train=int(doc["n_train"]),
+            n_train=n_train,
             schema=schema,
             scaling=scaling,
         )

@@ -179,21 +179,25 @@ def _farthest_members(Xs: np.ndarray, members: np.ndarray, center: np.ndarray,
     return np.sort(members[order[:n_v]])
 
 
-# Box-point pairs tested per block by _boxes_hit, which bounds its temporaries
+# Box-point pairs tested per block by _inside, which bounds its temporaries
 # to about this many bytes per column.
 _HIT_BLOCK = 1 << 16
 
 
-def _boxes_hit(lower: np.ndarray, upper: np.ndarray, Ys: np.ndarray) -> np.ndarray:
-    """hit[i] is True if some row of Ys lies in the closed box lower[i]..upper[i]."""
+def _inside(lower: np.ndarray, upper: np.ndarray, Ys: np.ndarray) -> np.ndarray:
+    """inside[i, j] is True if row j of Ys lies in the closed box lower[i]..upper[i].
+
+    The result takes m * p bytes for m boxes and p rows; the comparisons
+    behind it run over blocks of about _HIT_BLOCK box-row pairs.
+    """
     m, p = lower.shape[0], Ys.shape[0]
-    hit = np.zeros(m, dtype=bool)
+    inside = np.empty((m, p), dtype=bool)
     step = max(1, _HIT_BLOCK // m)
     lo, hi = lower[:, None, :], upper[:, None, :]
     for s in range(0, p, step):
         Y = Ys[None, s:s + step]
-        hit |= ((Y >= lo) & (Y <= hi)).all(axis=2).any(axis=1)
-    return hit
+        inside[:, s:s + step] = ((Y >= lo) & (Y <= hi)).all(axis=2)
+    return inside
 
 
 @dataclass
@@ -237,7 +241,7 @@ def _check_clusters(Xs: np.ndarray, Ys: np.ndarray, cl, cfg: ExtractionConfig,
             lower[i], upper[i] = bounding_box(Xs[idx])
         boxes.append(_Box(lower=lower[i], upper=upper[i], members=members, bounds_idx=idx))
 
-    hit = _boxes_hit(lower, upper, Ys)
+    hit = _inside(lower, upper, Ys).any(axis=1)
     sizes = ends - starts
     limit = cfg.discard_factor * (n_cl if cfg.literal_cluster_threshold else n_v)
     big = (sizes >= n_v) | (sizes > limit)
@@ -413,30 +417,29 @@ def extract_rule_sets(split: tuple[Dataset, Dataset], model: OcsvmModel,
 # Pruning
 # ---------------------------------------------------------------------------
 
+def _by_state(rules) -> dict:
+    """state -> (rule indices, lower bounds, upper bounds), in rule order."""
+    groups: dict = {}
+    for i, r in enumerate(rules):
+        groups.setdefault(r.state, []).append(i)
+    bounds = np.array([(r.lower, r.upper) for r in rules], dtype=np.float64)
+    return {state: (idx, bounds[idx, 0], bounds[idx, 1]) for state, idx in groups.items()}
+
+
 def prune_survivors(rules) -> list[int]:
     """Indices of rules not contained in another rule of the same state.
 
-    A rule goes when some other rule strictly contains it, or is identical
-    with a lower index. Removals never lose coverage: every removed box sits
-    inside a surviving one.
+    Box a contains box b exactly when a holds both of b's corners. A rule
+    goes when another rule of its state contains it, unless the two are
+    identical (each contains the other) and the other has the higher index.
+    Removals never lose coverage: every removed box sits inside a survivor.
     """
-    keep = []
-    for i, a in enumerate(rules):
-        removed = False
-        for j, b in enumerate(rules):
-            if i == j or a.state != b.state:
-                continue
-            contains = all(bl <= al and au <= bu
-                           for al, au, bl, bu in zip(a.lower, a.upper, b.lower, b.upper))
-            if not contains:
-                continue
-            identical = a.lower == b.lower and a.upper == b.upper
-            if not identical or j < i:
-                removed = True
-                break
-        if not removed:
-            keep.append(i)
-    return keep
+    removed = np.zeros(len(rules), dtype=bool)
+    for idx, lower, upper in _by_state(rules).values():
+        # holds[a, b]: box a contains box b; ~tri[a, b]: a < b
+        holds = _inside(lower, upper, lower) & _inside(lower, upper, upper)
+        removed[idx] = (holds & (~holds.T | ~np.tri(len(idx), dtype=bool))).any(axis=0)
+    return np.flatnonzero(~removed).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -446,16 +449,10 @@ def prune_survivors(rules) -> list[int]:
 def covered_mask(rs: RuleSet, d: Dataset) -> np.ndarray:
     """Rows of d satisfied by at least one rule."""
     out = np.zeros(d.rows, dtype=bool)
-    by_state: dict = {}
-    for rule in rs.rules:
-        by_state.setdefault(rule.state, []).append(rule)
     V = d.numeric_matrix(rs.columns)
-    for state, rules in by_state.items():
+    for state, (_, lower, upper) in _by_state(rs.rules).items():
         rows = np.flatnonzero(state_mask(d, state))
-        Vs = V[rows]
-        for rule in rules:
-            inside = np.all((Vs >= rule.lower) & (Vs <= rule.upper), axis=1)
-            out[rows[inside]] = True
+        out[rows] |= _inside(lower, upper, V[rows]).any(axis=0)
     return out
 
 

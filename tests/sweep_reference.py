@@ -1,11 +1,13 @@
-"""The per-k cluster check as it was before it was vectorised.
+"""The per-k cluster check and the pruning as they were before they were vectorised.
 
 ``check_step`` is the body of the former loop in ``rules._extract_boxes``,
 copied verbatim apart from taking the configuration as arguments: for each
 cluster it takes the members with ``np.flatnonzero``, builds the box, and
-asks ``contains_any`` whether a point of the other class lies inside. It
-imports nothing from ``ocsvm_rules``, so tests can hold the vectorised check
-in ``rules._check_clusters`` to exactly these results.
+asks ``contains_any`` whether a point of the other class lies inside.
+``prune_survivors`` is the former ``rules.prune_survivors``, verbatim: it
+compares every pair of rules in Python. The module imports nothing from
+``ocsvm_rules``, so tests can hold the vectorised ``rules._check_clusters``
+and ``rules.prune_survivors`` to exactly these results.
 """
 
 from __future__ import annotations
@@ -80,3 +82,29 @@ def check_step(Xs, Ys, labels, centers, n_cl, *, box_mode, n_v, discard_factor,
         else:
             discard.append(members)
     return boxes, discard, offending, retry
+
+
+def prune_survivors(rules) -> list[int]:
+    """Indices of rules not contained in another rule of the same state.
+
+    A rule goes when some other rule strictly contains it, or is identical
+    with a lower index. Removals never lose coverage: every removed box sits
+    inside a surviving one.
+    """
+    keep = []
+    for i, a in enumerate(rules):
+        removed = False
+        for j, b in enumerate(rules):
+            if i == j or a.state != b.state:
+                continue
+            contains = all(bl <= al and au <= bu
+                           for al, au, bl, bu in zip(a.lower, a.upper, b.lower, b.upper))
+            if not contains:
+                continue
+            identical = a.lower == b.lower and a.upper == b.upper
+            if not identical or j < i:
+                removed = True
+                break
+        if not removed:
+            keep.append(i)
+    return keep

@@ -413,6 +413,20 @@ def test_model_json_with_non_finite_number_exits_2(tmp_path, capsys, corrupt):
     assert not (tmp_path / "out" / "tree.json").exists()
 
 
+def test_model_json_with_a_fractional_n_train_exits_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path, synth.two_blobs())
+    assert main(["extract", "--config", str(cfg)]) == 0
+    path = tmp_path / "out" / "model.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["n_train"] += 0.5
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["surrogate", "--config", str(cfg)]) == 2
+    doc = _read_error(capsys, 2)
+    assert doc["error"] == "SchemaError"
+    assert "malformed" in doc["message"] and "n_train" in doc["message"]
+
+
 def test_model_json_with_mismatched_support_vectors_is_rejected(tmp_path, capsys):
     cfg = _write_config(tmp_path, synth.two_blobs())
     assert main(["extract", "--config", str(cfg)]) == 0
@@ -483,6 +497,24 @@ def test_report_isolates_corrupt_artifacts(tmp_path, capsys):
     txt = (tmp_path / "out" / "report.txt").read_text(encoding="utf-8")
     assert "model: unreadable" in txt
     assert "extraction: unreadable" in txt
+
+
+@pytest.mark.parametrize("fields", [
+    {"format": "bogus", "rho": "x", "alphas": "abc", "n_train": 0},
+    {"n_train": 0},
+], ids=["bogus-fields", "zero-n_train"])
+def test_report_reads_the_model_as_surrogate_does(tmp_path, capsys, fields):
+    cfg = _write_config(tmp_path, synth.two_blobs())
+    assert main(["extract", "--config", str(cfg)]) == 0
+    path = tmp_path / "out" / "model.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc.update(fields)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["report", "--config", str(cfg)]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["model"]["status"].startswith("unreadable")
+    assert report["rules"]["na"]["n_rules"] == 2  # other sections unaffected
+    assert "model: unreadable" in (tmp_path / "out" / "report.txt").read_text(encoding="utf-8")
 
 
 def test_report_survives_rules_text_that_is_not_utf8(tmp_path, capsys):

@@ -513,6 +513,18 @@ def test_model_json_rejects_malformed_documents(blob_model, corrupt):
         model_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("n_train", [
+    -7, 0, 1, 2.5, True, "12", None, "fewer-than-support",
+])
+def test_model_json_rejects_an_n_train_that_is_no_row_count(blob_model, n_train):
+    doc = json.loads(model_to_json(blob_model))
+    doc["n_train"] = len(doc["alphas"]) - 1 if n_train == "fewer-than-support" else n_train
+    with pytest.raises(SchemaError, match="n_train"):
+        model_from_json(json.dumps(doc))
+    doc["n_train"] = len(doc["alphas"])  # as many rows as support vectors is fine
+    assert model_from_json(json.dumps(doc)).n_train == len(doc["alphas"])
+
+
 def test_model_without_preprocessing_does_not_serialize():
     X = synth.gaussian_cloud(50, seed=6)
     m = fit(X, nu=0.2, kernel=KernelParams(gamma=0.2))

@@ -38,6 +38,7 @@ from ocsvm_rules.rules import (
 )
 
 import categorical_reference
+import sweep_reference
 import synth
 
 
@@ -416,6 +417,49 @@ def test_pruned_set_covers_same_points():
     assert np.array_equal(covered_mask(rs, probe_d), covered_mask(pruned, probe_d))
 
 
+_STATES = ((), (("m", "on"),), (("m", "off"),))
+_BOUNDS = (-1.0, -0.0, 0.0, 1.0, 2.0)
+
+
+def _within(lo, hi):
+    return st.sampled_from([lo, hi] + [v for v in _BOUNDS if lo <= v <= hi])
+
+
+@st.composite
+def _rule_lists(draw):
+    """Rules of 1-3 columns in three states: fresh boxes, boxes that widen or
+    narrow an earlier one (so chains form in both index orders), and exact
+    duplicates, whose zero bounds may flip sign."""
+    columns = ("x", "y", "z")[:draw(st.integers(1, 3))]
+    rules = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["fresh", "wider", "narrower", "duplicate"]))
+        if kind == "fresh" or not rules:
+            state = draw(st.sampled_from(_STATES))
+            pairs = [sorted(draw(st.tuples(st.sampled_from(_BOUNDS),
+                                           st.sampled_from(_BOUNDS)))) for _ in columns]
+        else:
+            base = draw(st.sampled_from(rules))
+            state, pairs = base.state, list(zip(base.lower, base.upper))
+            if kind == "wider":
+                pairs = [(lo - draw(st.sampled_from([0.0, 1.0])),
+                          hi + draw(st.sampled_from([0.0, 1.0]))) for lo, hi in pairs]
+            elif kind == "narrower":
+                pairs = [sorted((draw(_within(lo, hi)), draw(_within(lo, hi))))
+                         for lo, hi in pairs]
+            else:
+                pairs = [tuple(draw(st.sampled_from([0.0, -0.0])) if v == 0 else v
+                               for v in pair) for pair in pairs]
+        rules.append(Rule(state=state, columns=columns, lower=tuple(lo for lo, _ in pairs),
+                          upper=tuple(hi for _, hi in pairs), n_points=1))
+    return rules
+
+
+@given(_rule_lists())
+def test_prune_matches_pairwise_reference(rules):
+    assert prune_survivors(rules) == sweep_reference.prune_survivors(rules)
+
+
 # ---------------------------------------------------------------------------
 # Matching
 # ---------------------------------------------------------------------------
@@ -432,7 +476,8 @@ def test_covered_mask_agrees_with_row_matching(grouped_data, grouped_model):
 @st.composite
 def _rules_and_rows(draw):
     n = draw(st.integers(0, 20))
-    grid = st.lists(st.integers(0, 4).map(float), min_size=n, max_size=n)
+    coord = st.sampled_from([-0.0, 0.0, 1.0, 2.0, 3.0, 4.0])
+    grid = st.lists(coord, min_size=n, max_size=n)
     data = {"x": np.array(draw(grid)), "y": np.array(draw(grid))}
     cat = [c for c in ("k", "m") if draw(st.booleans())]
     for c in cat:
@@ -442,10 +487,9 @@ def _rules_and_rows(draw):
     rules = []
     for _ in range(draw(st.integers(0, 8))):
         state = tuple((c, draw(st.sampled_from(["p", "q", "", "unseen"]))) for c in cat)
-        lo = draw(st.tuples(st.integers(0, 4), st.integers(0, 4)))
-        hi = tuple(a + draw(st.integers(0, 2)) for a in lo)
-        rules.append(Rule(state=state, columns=("x", "y"), lower=tuple(map(float, lo)),
-                          upper=tuple(map(float, hi)), n_points=1))
+        lo = draw(st.tuples(coord, coord))
+        hi = tuple(draw(st.sampled_from([a, a + 1.0, a + 2.0])) for a in lo)
+        rules.append(Rule(state=state, columns=("x", "y"), lower=lo, upper=hi, n_points=1))
     return d, RuleSet(target=TARGET_NON_ANOMALOUS, scaled=False, columns=("x", "y"),
                       rules=tuple(rules))
 
