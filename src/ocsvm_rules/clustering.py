@@ -2,9 +2,10 @@
 
 Determinism: for a fixed seed the result depends only on X, k, n_init and
 max_iter. Restart r draws from its own np.random.default_rng(seed + r),
-Lloyd iterations run to an assignment fixpoint (or max_iter), assignment
-ties go to the lowest centre index, and the best restart wins by strict
-inertia comparison, so earlier restarts win ties.
+made the first time restart r draws. Lloyd iterations run to an assignment
+fixpoint (or max_iter), assignment ties go to the lowest centre index, and
+the best restart wins by strict inertia comparison, so earlier restarts win
+ties.
 
 Seeding is shared across k. Pick c of a restart's k-means++ seeding
 depends only on its generator and on the picks before it, never on k, so
@@ -29,12 +30,28 @@ stops with the same inertia, so the first restart would win the tie anyway.
 The seeding picks the other restarts skip are drawn when a later k needs
 them, from the same per-restart generators in the same order.
 
-Centres are updated with one bincount per column, which adds each
-cluster's rows in ascending row order. For d >= 2 that is the order of
-X[members].mean(axis=0), so the centres are bit-identical to a
-per-cluster mean. For d == 1 numpy's mean over a contiguous column sums
-pairwise, so there the two can differ in the last bits (within
-1e-12 * max|X|); the labels do not.
+Restarts run in lockstep. The seeding extends the pick sequences of all
+the restarts a call runs together: each new pick costs one distance block,
+one cumsum and one row sum over the restarts that need it, and each restart
+still draws from its own generator. Lloyd iterates a block of b restarts as
+one (b, k, d) array of centres, and a restart leaves the block at its own
+fixpoint or at max_iter. A block holds b = max(1, _LLOYD_BLOCK // (n * k))
+restarts, so its (b, n, k) distance array stays within _LLOYD_BLOCK entries
+unless a single restart alone is larger: small groups run all their
+restarts at once, large ones one at a time.
+
+Lockstep moves no bit of any result. np.matmul calls the same BLAS kernel
+on each 2-D slice that X @ C.T calls for one restart. Every other step is
+elementwise, or a reduction along a contiguous last axis, which numpy does
+the same way for each row of a stack as for one row alone. The centre sums
+are one bincount per column over labels offset by restart * k, which adds
+each (restart, cluster) bin's rows in ascending row order, as a bincount
+over one restart's labels does.
+
+For d >= 2 that order is the order of X[members].mean(axis=0), so the
+centres are bit-identical to a per-cluster mean. For d == 1 numpy's mean
+over a contiguous column sums pairwise, so there the two can differ in the
+last bits (within 1e-12 * max|X|); the labels do not.
 """
 
 from __future__ import annotations
@@ -45,6 +62,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
+
+# Entries of a Lloyd block's (b, n, k) distance array (512 KiB of float64)
+# up to which the restarts of one call iterate together.
+_LLOYD_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -68,6 +89,12 @@ def _points(X) -> np.ndarray:
     return X
 
 
+def _count(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ConfigError("%s must be an integer >= 1, got %r" % (name, value))
+    return int(value)
+
+
 class PlusPlusSeeds:
     """k-means++ seedings of X: one growing centre sequence per restart."""
 
@@ -77,85 +104,119 @@ class PlusPlusSeeds:
             raise ConfigError("cannot seed clusters from 0 points")
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
             raise ConfigError("seed must be a non-negative integer, got %r" % (seed,))
-        if n_init < 1:
-            raise ConfigError("n_init must be >= 1, got %d" % n_init)
         self.seed = seed
-        self.n_init = n_init
-        self._rngs = [np.random.default_rng(seed + r) for r in range(n_init)]
-        self._picks: list[list[int]] = [[] for _ in range(n_init)]
-        self._d2: list[np.ndarray | None] = [None] * n_init
+        self.n_init = _count("n_init", n_init)
+        self._rngs: list[np.random.Generator] = []  # restarts 0, 1, ... drawn from so far
+        self._picks: list[list[int]] = [[] for _ in range(self.n_init)]
+        # each restart's squared distances to its nearest pick so far
+        self._d2 = np.empty((self.n_init, self.X.shape[0]))
         # k -> Clustering computed elsewhere by kmeans_pp(X, k, seed, n_init,
         # max_iter) for this X, or None to compute it here
         self.ahead: Callable[[int], Clustering | None] | None = None
 
-    def centers(self, r: int, k: int) -> np.ndarray:
-        """The first k seeding centres of restart r, as a new (k, d) array."""
-        X, rng, picks = self.X, self._rngs[r], self._picks[r]
+    def centers(self, k: int) -> np.ndarray:
+        """The first k seeding centres of each restart kmeans_pp runs for k
+        clusters (restart 0 alone when k == 1, else all n_init), as a new
+        (restarts, k, d) array."""
+        X, picks, d2 = self.X, self._picks, self._d2
         n = X.shape[0]
-        while len(picks) < k:
-            d2 = self._d2[r]
-            if d2 is None:
-                idx = int(rng.integers(n))
-                self._d2[r] = np.sum((X - X[idx]) ** 2, axis=1)
+        restarts = self.n_init if k > 1 else 1
+        while len(self._rngs) < restarts:
+            self._rngs.append(np.random.default_rng(self.seed + len(self._rngs)))
+        for c in range(min(len(p) for p in picks[:restarts]), k):
+            rows = [r for r in range(restarts) if len(picks[r]) == c]
+            if c == 0:
+                new = [int(self._rngs[r].integers(n)) for r in rows]
             else:
-                total = float(d2.sum())
-                if total <= 0:
-                    # all remaining mass at distance 0: duplicate points
-                    idx = int(rng.integers(n))
-                else:
-                    r_mass = rng.random() * total
-                    idx = int(np.searchsorted(np.cumsum(d2), r_mass, side="right"))
-                    idx = min(idx, n - 1)
-                np.minimum(d2, np.sum((X - X[idx]) ** 2, axis=1), out=d2)
-            picks.append(idx)
-        return X[picks[:k]]
+                mass = d2[rows]
+                totals = mass.sum(axis=1)
+                cum = np.cumsum(mass, axis=1)
+                new = []
+                for i, r in enumerate(rows):
+                    rng, total = self._rngs[r], float(totals[i])
+                    if total <= 0:
+                        # all remaining mass at distance 0: duplicate points
+                        idx = int(rng.integers(n))
+                    else:
+                        idx = int(np.searchsorted(cum[i], rng.random() * total, side="right"))
+                        idx = min(idx, n - 1)
+                    new.append(idx)
+            dist = np.sum((X - X[new][:, None, :]) ** 2, axis=2)
+            d2[rows] = dist if c == 0 else np.minimum(mass, dist)
+            for r, idx in zip(rows, new):
+                picks[r].append(idx)
+        return X[np.array([p[:k] for p in picks[:restarts]])]
 
 
 def _assign(X: np.ndarray, xx_col: np.ndarray,
             centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Labels and the n x k matrix of squared distances to the centres.
+    """Labels (b, n) and the (b, n, k) squared distances to a block's centres.
 
     Ties go to the lowest centre index. (-2G + xx) + cc is xx - 2G + cc bit
     for bit, built in one buffer; xx_col is the row norms as an (n, 1) view.
     """
-    d2 = X @ centers.T
+    d2 = np.matmul(X, centers.transpose(0, 2, 1))
     d2 *= -2.0
     d2 += xx_col
-    d2 += (centers * centers).sum(axis=1)
+    d2 += (centers * centers).sum(axis=2)[:, None, :]
     np.maximum(d2, 0.0, out=d2)
-    return d2.argmin(axis=1), d2
+    return d2.argmin(axis=2), d2
 
 
-def _lloyd(X: np.ndarray, xx: np.ndarray, centers: np.ndarray, max_iter: int) -> Clustering:
-    k, d = centers.shape
-    rows = np.arange(X.shape[0])
+def _lloyd(X: np.ndarray, xx: np.ndarray, centers: np.ndarray,
+           max_iter: int) -> list[Clustering]:
+    """Lloyd's iterations from a (b, k, d) block of starting centres: one
+    Clustering per restart, in block order."""
+    b, k, d = centers.shape
+    n = X.shape[0]
+    rows = np.arange(n)
     xx_col = xx[:, None]
+    # the i-th restart still iterating counts into bins [i*k, (i+1)*k) and
+    # weighs its rows by X's columns tiled once per restart, at [i*n, (i+1)*n)
+    offsets = (np.arange(b) * k)[:, None]
+    weights = np.tile(X.T, (1, b))
+    sums = np.empty((b * k, d))
+    runs = np.arange(b)  # block index of each restart still iterating
     centers = centers.copy()
-    sums = np.empty_like(centers)
     labels, d2 = _assign(X, xx_col, centers)
-    n_iter = 0
+    done: dict[int, Clustering] = {}
     for n_iter in range(1, max_iter + 1):
-        counts = np.bincount(labels, minlength=k)
+        m = len(runs)
+        # the first offset is 0: a lone restart's labels are its bins
+        bins = labels.ravel() if m == 1 else (labels + offsets[:m]).ravel()
+        counts = np.bincount(bins, minlength=m * k)
+        block_sums = sums[:m * k]
         for j in range(d):
-            sums[:, j] = np.bincount(labels, weights=X[:, j], minlength=k)
-        if counts.all():
-            np.divide(sums, counts[:, None], out=centers)
+            block_sums[:, j] = np.bincount(bins, weights=weights[j, :m * n], minlength=m * k)
+        flat = centers.reshape(m * k, d)  # a view: centers is contiguous
+        if np.count_nonzero(counts) == m * k:
+            np.divide(block_sums, counts[:, None], out=flat)
         else:
             full = counts > 0
-            centers[full] = sums[full] / counts[full, None]
-            # respawn every empty cluster at the worst-fit point
-            centers[~full] = X[int(np.argmax(d2[rows, labels]))]
+            flat[full] = block_sums[full] / counts[full, None]
+            empty = ~full.reshape(m, k)
+            for i in np.flatnonzero(empty.any(axis=1)):
+                # respawn every empty cluster at the restart's worst-fit point
+                centers[i, empty[i]] = X[int(np.argmax(d2[i, rows, labels[i]]))]
         new_labels, d2 = _assign(X, xx_col, centers)
-        converged = (new_labels == labels).all()
+        moved = (new_labels != labels).any(axis=1)
         labels = new_labels
-        if converged:
+        if n_iter == max_iter:
+            moved[:] = False
+        going = np.count_nonzero(moved)
+        if going == m:
+            continue
+        for i in np.flatnonzero(~moved):
+            done[int(runs[i])] = Clustering(
+                centers=centers[i].copy(),
+                labels=labels[i].astype(np.int64),
+                inertia=float(d2[i, rows, labels[i]].sum()),
+                n_iter=n_iter,
+            )
+        if not going:
             break
-    return Clustering(
-        centers=centers,
-        labels=labels.astype(np.int64),
-        inertia=float(d2[rows, labels].sum()),
-        n_iter=n_iter,
-    )
+        runs, centers, labels, d2 = runs[moved], centers[moved], labels[moved], d2[moved]
+    return [done[r] for r in range(b)]
 
 
 def kmeans_pp(X, k: int, seed: int = 0, n_init: int = 10, max_iter: int = 100,
@@ -168,12 +229,11 @@ def kmeans_pp(X, k: int, seed: int = 0, n_init: int = 10, max_iter: int = 100,
     """
     X = _points(X)
     n = X.shape[0]
-    if k < 1:
-        raise ConfigError("k must be >= 1, got %d" % k)
+    k = _count("k", k)
+    n_init = _count("n_init", n_init)
+    max_iter = _count("max_iter", max_iter)
     if n < k:
         raise ConfigError("cannot form %d clusters from %d points" % (k, n))
-    if max_iter < 1:
-        raise ConfigError("max_iter must be >= 1, got %d" % max_iter)
     if seeds is None:
         seeds = PlusPlusSeeds(X, seed, n_init)
     elif (seeds.seed != seed or seeds.n_init != n_init
@@ -185,11 +245,13 @@ def kmeans_pp(X, k: int, seed: int = 0, n_init: int = 10, max_iter: int = 100,
             return done
 
     xx = np.sum(X * X, axis=1)
+    starts = seeds.centers(k)
+    block = max(1, _LLOYD_BLOCK // (n * k))
     best: Clustering | None = None
-    for r in range(n_init if k > 1 else 1):
-        result = _lloyd(X, xx, seeds.centers(r, k), max_iter)
-        if best is None or result.inertia < best.inertia:
-            best = result
+    for lo in range(0, starts.shape[0], block):
+        for result in _lloyd(X, xx, starts[lo:lo + block], max_iter):
+            if best is None or result.inertia < best.inertia:
+                best = result
     assert best is not None
     best.centers.flags.writeable = False
     best.labels.flags.writeable = False

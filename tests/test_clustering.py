@@ -32,7 +32,8 @@ def test_one_cluster_runs_one_restart_like_ten(monkeypatch, X):
 
     monkeypatch.setattr(clustering, "_lloyd", counting)
     got = kmeans_pp(X, 1, seed=4, n_init=10)
-    assert len(calls) == 1
+    # one call, on a block of one restart's starting centres
+    assert [args[2].shape for args in calls] == [(1, 1, X.shape[1])]
     ref = kmeans_reference.kmeans_pp(X, 1, 4, 10)
     assert np.array_equal(got.centers, ref.centers)
     assert np.array_equal(got.labels, ref.labels)
@@ -131,6 +132,20 @@ def test_input_validation():
             kmeans_pp(Y, 2)
 
 
+@pytest.mark.parametrize("bad", [2.5, True, 0, -1, "2", np.float64(2.0)])
+@pytest.mark.parametrize("name", ["k", "n_init", "max_iter"])
+def test_counts_must_be_integers_from_one(name, bad):
+    X = synth.gaussian_cloud(10, seed=9)
+    args = {"k": 2, "n_init": 3, "max_iter": 5, name: bad}
+    with pytest.raises(ConfigError, match="^%s must be an integer >= 1" % name):
+        kmeans_pp(X, **args)
+    if name == "n_init":
+        with pytest.raises(ConfigError, match="^n_init must be an integer >= 1"):
+            PlusPlusSeeds(X, 0, bad)
+    args[name] = np.int64(2)
+    assert kmeans_pp(X, **args).k == 2
+
+
 def test_seeds_must_match_input():
     X = synth.gaussian_cloud(10, seed=9)
     seeds = PlusPlusSeeds(X, 4, 3)
@@ -204,19 +219,90 @@ def test_seeding_prefix_matches_reference(case):
     X, k_top = SWEEP_CASES[case]
     seeds = PlusPlusSeeds(X, 3, 2)
     for k in (5, 2, k_top, k_top, 1):
-        for r in range(2):
+        got = seeds.centers(k)
+        # k == 1 runs restart 0 alone
+        assert got.shape == (2 if k > 1 else 1, k, X.shape[1])
+        for r in range(got.shape[0]):
             ref = kmeans_reference._plusplus_seed(X, k, np.random.default_rng(3 + r))
-            assert np.array_equal(seeds.centers(r, k), ref)
+            assert np.array_equal(got[r], ref)
+
+
+def _reference_check(got, ref, X):
+    assert np.array_equal(got.labels, ref.labels)
+    assert got.n_iter == ref.n_iter
+    if X.shape[1] >= 2:
+        assert np.array_equal(got.centers, ref.centers)
+        assert got.inertia == ref.inertia
+    else:
+        # numpy's mean sums a contiguous column pairwise, bincount in order
+        tol = 1e-12 * np.max(np.abs(X), axis=0)
+        assert np.all(np.abs(got.centers - ref.centers) <= tol)
+        assert got.inertia == pytest.approx(ref.inertia, rel=1e-9, abs=1e-9)
 
 
 def test_lloyd_respawns_every_empty_cluster_like_reference():
     X = np.array([[0.0, 0.0], [0.2, 0.1], [5.0, 0.0], [5.5, 0.3], [9.0, 4.0],
                   [0.1, 0.3], [4.0, 1.0], [9.5, 3.0]])
-    # clusters 1 and 2 start empty together, and the two then collide again
-    for start in ([0, 0, 0, 2], [2, 2, 2, 2, 4], [4, 0, 4, 4]):
-        centers = X[start]
-        got = _lloyd(X, np.sum(X * X, axis=1), centers, 100)
-        ref = kmeans_reference._lloyd(X, centers, 100)
-        assert np.array_equal(got.centers, ref.centers)
-        assert np.array_equal(got.labels, ref.labels)
-        assert got.inertia == ref.inertia and got.n_iter == ref.n_iter
+    xx = np.sum(X * X, axis=1)
+    # clusters 1 and 2 start empty together, and the two then collide again;
+    # the last two are the first and third with a fifth centre, so that
+    # three starts of five centres also run as one block
+    starts = [[0, 0, 0, 2], [2, 2, 2, 2, 4], [4, 0, 4, 4], [0, 0, 0, 2, 2], [4, 0, 4, 4, 4]]
+    refs = [kmeans_reference._lloyd(X, X[s], 100) for s in starts]
+    for start, ref in zip(starts, refs):
+        (got,) = _lloyd(X, xx, X[start][None], 100)
+        _reference_check(got, ref, X)
+    for size in (4, 5):
+        picked = [i for i, s in enumerate(starts) if len(s) == size]
+        block = _lloyd(X, xx, X[np.array([starts[i] for i in picked])], 100)
+        assert len(block) == len(picked) and len(picked) >= 2
+        for got, i in zip(block, picked):
+            _reference_check(got, refs[i], X)
+
+
+def test_lloyd_blocks_stay_within_the_bound(monkeypatch):
+    # a call's restarts run in blocks of b with b == 1 or b * n * k <= the bound
+    X = synth.gaussian_cloud(700, seed=6)
+    blocks = []
+    real = clustering._lloyd
+
+    def recording(X, xx, centers, max_iter):
+        blocks.append(centers.shape[0])
+        return real(X, xx, centers, max_iter)
+
+    monkeypatch.setattr(clustering, "_lloyd", recording)
+    for k, sizes in ((1, [1]), (2, [10]), (12, [7, 3]), (47, [1] * 10)):
+        blocks.clear()
+        kmeans_pp(X, k, seed=0, n_init=10, max_iter=3)
+        assert blocks == sizes, k
+        assert all(b == 1 or b * len(X) * k <= clustering._LLOYD_BLOCK for b in blocks)
+
+
+@given(st.data())
+def test_lockstep_restarts_match_reference(data):
+    # grids with few levels repeat rows: seeding reaches its zero-mass branch
+    # and Lloyd respawns empty clusters; a small max_iter makes restarts
+    # leave their block at different steps
+    d = data.draw(st.integers(1, 3), label="d")
+    n = data.draw(st.integers(1, 30), label="n")
+    levels = data.draw(st.integers(1, 5), label="levels")
+    spread = data.draw(st.sampled_from([0.0, 0.0, 1e-3, 1.0]), label="spread")
+    rs = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="data_seed"))
+    X = rs.integers(0, levels, size=(n, d)) + spread * rs.normal(size=(n, d))
+    k = data.draw(st.integers(1, n), label="k")
+    n_init = data.draw(st.integers(1, 10), label="n_init")
+    max_iter = data.draw(st.sampled_from([1, 2, 3, 100]), label="max_iter")
+    seed = data.draw(st.integers(0, 1000), label="seed")
+    ref = kmeans_reference.kmeans_pp(X, k, seed=seed, n_init=n_init, max_iter=max_iter)
+    for block in (1, 2 ** 40):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(clustering, "_LLOYD_BLOCK", block)
+            got = kmeans_pp(X, k, seed=seed, n_init=n_init, max_iter=max_iter)
+        _reference_check(got, ref, X)
+    # starts that repeat rows: the later copies start empty while other rows
+    # sit at positive distances, so each restart respawns at its own
+    # worst-fit point
+    starts = X[rs.integers(0, n, size=(n_init, k))]
+    block = _lloyd(X, np.sum(X * X, axis=1), starts, max_iter)
+    for got, start in zip(block, starts):
+        _reference_check(got, kmeans_reference._lloyd(X, start, max_iter), X)
