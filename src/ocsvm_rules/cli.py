@@ -219,7 +219,10 @@ def load_config(path: str, *, target: str | None = None, out: str | None = None,
     width = _number(plot, "plot", "width", 640, integer=True, minimum=200)
     height = _number(plot, "plot", "height", 480, integer=True, minimum=200)
 
-    out_dir = Path(out) if out else base / str(raw.get("output_dir", "out"))
+    output_dir = raw.get("output_dir", "out")
+    _expect(isinstance(output_dir, str) and output_dir,
+            "config 'output_dir' must be a non-empty string")
+    out_dir = Path(out) if out else base / output_dir
 
     return RunConfig(
         dataset=base / dataset,

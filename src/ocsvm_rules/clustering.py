@@ -14,16 +14,6 @@ restart. A PlusPlusSeeds object keeps those sequences; rule extraction
 passes one through its sweep over k = 1, 2, ... so each step extends the
 sequences instead of redrawing them. Passing it changes no result.
 
-A PlusPlusSeeds object also carries the sweep's hook for results computed
-elsewhere. Rule extraction may run every other count of one group's long
-sweep in a helper process forked for that group (see rules.py); the helper
-calls kmeans_pp with the same X, k, seed, n_init and max_iter, in the same
-program image, so its result is the one the parent would compute. The parent
-still calls kmeans_pp once per k, and seeds.ahead(k) hands it the helper's
-result for the counts the helper owns. When ahead is unset or returns None
-(not the helper's count, or the helper's stream ended), kmeans_pp computes
-the result itself.
-
 With one cluster a single restart runs. Every restart's Lloyd loop then
 labels all rows 0, moves the centre to the same mean in its first step and
 stops with the same inertia, so the first restart would win the tie anyway.
@@ -57,7 +47,6 @@ last bits (within 1e-12 * max|X|); the labels do not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -110,9 +99,6 @@ class PlusPlusSeeds:
         self._picks: list[list[int]] = [[] for _ in range(self.n_init)]
         # each restart's squared distances to its nearest pick so far
         self._d2 = np.empty((self.n_init, self.X.shape[0]))
-        # k -> Clustering computed elsewhere by kmeans_pp(X, k, seed, n_init,
-        # max_iter) for this X, or None to compute it here
-        self.ahead: Callable[[int], Clustering | None] | None = None
 
     def centers(self, k: int) -> np.ndarray:
         """The first k seeding centres of each restart kmeans_pp runs for k
@@ -224,8 +210,7 @@ def kmeans_pp(X, k: int, seed: int = 0, n_init: int = 10, max_iter: int = 100,
     """Best of n_init seeded runs; strictly lower inertia replaces the incumbent.
 
     seeds, if given, must have been built from the same X, seed and n_init;
-    it lets a sweep over k reuse the seeding of the smaller k, and its ahead
-    hook may supply the result for k instead of computing it.
+    it lets a sweep over k reuse the seeding of the smaller k.
     """
     X = _points(X)
     n = X.shape[0]
@@ -239,10 +224,6 @@ def kmeans_pp(X, k: int, seed: int = 0, n_init: int = 10, max_iter: int = 100,
     elif (seeds.seed != seed or seeds.n_init != n_init
           or not (seeds.X is X or np.array_equal(seeds.X, X))):
         raise ConfigError("seeds were built for a different X, seed or n_init")
-    elif seeds.ahead is not None:
-        done = seeds.ahead(k)
-        if done is not None:
-            return done
 
     xx = np.sum(X * X, axis=1)
     starts = seeds.centers(k)

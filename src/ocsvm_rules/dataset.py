@@ -113,7 +113,7 @@ class Dataset:
                 raise SchemaError("column %r is not numerical" % c)
         if not cols:
             return np.empty((self.rows, 0), dtype=np.float64)
-        return np.column_stack([self.data[c] for c in cols]).astype(np.float64)
+        return np.column_stack([self.data[c] for c in cols]).astype(np.float64, copy=False)
 
     def take(self, mask_or_index) -> "Dataset":
         """Row subset preserving order; accepts a bool mask or index array."""

@@ -406,7 +406,8 @@ def model_from_json(text: str) -> OcsvmModel:
 
     Every number the model scores with (rho, nu, gamma, the alphas, the
     support vectors and the scaling bounds) must be finite, and n_train must
-    be an integer >= 2 and >= the support-vector count.
+    be an integer >= 2 and >= the support-vector count. The scaling holds
+    exactly the numerical columns, each degenerate exactly when min == max.
     """
     try:
         doc = json.loads(text)
@@ -441,6 +442,13 @@ def model_from_json(text: str) -> OcsvmModel:
                              ("support_vectors", sv), ("scaling", bounds)):
             if not np.all(np.isfinite(values)):
                 raise SchemaError("%s holds a non-finite number" % what)
+        if set(scaling.per_column) != set(schema.numerical):
+            raise SchemaError("scaling covers %s, not the numerical columns %s"
+                              % (sorted(scaling.per_column), list(schema.numerical)))
+        for c, sc in scaling.per_column.items():
+            if sc.degenerate is not (sc.min == sc.max):
+                raise SchemaError("scaling of %r: degenerate must be %s, got %r"
+                                  % (c, sc.min == sc.max, sc.degenerate))
         model = OcsvmModel(
             support_vectors=sv,
             alphas=alphas,

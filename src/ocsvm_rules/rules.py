@@ -10,30 +10,30 @@ numerical column, plus equality tests on the categorical columns.
 
 Who computes which cluster count. The sweep over k = 1, 2, ... of one group
 runs in this process until its work, n times the sum of the counts so far
-including the current k, reaches AHEAD_WORK. From then on, if a helper
-process can be forked, it runs k-means for counts k + 1, k + 3, ... of that
-group up to the cluster cap, while this process computes k, k + 2, ... and
-decides, for every count, whether to accept it. Each group whose sweep
-reaches AHEAD_WORK gets its own helper, forked with only that group's points
-and killed when that group's sweep ends, so at most one helper runs at a
-time. The process and its pipe live in sweep_helper.py, which is imported
-only then.
+including the current k, reaches AHEAD_WORK. From then on, if a Helper can
+be forked, it runs k-means for counts k + 1, k + 3, ... of that group up to
+the cluster cap, while this process computes k, k + 2, ... and decides, for
+every count, whether to accept it. Each such group gets its own helper,
+forked with only that group's points and killed and reaped when that
+group's sweep returns or raises, so at most one helper runs at a time.
 
-Why the output cannot change. The helper is a fork of this process, so it
-has the same data, code and BLAS, and calls the same kmeans_pp with the same
-arguments; its clustering for k is the one this process would compute. This
-process still calls kmeans_pp once per k, in order, and that call returns
-the helper's clustering for the helper's counts (through the PlusPlusSeeds
-hook). Acceptance, boxes, discards and errors are decided here only, in the
-same order as a serial sweep.
+Why the output cannot change. The helper is a fork of this process, with
+the same data, code and BLAS. It calls this module's kmeans_pp with the same
+arguments, so its clustering for k is the one this process would compute.
+For each k in order, the sweep takes the helper's clustering if it has one
+and runs kmeans_pp itself otherwise. Acceptance, boxes, discards and errors
+are decided here only, in the same order as a serial sweep.
+
+The pipe. The helper checks none of its clusterings. It writes each of its
+counts in order on one pipe, as a pickle of (k, clustering), and nothing to
+stdout or stderr; it ends with os._exit at the cap. This process reads the
+pipe only when its sweep reaches one of the helper's counts.
 
 Fallbacks. Without os.fork or os.sched_getaffinity, with fewer than 2 CPUs
 available, or with another thread alive (fork is unsafe then), no helper is
-forked and every count is computed here. Once the helper's stream ends,
-because it reached the cap or died, this process computes the count it was
-waiting for and every later one. The helper writes nothing to stdout or
-stderr, ends with os._exit at the cap, and is killed and reaped before its
-group's sweep returns or raises.
+forked and every count is computed here. Once the helper's stream ends
+(it reached the cap or died) or brings a count other than the one awaited,
+this process computes that count and every later one.
 """
 
 from __future__ import annotations
@@ -41,6 +41,10 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -265,8 +269,8 @@ def _extract_boxes(Xs: np.ndarray, Ys: np.ndarray, cfg: ExtractionConfig,
     """Cluster-and-check loop over one categorical group, scaled space.
 
     Returns (boxes, discarded group-local indices, clusters used). Once the
-    sweep's work n * (1 + 2 + ... + k) reaches AHEAD_WORK, a helper process
-    computes counts k + 1, k + 3, ... while this loop computes the others.
+    sweep's work n * (1 + 2 + ... + k) reaches AHEAD_WORK, a Helper computes
+    counts k + 1, k + 3, ... while this loop computes the others.
     """
     n = Xs.shape[0]
     if n == 0:
@@ -283,12 +287,11 @@ def _extract_boxes(Xs: np.ndarray, Ys: np.ndarray, cfg: ExtractionConfig,
         for n_cl in range(1, max_cl + 1):
             work += n * n_cl
             if helper is None and work >= AHEAD_WORK and n_cl < max_cl:
-                from .sweep_helper import Helper
-
                 helper = Helper(Xs, cfg, n_cl + 1, max_cl)
-                seeds.ahead = helper.result
-            cl = kmeans_pp(Xs, n_cl, seed=cfg.seed, n_init=cfg.n_init,
-                           max_iter=cfg.kmeans_max_iter, seeds=seeds)
+            cl = helper.result(n_cl) if helper is not None else None
+            if cl is None:
+                cl = kmeans_pp(Xs, n_cl, seed=cfg.seed, n_init=cfg.n_init,
+                               max_iter=cfg.kmeans_max_iter, seeds=seeds)
             step = _check_clusters(Xs, Ys, cl, cfg, target, n_v)
             if not step.offending:
                 discarded = (np.sort(np.concatenate(step.discard)) if step.discard
@@ -311,6 +314,82 @@ def _extract_boxes(Xs: np.ndarray, Ys: np.ndarray, cfg: ExtractionConfig,
 # shares its remaining counts with a helper. Below it the fork and the
 # helper's speculative steps cost more than they save.
 AHEAD_WORK = 50_000
+
+
+def can_fork() -> bool:
+    """fork is unsafe with other threads alive, and useless on one CPU."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2
+            and threading.active_count() == 1)
+
+
+class Helper:
+    """A forked process computing counts k0, k0 + 2, ... cap of one group's sweep.
+
+    The constructor forks when it can; otherwise result always returns None.
+    close kills and reaps the process.
+    """
+
+    def __init__(self, Xs, cfg, k0: int, cap: int):
+        self._k0 = k0
+        self._pid: int | None = None
+        self._out = None  # read end of the result pipe, None once it ended
+        if not can_fork():
+            return
+        out_r, out_w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(out_r)
+            os.close(out_w)
+            return
+        if pid == 0:
+            try:
+                os.close(out_r)
+                null = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(null, 1)
+                os.dup2(null, 2)
+                _serve(out_w, Xs, cfg, k0, cap)
+            finally:
+                os._exit(0)
+        os.close(out_w)
+        self._pid, self._out = pid, os.fdopen(out_r, "rb")
+
+    def result(self, k: int):
+        """The helper's clustering for count k, or None to compute it here."""
+        if self._out is None or (k - self._k0) % 2:
+            return None
+        try:
+            got, cl = pickle.load(self._out)
+        except (EOFError, pickle.UnpicklingError):  # the helper ended or died
+            got = None
+        if got != k:
+            self.close()
+            return None
+        cl.centers.flags.writeable = False
+        cl.labels.flags.writeable = False
+        return cl
+
+    def close(self) -> None:
+        if self._pid is not None:
+            os.kill(self._pid, signal.SIGKILL)
+            os.waitpid(self._pid, 0)
+            self._pid = None
+        if self._out is not None:
+            self._out.close()
+            self._out = None
+
+
+def _serve(out: int, Xs, cfg, k0: int, cap: int) -> None:
+    """The helper's loop: compute and send each count up to cap, calling
+    kmeans_pp through this module's globals, as the parent's sweep does."""
+    seeds = PlusPlusSeeds(Xs, cfg.seed, cfg.n_init)
+    with os.fdopen(out, "wb") as stream:
+        for k in range(k0, cap + 1, 2):
+            cl = kmeans_pp(Xs, k, seed=cfg.seed, n_init=cfg.n_init,
+                           max_iter=cfg.kmeans_max_iter, seeds=seeds)
+            pickle.dump((k, cl), stream, pickle.HIGHEST_PROTOCOL)
+            stream.flush()
 
 
 def state_text(state: CategoricalState) -> str:

@@ -86,6 +86,19 @@ def test_discard_factor_nan_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", [None, 3, ["out"], ""],
+                         ids=["null", "number", "list", "empty"])
+def test_output_dir_must_be_a_non_empty_string(tmp_path, capsys, value):
+    cfg = _write_config(tmp_path, synth.two_blobs())
+    doc = json.loads(cfg.read_text(encoding="utf-8"))
+    doc["output_dir"] = value
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["report", "--config", str(cfg)]) == 2
+    doc = _read_error(capsys, 2)
+    assert doc["error"] == "ConfigError" and "output_dir" in doc["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "data.csv"]
+
+
 # one wrong-typed or out-of-range value per kmeans.* and extraction.* key
 BAD_SETTINGS = [
     ("kmeans", "seed", -1), ("kmeans", "seed", "0"),
@@ -410,6 +423,29 @@ def test_model_json_with_non_finite_number_exits_2(tmp_path, capsys, corrupt):
     doc = _read_error(capsys, 2)
     assert doc["error"] == "SchemaError"
     assert "malformed" in doc["message"] and "non-finite" in doc["message"]
+    assert not (tmp_path / "out" / "tree.json").exists()
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda doc: doc["scaling"].pop("x"),
+    lambda doc: doc["scaling"].update(z=dict(_first_scaling(doc))),
+    lambda doc: _first_scaling(doc).update(degenerate=0),
+    lambda doc: _first_scaling(doc).update(degenerate=True),
+    lambda doc: _first_scaling(doc).update(max=_first_scaling(doc)["min"]),
+], ids=["column-missing", "column-extra", "degenerate-not-bool", "degenerate-with-range",
+        "no-range-not-degenerate"])
+def test_model_json_with_scaling_off_the_schema_exits_2(tmp_path, capsys, corrupt):
+    cfg = _write_config(tmp_path, synth.two_blobs())
+    assert main(["extract", "--config", str(cfg)]) == 0
+    path = tmp_path / "out" / "model.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    corrupt(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["surrogate", "--config", str(cfg)]) == 2
+    doc = _read_error(capsys, 2)
+    assert doc["error"] == "SchemaError"
+    assert "malformed" in doc["message"] and "scaling" in doc["message"]
     assert not (tmp_path / "out" / "tree.json").exists()
 
 

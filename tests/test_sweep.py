@@ -2,8 +2,9 @@
 
 The vectorised check must give exactly the former per-cluster loop's boxes,
 kept in ``sweep_reference.py``. The helper that runs half of a long sweep
-must change no result, whether it runs, never starts or dies, must run one
-at a time and must leave no child process behind.
+must change no result, whether it runs, never starts or dies, must spare the
+parent the counts it computes, must run one at a time and must leave no
+child process behind.
 """
 
 import json
@@ -19,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import ocsvm_rules as o
 import ocsvm_rules.rules as rules_module
-from ocsvm_rules.clustering import Clustering, kmeans_pp
+from ocsvm_rules.clustering import Clustering, PlusPlusSeeds, kmeans_pp
 from ocsvm_rules.dataset import CATEGORICAL, NUMERICAL, Dataset
 from ocsvm_rules.errors import ExtractionConvergenceError, InsufficientDataError
 from ocsvm_rules.rules import (
@@ -28,6 +29,7 @@ from ocsvm_rules.rules import (
     TARGET_ANOMALOUS,
     TARGET_NON_ANOMALOUS,
     ExtractionConfig,
+    Helper,
     _check_clusters,
     extract_rule_sets,
     ruleset_to_json,
@@ -190,8 +192,6 @@ def _groups_with_two_rows(d, model, target):
 
 def test_helper_streams_every_count_up_to_the_cap(forks):
     # the helper checks no clustering: it sends k0, k0 + 2, ... <= cap, then ends
-    from ocsvm_rules.sweep_helper import Helper
-
     Xs = np.random.default_rng(0).random((40, 2))
     cfg = ExtractionConfig()
     helper = Helper(Xs, cfg, 3, 8)
@@ -220,6 +220,28 @@ def test_helper_changes_no_result(request, monkeypatch, forks, fixture, target):
     assert len(forks) == helpers
     if fixture != "grouped":
         assert helpers == 1
+    _no_child_left()
+
+
+def test_parent_leaves_the_helpers_counts_to_it(monkeypatch, forks, seismic_data,
+                                                 seismic_model):
+    # at AHEAD_WORK = 0 the helper owns counts 2, 4, ...: the parent seeds none
+    parent = os.getpid()
+    inner = PlusPlusSeeds.centers
+    seeded = []
+
+    def centers(self, k):
+        if os.getpid() == parent:
+            seeded.append(k)
+        return inner(self, k)
+
+    monkeypatch.setattr(PlusPlusSeeds, "centers", centers)
+    monkeypatch.setattr(rules_module, "AHEAD_WORK", 0)
+    res = extract_rule_sets(o.split_by_prediction(seismic_data, seismic_model), seismic_model)
+    (n_cl,) = res.stats["clusters_per_group"]
+    assert n_cl > 2
+    assert seeded == list(range(1, n_cl + 1, 2))
+    assert len(forks) == 1
     _no_child_left()
 
 
@@ -348,16 +370,6 @@ def test_no_fork_on_one_cpu_or_without_the_calls(monkeypatch, grouped_data,
         monkeypatch.delattr(os, missing)
     res = extract_rule_sets(o.split_by_prediction(grouped_data, grouped_model), grouped_model)
     assert res.stats["n_rules"] > 0
-
-
-def test_cli_import_leaves_the_helper_unloaded():
-    # sweep_helper loads only once a sweep reaches AHEAD_WORK
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, ocsvm_rules.cli; print('ocsvm_rules.sweep_helper' in sys.modules)"],
-        capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
 
 
 def test_cli_extract_writes_each_line_once(tmp_path):
