@@ -14,11 +14,19 @@ data to mine rules, 4 an iterative stage failed to converge. On exit 4 from
 rule extraction the error object also carries last_n_clusters and
 offending_boxes: one [lower, upper] pair per box still contaminated at that
 count, in scaled units and in the rule set's column order.
+
+Imports. Importing this module loads the standard library, errors and the
+numpy-free formats module only. extract, surrogate and plot need numpy: each
+binds the names it calls from the dataset, ocsvm and rules, surrogate or
+plotting modules when it starts, so surrogate and plot never load the
+k-means code. report reads JSON and text and never loads numpy, which would
+be most of its run time as a process.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import sys
@@ -26,44 +34,44 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-# encode_matrix is not called here, but perfbench/tracing.py wraps
-# cli.encode_matrix, so the name stays importable from this module
-from .dataset import encode_matrix, expand_numeric_names, load_csv  # noqa: F401
 from .errors import (
-    ConfigError,
-    ExtractionConvergenceError,
-    InsufficientDataError,
-    ParseError,
-    SchemaError,
-    SolverConvergenceError,
+    ConfigError, ExtractionConvergenceError, InsufficientDataError, ParseError,
+    SchemaError, SolverConvergenceError,
 )
-from .ocsvm import (
-    KernelParams,
-    fit_dataset,
-    model_from_json,
-    model_to_json,
-    split_by_prediction,
+from .formats import (
+    BOX_ALL, TARGET_ANOMALOUS, TARGET_NON_ANOMALOUS, ExtractionConfig, KernelParams,
+    model_doc, ruleset_from_json, ruleset_to_json, ruleset_to_text, state_text,
 )
-from .plotting import scatter_rules_svg
-from .rules import (
-    BOX_ALL,
-    TARGET_ANOMALOUS,
-    TARGET_NON_ANOMALOUS,
-    ExtractionConfig,
-    extract_rule_sets,
-    ruleset_from_json,
-    ruleset_to_json,
-    ruleset_to_text,
-    state_text,
-)
-from .surrogate import (
-    fit_surrogate,
-    training_accuracy,
-    tree_rule_to_text,
-    tree_stats,
-    tree_to_json,
-    tree_to_rules,
-)
+
+# The names the commands call from numpy-backed modules. _bind puts a module's
+# names in this module's globals, where the commands look them up, and keeps
+# a name already there: a wrapper set on cli before main runs sees every call.
+# encode_matrix is not called here, but perfbench/tracing.py wraps it here.
+_LAZY = {
+    "dataset": ("encode_matrix", "expand_numeric_names", "load_csv"),
+    "ocsvm": ("fit_dataset", "model_from_json", "model_to_json", "split_by_prediction"),
+    "plotting": ("scatter_rules_svg",),
+    "rules": ("extract_rule_sets",),
+    "surrogate": ("fit_surrogate", "training_accuracy", "tree_rule_to_text",
+                  "tree_stats", "tree_to_json", "tree_to_rules"),
+}
+
+
+def _bind(*modules):
+    g = globals()
+    for module in modules:
+        mod = importlib.import_module("." + module, __package__)
+        for name in _LAZY[module]:
+            g.setdefault(name, getattr(mod, name))
+
+
+def __getattr__(name):
+    for module, names in _LAZY.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
 
 _SUFFIX = {TARGET_NON_ANOMALOUS: "na", TARGET_ANOMALOUS: "a"}
 _TARGET_ALIASES = {
@@ -153,6 +161,8 @@ def load_config(path: str, *, target: str | None = None, out: str | None = None,
         raise ConfigError("config file not found: %s" % path) from None
     except json.JSONDecodeError as e:
         raise ConfigError("config is not valid JSON: %s" % e) from None
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError("cannot read config: %s" % e) from None
     _expect(isinstance(raw, dict), "config root must be an object")
     base = p.parent
 
@@ -245,7 +255,7 @@ def load_config(path: str, *, target: str | None = None, out: str | None = None,
 def _load_dataset(cfg: RunConfig):
     try:
         return load_csv(cfg.dataset, cfg.numerical, cfg.categorical)
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError("cannot read dataset: %s" % e) from None
 
 
@@ -314,6 +324,7 @@ def _write(path: Path, text: str):
 def cmd_extract(args) -> int:
     cfg = load_config(args.config, target=args.target, out=args.out,
                       discard_factor=args.discard_factor, box_mode=args.box_mode)
+    _bind("dataset", "ocsvm", "rules")
     d = _load_dataset(cfg)
     model = _fit_model(cfg, d)
     _write(cfg.output_dir / "model.json", model_to_json(model))
@@ -342,6 +353,7 @@ def cmd_extract(args) -> int:
 
 def cmd_surrogate(args) -> int:
     cfg = load_config(args.config, out=args.out)
+    _bind("dataset", "ocsvm", "surrogate")
     d = _load_dataset(cfg)
     model = _load_model(cfg, d)
     t0 = time.perf_counter()
@@ -389,17 +401,19 @@ def _summarise(path: Path, name: str, summarise, parse=_json_object):
     return {"status": err}, ["%s: %s" % (name, err)]
 
 
-def _model_summary(m):
+def _model_summary(m: dict):
+    """Entry and line for the fields formats.model_doc read from model.json."""
+    n_support = len(m["alphas"])
     summary = {
-        "nu": m.nu,
-        "gamma": m.kernel.gamma,
-        "rho": m.rho,
-        "n_support": m.n_support,
-        "n_train": m.n_train,
-        "support_fraction": m.n_support / m.n_train,
+        "nu": m["nu"],
+        "gamma": m["kernel"].gamma,
+        "rho": m["rho"],
+        "n_support": n_support,
+        "n_train": m["n_train"],
+        "support_fraction": n_support / m["n_train"],
     }
     return summary, ["model: nu=%g gamma=%g rho=%r support=%d/%d"
-                     % (m.nu, m.kernel.gamma, m.rho, m.n_support, m.n_train)]
+                     % (m["nu"], m["kernel"].gamma, m["rho"], n_support, m["n_train"])]
 
 
 def _extraction_summary(doc: dict):
@@ -429,7 +443,7 @@ def cmd_report(args) -> int:
     lines: list[str] = []
 
     report["model"], section = _summarise(out / "model.json", "model", _model_summary,
-                                          model_from_json)
+                                          model_doc)
     lines += section
     report["extraction"], section = _summarise(out / "extract_stats.json",
                                                "extraction", _extraction_summary)
@@ -479,6 +493,7 @@ def cmd_report(args) -> int:
 
 def cmd_plot(args) -> int:
     cfg = load_config(args.config, target=args.target, out=args.out)
+    _bind("dataset", "ocsvm", "plotting")
     d = _load_dataset(cfg)
     model = _load_model(cfg, d)
     X_a, X_na = split_by_prediction(d, model)

@@ -19,14 +19,12 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, ParseError, SchemaError
+from .formats import (  # noqa: F401 - cyclical_decode stays importable from here
+    CategoricalState, ColumnScale, CyclicalInfo, FeatureSchema, ScalingParams, cyclical_decode,
+)
 
 NUMERICAL = "numerical"
 CATEGORICAL = "categorical"
-
-# A categorical state is an ordered tuple of (column, token) pairs, one pair
-# per categorical column; () is the one state of data with no categorical
-# column. States compare by exact token equality.
-CategoricalState = tuple[tuple[str, str], ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,20 +196,6 @@ def load_csv(path, numerical, categorical) -> Dataset:
 # Min-max scaling
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ColumnScale:
-    min: float
-    max: float
-    degenerate: bool  # true iff min == max
-
-
-@dataclass(frozen=True)
-class ScalingParams:
-    """Per-column min/max fitted on training data."""
-
-    per_column: dict  # name -> ColumnScale
-
-
 def scale_fit(d: Dataset, l_n) -> ScalingParams:
     per = {}
     for c in l_n:
@@ -243,45 +227,6 @@ def scale_apply(d: Dataset, p: ScalingParams) -> Dataset:
 # ---------------------------------------------------------------------------
 # Cyclical encoding
 # ---------------------------------------------------------------------------
-
-def cyclical_decode(s: float, c: float, period: float) -> float:
-    """The value whose expand_cyclical pair is (s, c); result lies in [0, period)."""
-    if period <= 0:
-        raise ConfigError("cyclical period must be positive, got %r" % period)
-    if s == 0.0 and c == 0.0:
-        raise ConfigError("cannot decode (0, 0): angle undefined")
-    frac = math.atan2(s, c) / (2.0 * math.pi)
-    out = (frac % 1.0) * period
-    # a hair under a full turn can round up to the period itself
-    return 0.0 if out >= period else out
-
-
-@dataclass(frozen=True)
-class CyclicalInfo:
-    period: float
-    sin_col: str
-    cos_col: str
-
-
-def cyclical_to_doc(cyclical: dict) -> dict:
-    """The JSON form of an original-name -> CyclicalInfo map."""
-    return {name: {"period": info.period, "sin": info.sin_col, "cos": info.cos_col}
-            for name, info in cyclical.items()}
-
-
-def cyclical_from_doc(doc: dict) -> dict:
-    """Inverse of cyclical_to_doc; SchemaError unless each period is a finite
-    number > 0 and each column name a string."""
-    out = {}
-    for name, spec in doc.items():
-        period, sin_col, cos_col = spec["period"], spec["sin"], spec["cos"]
-        if (isinstance(period, bool) or not isinstance(period, (int, float))
-                or not 0 < period < math.inf or not isinstance(sin_col, str)
-                or not isinstance(cos_col, str)):
-            raise SchemaError("malformed cyclical entry %r: %r" % (name, spec))
-        out[name] = CyclicalInfo(period=period, sin_col=sin_col, cos_col=cos_col)
-    return out
-
 
 def expand_cyclical(d: Dataset, periods: dict) -> tuple[Dataset, dict]:
     """Replace each periodic column with its (sin, cos) pair.
@@ -362,26 +307,6 @@ def state_mask(d: Dataset, state: CategoricalState) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Feature schema and model-matrix encoding
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FeatureSchema:
-    """Column roles plus one-hot levels, fixed at fit time.
-
-    ``numerical`` reflects any cyclical expansion already applied. Levels are
-    sorted so the encoded feature order does not depend on row order.
-    """
-
-    numerical: tuple[str, ...]
-    categorical: tuple[str, ...]
-    levels: dict  # categorical column -> tuple of tokens, sorted
-    cyclical: dict = field(default_factory=dict)  # original column -> CyclicalInfo
-
-    def feature_names(self) -> list[str]:
-        names = list(self.numerical)
-        for c in self.categorical:
-            names.extend("%s=%s" % (c, tok) for tok in self.levels[c])
-        return names
-
 
 def build_schema(d: Dataset, l_n, l_c, cyclical=None) -> FeatureSchema:
     levels = {}

@@ -38,118 +38,23 @@ this process computes that count and every later one.
 
 from __future__ import annotations
 
-import json
-import math
-import numbers
 import os
 import pickle
 import signal
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .clustering import PlusPlusSeeds, kmeans_pp
-from .dataset import (
-    CategoricalState,
-    Dataset,
-    cyclical_decode,
-    cyclical_from_doc,
-    cyclical_to_doc,
-    scale_apply,
-    state_mask,
-    unique_categorical_states,
-)
-from .errors import (
-    ConfigError,
-    ExtractionConvergenceError,
-    InsufficientDataError,
-    SchemaError,
+from .dataset import Dataset, scale_apply, state_mask, unique_categorical_states
+from .errors import ConfigError, ExtractionConvergenceError, InsufficientDataError
+from .formats import (  # noqa: F401 - the rule formats stay importable from here
+    BOX_ALL, BOX_FARTHEST, TARGET_ANOMALOUS, TARGET_NON_ANOMALOUS, CategoricalState,
+    ExtractionConfig, Rule, RuleSet, rule_to_text, ruleset_from_json, ruleset_to_json,
+    ruleset_to_text, state_text,
 )
 from .ocsvm import OcsvmModel
-
-TARGET_NON_ANOMALOUS = "non_anomalous"
-TARGET_ANOMALOUS = "anomalous"
-
-BOX_ALL = "all"
-BOX_FARTHEST = "farthest"
-
-RULESET_FORMAT = "rule-set/1"
-
-
-@dataclass(frozen=True)
-class Rule:
-    """One box: interval bounds per numerical column under a fixed state."""
-
-    state: CategoricalState
-    columns: tuple[str, ...]
-    lower: tuple[float, ...]
-    upper: tuple[float, ...]
-    n_points: int
-
-    def __post_init__(self):
-        if not (len(self.columns) == len(self.lower) == len(self.upper)):
-            raise ConfigError("rule bounds do not match its columns")
-        for col, lo, hi in zip(self.columns, self.lower, self.upper):
-            if lo > hi:
-                raise ConfigError("rule bound on %r inverted: %r > %r" % (col, lo, hi))
-
-
-@dataclass(frozen=True)
-class RuleSet:
-    target: str
-    scaled: bool
-    columns: tuple[str, ...]
-    rules: tuple[Rule, ...]
-    cyclical: dict = field(default_factory=dict)  # original column -> CyclicalInfo
-
-    def __post_init__(self):
-        if self.target not in (TARGET_NON_ANOMALOUS, TARGET_ANOMALOUS):
-            raise ConfigError("unknown rule target %r" % self.target)
-        for r in self.rules:
-            if r.columns != self.columns:
-                raise ConfigError("rule columns differ from rule set columns")
-
-
-@dataclass(frozen=True)
-class ExtractionConfig:
-    """Knobs for the clustering loop.
-
-    n_v defaults to 2**d, the vertex count of a box in d dimensions. A
-    contaminated cluster is split further when it has at least n_v points
-    or more than discard_factor * n_v; smaller ones are dropped (kept, for
-    the anomalous target). literal_cluster_threshold compares against
-    discard_factor * n_clusters instead.
-    """
-
-    discard_factor: float = 1.0
-    box_mode: str = BOX_ALL
-    n_v: int | None = None
-    max_clusters: int | None = None
-    literal_cluster_threshold: bool = False
-    per_group_min_check: bool = False
-    seed: int = 0
-    n_init: int = 10
-    kmeans_max_iter: int = 100
-
-    def __post_init__(self):
-        if self.box_mode not in (BOX_ALL, BOX_FARTHEST):
-            raise ConfigError("box_mode must be %r or %r, got %r"
-                              % (BOX_ALL, BOX_FARTHEST, self.box_mode))
-        f = self.discard_factor
-        if (isinstance(f, bool) or not isinstance(f, numbers.Real)
-                or not (math.isfinite(f) and f >= 0)):
-            raise ConfigError("discard_factor must be a finite number >= 0, got %r" % (f,))
-        for name in ("literal_cluster_threshold", "per_group_min_check"):
-            if not isinstance(getattr(self, name), bool):
-                raise ConfigError("%s must be true or false, got %r" % (name, getattr(self, name)))
-        for name, minimum in (("n_v", 1), ("max_clusters", 1), ("seed", 0),
-                              ("n_init", 1), ("kmeans_max_iter", 1)):
-            v = getattr(self, name)
-            if v is None and name in ("n_v", "max_clusters"):
-                continue
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < minimum:
-                raise ConfigError("%s must be an integer >= %d, got %r" % (name, minimum, v))
 
 
 @dataclass(frozen=True)
@@ -392,11 +297,6 @@ def _serve(out: int, Xs, cfg, k0: int, cap: int) -> None:
             stream.flush()
 
 
-def state_text(state: CategoricalState) -> str:
-    """The state as "c=t, ..." in its column order; "<none>" for the empty state."""
-    return ", ".join("%s=%s" % (c, t) for c, t in state) if state else "<none>"
-
-
 def extract_rule_sets(split: tuple[Dataset, Dataset], model: OcsvmModel,
                       target: str = TARGET_NON_ANOMALOUS,
                       config: ExtractionConfig | None = None) -> ExtractionResult:
@@ -533,116 +433,3 @@ def covered_mask(rs: RuleSet, d: Dataset) -> np.ndarray:
         rows = np.flatnonzero(state_mask(d, state))
         out[rows] |= _inside(lower, upper, V[rows]).any(axis=0)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Rendering and serialization
-# ---------------------------------------------------------------------------
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
-def _cyclical_display(rule: Rule, cyclical: dict):
-    """Per sin-column rendered text plus the set of columns it consumed.
-
-    The displayed interval comes from decoding the box corners, so it is
-    approximate; the stored bounds stay in (sin, cos) space.
-    """
-    rendered, consumed = {}, set()
-    idx = {c: k for k, c in enumerate(rule.columns)}
-    for orig, info in (cyclical or {}).items():
-        if info.sin_col not in idx or info.cos_col not in idx:
-            continue
-        si, ci = idx[info.sin_col], idx[info.cos_col]
-        corners = []
-        for s in (rule.lower[si], rule.upper[si]):
-            for c in (rule.lower[ci], rule.upper[ci]):
-                if s == 0.0 and c == 0.0:
-                    continue  # center of the circle decodes to nothing
-                corners.append(cyclical_decode(s, c, info.period))
-        if not corners:
-            continue
-        rendered[info.sin_col] = "%s ≈ [%s, %s] (period %s)" % (
-            orig, _fmt(min(corners)), _fmt(max(corners)), _fmt(info.period))
-        consumed.add(info.sin_col)
-        consumed.add(info.cos_col)
-    return rendered, consumed
-
-
-def rule_to_text(rule: Rule, target: str, cyclical: dict | None = None) -> str:
-    parts = ["%s = %s" % (col, tok) for col, tok in rule.state]
-    rendered, consumed = _cyclical_display(rule, cyclical or {})
-    for k, col in enumerate(rule.columns):
-        if col in rendered:
-            parts.append(rendered[col])
-        elif col in consumed:
-            continue
-        else:
-            parts.append("%s ≥ %s" % (col, _fmt(rule.lower[k])))
-            parts.append("%s ≤ %s" % (col, _fmt(rule.upper[k])))
-    head = "NOT OUTLIER IF " if target == TARGET_NON_ANOMALOUS else "OUTLIER IF "
-    return head + " ∧ ".join(parts)
-
-
-def ruleset_to_text(rs: RuleSet) -> str:
-    lines = [rule_to_text(r, rs.target, rs.cyclical) for r in rs.rules]
-    return "".join(line + "\n" for line in lines)
-
-
-def ruleset_to_json(rs: RuleSet) -> str:
-    doc = {
-        "format": RULESET_FORMAT,
-        "target": rs.target,
-        "scaled": rs.scaled,
-        "columns": list(rs.columns),
-        "cyclical": cyclical_to_doc(rs.cyclical),
-        "rules": [
-            {
-                "state": [[c, t] for c, t in r.state],
-                "lower": list(r.lower),
-                "upper": list(r.upper),
-                "n_points": r.n_points,
-            }
-            for r in rs.rules
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def _rule_from_doc(rd: dict, columns: tuple[str, ...]) -> Rule:
-    """One rule of a rule-set document: the bounding box of a non-empty cluster.
-
-    SchemaError for a non-finite bound or an n_points that is not an
-    integer >= 1.
-    """
-    lower = tuple(float(v) for v in rd["lower"])
-    upper = tuple(float(v) for v in rd["upper"])
-    if not all(map(math.isfinite, lower + upper)):
-        raise SchemaError("rule bounds hold a non-finite number")
-    n_points = rd["n_points"]
-    if isinstance(n_points, bool) or not isinstance(n_points, int) or n_points < 1:
-        raise SchemaError("n_points must be an integer >= 1, got %r" % (n_points,))
-    return Rule(state=tuple((c, t) for c, t in rd["state"]), columns=columns,
-                lower=lower, upper=upper, n_points=n_points)
-
-
-def ruleset_from_json(text: str) -> RuleSet:
-    """Inverse of ruleset_to_json; SchemaError for any other text."""
-    try:
-        doc = json.loads(text)
-        if not isinstance(doc, dict):
-            raise SchemaError("expected a JSON object, got %s" % type(doc).__name__)
-        if doc.get("format") != RULESET_FORMAT:
-            raise SchemaError("unsupported rule set format: %r" % doc.get("format"))
-        columns = tuple(doc["columns"])
-        rules = tuple(_rule_from_doc(rd, columns) for rd in doc["rules"])
-        if not isinstance(doc["scaled"], bool):
-            raise SchemaError("scaled must be true or false, got %r" % (doc["scaled"],))
-        return RuleSet(target=doc["target"], scaled=doc["scaled"],
-                       columns=columns, rules=rules,
-                       cyclical=cyclical_from_doc(doc.get("cyclical", {})))
-    except KeyError as e:
-        raise SchemaError("rule set has no field %s" % e) from None
-    except (ValueError, TypeError, AttributeError, OverflowError, ConfigError) as e:
-        raise SchemaError(str(e)) from None

@@ -150,6 +150,31 @@ def test_unparseable_dataset_value(tmp_path, capsys):
     assert _read_error(capsys, 2)["error"] == "ParseError"
 
 
+def test_config_that_is_a_directory_exits_2(tmp_path, capsys):
+    assert main(["report", "--config", str(tmp_path)]) == 2
+    doc = _read_error(capsys, 2)
+    assert doc["error"] == "ConfigError"
+    assert "cannot read config" in doc["message"]
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    p = tmp_path / "config.json"
+    p.write_bytes(b'{"dataset": "caf\xe9.csv"}')
+    assert main(["report", "--config", str(p)]) == 2
+    doc = _read_error(capsys, 2)
+    assert doc["error"] == "ConfigError"
+    assert "cannot read config" in doc["message"]
+
+
+def test_dataset_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path, synth.two_blobs())
+    (tmp_path / "data.csv").write_bytes(b"x,y\n1.0,2.0\n\xff,3.0\n")
+    assert main(["extract", "--config", str(cfg)]) == 2
+    doc = _read_error(capsys, 2)
+    assert doc["error"] == "ConfigError"
+    assert "cannot read dataset" in doc["message"]
+
+
 # ---------------------------------------------------------------------------
 # extract
 # ---------------------------------------------------------------------------
@@ -714,6 +739,27 @@ def test_commands_do_not_import_numpy_ma(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script, str(cfg)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+def test_report_runs_without_numpy_and_plot_without_kmeans(tmp_path, capsys):
+    # report only reads JSON and text; numpy is most of its start-up time
+    cfg = _grouped_config(tmp_path)
+    assert main(["extract", "--config", str(cfg), "--target", "both"]) == 0
+    script = (
+        "import sys\n"
+        "import ocsvm_rules.cli as cli\n"
+        "assert 'numpy' not in sys.modules, 'import'\n"
+        "assert cli.main(['report', '--config', sys.argv[1]]) == 0\n"
+        "assert 'numpy' not in sys.modules, 'report'\n"
+        "for argv in (['surrogate'], ['plot', '--target', 'both']):\n"
+        "    assert cli.main(argv + ['--config', sys.argv[1]]) == 0, argv\n"
+        "    assert 'ocsvm_rules.clustering' not in sys.modules, argv\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(cfg)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+    assert report["model"]["n_train"] == synth.grouped_dataset().rows
+    assert report["rules"]["a"]["n_rules"] > 0
+
 
 def test_console_entry_point(tmp_path):
     cfg = _write_config(tmp_path, synth.two_blobs())

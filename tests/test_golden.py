@@ -6,6 +6,10 @@ sweep shared its seeding across cluster counts; the surrogate tree digests
 before the split search was vectorised. A change that moves one of them
 changes the rules, the model or the tree and has to say why.
 
+The report digests pin report.json and report.txt after extract --target
+both and surrogate through the command line, as recorded before report
+stopped building the model's arrays to summarise it.
+
 The two_blobs and grouped_dataset digests (model, both rule sets, tree)
 were re-pinned when every fit moved to one-row kernel products
 X[i] @ X.T, which round differently from the whole X @ X.T. The models
@@ -18,10 +22,14 @@ rows grew. seismic_like did not move.
 """
 
 import hashlib
+import json
 
 import pytest
 
 import ocsvm_rules as o
+from ocsvm_rules.cli import main
+
+import synth
 
 GOLDEN = {
     "two_blobs": {
@@ -100,3 +108,45 @@ def test_surrogate_tree_json_golden(name, request):
     tree, names, _, _ = o.fit_surrogate(request.getfixturevalue(data_fx),
                                         request.getfixturevalue(model_fx))
     assert _sha(o.tree_to_json(tree, names)) == TREE_GOLDEN[name]
+
+
+# (dataset, columns, ocsvm settings) of each fixture's command-line run
+REPORT_RUNS = {
+    "two_blobs": (synth.two_blobs, {"numerical": ["x", "y"], "categorical": []},
+                  {"nu": synth.BLOB_NU, "gamma": synth.BLOB_GAMMA}),
+    "seismic_like": (synth.seismic_like,
+                     {"numerical": ["energy", "pulses"], "categorical": []},
+                     {"nu": 0.1, "gamma": 0.1}),
+    "grouped_dataset": (synth.grouped_dataset,
+                        {"numerical": ["x", "y"], "categorical": ["mode"]},
+                        {"nu": 0.05, "gamma": 15.0}),
+}
+
+REPORT_GOLDEN = {
+    "two_blobs": (
+        "195ac3abd785cf35ef65ac7fc1189559cf2223a966874713b13878f9bb45f568",
+        "2cccf3043bac1b164e11d965bad988db4ccb9782c1eb496598dca6b21ffb52cd",
+    ),
+    "seismic_like": (
+        "8010c86a9cce267c344211831c28e0e09d17e6c1365ebe81b5d3d539ac8e42da",
+        "4613862fc514191dddaf05abf1dba65308bb9100c1857a9d260f35fe0a12d882",
+    ),
+    "grouped_dataset": (
+        "204a79a7d0df22b2598f1f2463a36db305e495203c47fec004f4ebdfe7390d98",
+        "e3add0593a5b39499da550becdc9b3eaa3206f04c1d14286031645270b016e10",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_RUNS))
+def test_report_golden(name, tmp_path, capsys):
+    data, columns, ocsvm = REPORT_RUNS[name]
+    synth.write_csv(tmp_path / "data.csv", data())
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"dataset": "data.csv", "columns": columns, "ocsvm": ocsvm}),
+                   encoding="utf-8")
+    for argv in (["extract", "--target", "both"], ["surrogate"], ["report"]):
+        assert main(argv + ["--config", str(cfg)]) == 0, argv
+    out = tmp_path / "out"
+    assert tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
+                 for f in ("report.json", "report.txt")) == REPORT_GOLDEN[name]

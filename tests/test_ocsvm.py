@@ -4,8 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import model_reference
 import ocsvm_reference
 import qp_oracle
 import synth
@@ -523,6 +524,117 @@ def test_model_json_rejects_an_n_train_that_is_no_row_count(blob_model, n_train)
         model_from_json(json.dumps(doc))
     doc["n_train"] = len(doc["alphas"])  # as many rows as support vectors is fine
     assert model_from_json(json.dumps(doc)).n_train == len(doc["alphas"])
+
+
+# A small valid document with every part the reader checks: a periodic
+# column's pair, a degenerate column, a categorical column and three rows.
+_MODEL_DOC = {
+    "format": "ocsvm-model/1", "nu": 0.5, "gamma": 2.0, "rho": 0.25, "n_train": 6,
+    "alphas": [0.25, 0.5, 0.25],
+    "support_vectors": [[0.0, 1.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0, 1.0],
+                        [-1.0, 0.0, 0.0, 1.0, 0.0]],
+    "schema": {"numerical": ["h_sin", "h_cos", "v"], "categorical": ["m"],
+               "levels": {"m": ["off", "on"]},
+               "cyclical": {"h": {"period": 24, "sin": "h_sin", "cos": "h_cos"}}},
+    "scaling": {"h_sin": {"min": -1.0, "max": 1.0, "degenerate": False},
+                "h_cos": {"min": -1.0, "max": 1.0, "degenerate": False},
+                "v": {"min": 3.0, "max": 3.0, "degenerate": True}},
+}
+
+# What a mutation puts in place of a node: non-finite numbers, text, bools,
+# null and small integers. A list or object in place of a scaling bound is
+# left out: the former reader let numpy judge it (and took a list whose shape
+# fit), the new one rejects it as not a number.
+_ODD_VALUES = [float("nan"), float("inf"), -float("inf"), "x", "1.5", "", True, False,
+               None, 0, -1, 2]
+
+
+def _paths(node, path=()):
+    """Every path from the root to a node of the document, the root excluded."""
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def _mutated_model_docs(draw):
+    doc = json.loads(json.dumps(_MODEL_DOC))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["delete", "replace", "rows", "n_train"]))
+        paths = list(_paths(doc))
+        if kind == "delete":
+            dict_paths = [p for p in paths if isinstance(_at(doc, p[:-1]), dict)]
+            if dict_paths:
+                path = draw(st.sampled_from(dict_paths))
+                del _at(doc, path[:-1])[path[-1]]
+        elif kind == "replace" and paths:
+            path = draw(st.sampled_from(paths))
+            _at(doc, path[:-1])[path[-1]] = draw(st.sampled_from(_ODD_VALUES))
+        elif kind == "rows" and isinstance(doc.get("support_vectors"), list):
+            rows = doc["support_vectors"]
+            i = draw(st.integers(0, len(rows)))
+            change = draw(st.sampled_from(["short", "long", "nest", "scalar", "drop", "add"]))
+            if change == "add" or i == len(rows):
+                rows.insert(i, draw(st.lists(st.floats(-2, 2), min_size=4, max_size=6)))
+            elif change == "drop":
+                del rows[i]
+            elif change == "scalar":
+                rows[i] = draw(st.sampled_from(_ODD_VALUES))
+            elif not isinstance(rows[i], list):
+                continue
+            elif change == "short" and rows[i]:
+                rows[i].pop()
+            elif change == "long":
+                rows[i].append(0.5)
+            elif change == "nest":
+                rows[i].append([0.5] * draw(st.integers(0, 2)))
+        elif kind == "n_train":
+            n_sv = len(doc["alphas"]) if isinstance(doc.get("alphas"), list) else 3
+            doc["n_train"] = draw(st.sampled_from([
+                -1, 0, 1, 2, n_sv - 1, n_sv, n_sv + 1, 2 ** 63, 2.0, 6.5, True, False,
+                None, "6", float("inf")]))
+    return json.dumps(doc)
+
+
+def _read(reader, text):
+    """(model, None) if reader accepts text, (None, message) if it raises SchemaError."""
+    try:
+        return reader(text), None
+    except SchemaError as e:
+        return None, str(e)
+
+
+@settings(max_examples=400)
+@given(_mutated_model_docs())
+def test_model_reader_decides_as_the_former_reader(text):
+    # model_from_json checks with formats.model_doc, which report also calls
+    want, want_msg = _read(model_reference.model_from_json, text)
+    got, got_msg = _read(model_from_json, text)
+    if want_msg is not None and want_msg.startswith("ufunc 'isfinite' not supported"):
+        # numpy's message for a scaling bound that is not a number
+        assert got_msg == "scaling holds a value that is not a number"
+        return
+    assert got_msg == want_msg
+    if want is not None:
+        for f in dataclasses.fields(want):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            if isinstance(b, np.ndarray):
+                assert a.dtype == b.dtype and np.array_equal(a, b) and not a.flags.writeable
+            else:
+                assert a == b, f.name
+
+
+def test_the_unmutated_model_document_reads():
+    m = model_from_json(json.dumps(_MODEL_DOC))
+    assert m.support_vectors.shape == (3, 5) and m.n_train == 6
 
 
 def test_model_without_preprocessing_does_not_serialize():

@@ -6,7 +6,8 @@ the package's readers to check every run's outputs, and ``perfbench/run.py``
 reads ``ocsvm.DENSE_KERNEL_LIMIT``. A renamed or deleted name would make
 every benchmark run fail while every other test still passes, so this checks
 each name the tracer wraps, that constant, and runs the checks. A wrapper's
-``observe`` function runs only on a traced pipeline, so one runs here too.
+``observe`` function runs only on a traced pipeline, so one runs here too,
+and each layer the commands call must show up in its spans.
 """
 
 import importlib.util
@@ -55,6 +56,12 @@ def test_traced_pipeline_emits_every_per_layer_metric(tmp_path):
         for cmd, extra in (("extract", ["--target", "both"]), ("surrogate", []),
                            ("plot", ["--target", "both"]), ("report", [])):
             assert cli.main([cmd, "--config", config] + extra) == 0, cmd
+    # the commands look these up where the tracer replaced them: a command
+    # that bound its own copy would leave its layer's time at 0
+    seen = {s["name"] for s in tracer.spans}
+    for name in ("dataset.load_csv", "rules.extract_rule_sets", "surrogate.fit_tree",
+                 "plotting.scatter_rules_svg", "cli.serialise"):
+        assert name in seen, name
     emitted = tracing.layer_metrics(tracer.spans, ocsvm.DENSE_KERNEL_LIMIT)
     spec = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
     from_run = {"cli.bytes_written", "trace.total_s", "trace.overhead_s"}
