@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass
@@ -40,7 +39,8 @@ from .errors import (
 )
 from .formats import (
     BOX_ALL, TARGET_ANOMALOUS, TARGET_NON_ANOMALOUS, ExtractionConfig, KernelParams,
-    model_doc, ruleset_from_json, ruleset_to_json, ruleset_to_text, state_text,
+    count, model_doc, number, ruleset_from_json, ruleset_to_json, ruleset_to_text,
+    state_text, strings,
 )
 
 # The names the commands call from numpy-backed modules. _bind puts a module's
@@ -111,44 +111,11 @@ def _section(raw: dict, key: str) -> dict:
     return v
 
 
-def _finite(v) -> bool:
-    """v is a JSON number, not a bool, that is a finite float.
-
-    json reads Infinity, NaN and an overflowing literal such as 1e400 as
-    non-finite floats, and an integer literal of any length as an int.
-    """
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        return False
-    try:
-        return math.isfinite(v)
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
-def _number(sec: dict, section: str, key: str, default, *, minimum=None,
-            positive=False, integer=False, nullable=False):
-    v = sec.get(key, default)
-    if v is None and nullable:
-        return None
-    where = "%s.%s" % (section, key)
-    if integer:
-        _expect(isinstance(v, int) and not isinstance(v, bool),
-                "%s must be an integer" % where)
-    else:
-        _expect(_finite(v), "%s must be a finite number" % where)
-        v = float(v)
-    if positive:
-        _expect(v > 0, "%s must be positive" % where)
-    if minimum is not None:
-        _expect(v >= minimum, "%s must be >= %r" % (where, minimum))
-    return v
-
-
-def _name_list(sec: dict, section: str, key: str) -> list:
-    v = sec.get(key, [])
-    _expect(isinstance(v, list) and all(isinstance(c, str) for c in v),
-            "%s.%s must be a list of column names" % (section, key))
-    return v
+def _number(sec: dict, section: str, key: str, default, *, minimum=None, **bounds):
+    """sec[key], or default, checked by formats.count if a minimum is given,
+    else by formats.number within bounds."""
+    v, what = sec.get(key, default), "%s.%s" % (section, key)
+    return number(v, what, **bounds) if minimum is None else count(v, what, minimum)
 
 
 def load_config(path: str, *, target: str | None = None, out: str | None = None,
@@ -170,25 +137,22 @@ def load_config(path: str, *, target: str | None = None, out: str | None = None,
     _expect(isinstance(dataset, str) and dataset, "config needs a 'dataset' path")
 
     columns = _section(raw, "columns")
-    numerical = _name_list(columns, "columns", "numerical")
-    categorical = _name_list(columns, "columns", "categorical")
+    numerical = strings(columns.get("numerical", []), "columns.numerical")
+    categorical = strings(columns.get("categorical", []), "columns.categorical")
     _expect(len(numerical) > 0, "columns.numerical must name at least one column")
     cyc_raw = columns.get("cyclical", {})
     _expect(isinstance(cyc_raw, dict), "columns.cyclical must map column to period")
     cyclical = {}
     for c, period in cyc_raw.items():
-        _expect(_finite(period) and period > 0,
-                "columns.cyclical[%r] must be a positive finite period" % c)
+        cyclical[c] = number(period, "columns.cyclical[%r]" % c, above=0)
         _expect(c in numerical, "cyclical column %r must also be in columns.numerical" % c)
-        cyclical[c] = float(period)
 
     oc = _section(raw, "ocsvm")
-    nu = _number(oc, "ocsvm", "nu", 0.1, positive=True)
-    _expect(nu <= 1, "ocsvm.nu must be in (0, 1]")
-    gamma = _number(oc, "ocsvm", "gamma", 0.1, positive=True)
-    tol = _number(oc, "ocsvm", "tol", 1e-5, positive=True)
-    max_iter = _number(oc, "ocsvm", "max_iter", None, integer=True, minimum=1,
-                       nullable=True)
+    nu = _number(oc, "ocsvm", "nu", 0.1, above=0, high=1)
+    gamma = _number(oc, "ocsvm", "gamma", 0.1, above=0)
+    tol = _number(oc, "ocsvm", "tol", 1e-5, above=0)
+    max_iter = (None if oc.get("max_iter") is None
+                else _number(oc, "ocsvm", "max_iter", None, minimum=1))
 
     km = _section(raw, "kmeans")
     ex = _section(raw, "extraction")
@@ -223,11 +187,9 @@ def load_config(path: str, *, target: str | None = None, out: str | None = None,
     plot = _section(raw, "plot")
     plot_columns = plot.get("columns")
     if plot_columns is not None:
-        _expect(isinstance(plot_columns, list) and len(plot_columns) == 2
-                and all(isinstance(c, str) for c in plot_columns),
-                "plot.columns must list exactly two column names")
-    width = _number(plot, "plot", "width", 640, integer=True, minimum=200)
-    height = _number(plot, "plot", "height", 480, integer=True, minimum=200)
+        strings(plot_columns, "plot.columns", 2)
+    width = _number(plot, "plot", "width", 640, minimum=200)
+    height = _number(plot, "plot", "height", 480, minimum=200)
 
     output_dir = raw.get("output_dir", "out")
     _expect(isinstance(output_dir, str) and output_dir,

@@ -51,6 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .formats import count
 
 # Entries of a Lloyd block's (b, n, k) distance array (512 KiB of float64)
 # up to which the restarts of one call iterate together.
@@ -78,12 +79,6 @@ def _points(X) -> np.ndarray:
     return X
 
 
-def _count(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ConfigError("%s must be an integer >= 1, got %r" % (name, value))
-    return int(value)
-
-
 class PlusPlusSeeds:
     """k-means++ seedings of X: one growing centre sequence per restart."""
 
@@ -91,10 +86,9 @@ class PlusPlusSeeds:
         self.X = _points(X)
         if self.X.shape[0] == 0:
             raise ConfigError("cannot seed clusters from 0 points")
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise ConfigError("seed must be a non-negative integer, got %r" % (seed,))
+        count(seed, "seed", 0)
         self.seed = seed
-        self.n_init = _count("n_init", n_init)
+        self.n_init = count(n_init, "n_init", 1)
         self._rngs: list[np.random.Generator] = []  # restarts 0, 1, ... drawn from so far
         self._picks: list[list[int]] = [[] for _ in range(self.n_init)]
         # each restart's squared distances to its nearest pick so far
@@ -214,9 +208,9 @@ def kmeans_pp(X, k: int, seed: int = 0, n_init: int = 10, max_iter: int = 100,
     """
     X = _points(X)
     n = X.shape[0]
-    k = _count("k", k)
-    n_init = _count("n_init", n_init)
-    max_iter = _count("max_iter", max_iter)
+    k = count(k, "k", 1)
+    n_init = count(n_init, "n_init", 1)
+    max_iter = count(max_iter, "max_iter", 1)
     if n < k:
         raise ConfigError("cannot form %d clusters from %d points" % (k, n))
     if seeds is None:

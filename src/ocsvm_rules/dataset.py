@@ -18,9 +18,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, SchemaError
+from .errors import ParseError, SchemaError
 from .formats import (  # noqa: F401 - cyclical_decode stays importable from here
     CategoricalState, ColumnScale, CyclicalInfo, FeatureSchema, ScalingParams, cyclical_decode,
+    number,
 )
 
 NUMERICAL = "numerical"
@@ -241,9 +242,7 @@ def expand_cyclical(d: Dataset, periods: dict) -> tuple[Dataset, dict]:
         if name in periods:
             if kind != NUMERICAL:
                 raise SchemaError("cyclical column %r must be numerical" % name)
-            period = float(periods[name])
-            if period <= 0:
-                raise ConfigError("cyclical period for %r must be positive" % name)
+            period = number(periods[name], "cyclical period for %r" % name, above=0)
             angles = 2.0 * np.pi * d.data[name] / period
             sin_name = name + "_sin"
             cos_name = name + "_cos"

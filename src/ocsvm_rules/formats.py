@@ -3,6 +3,11 @@ and text, the model document's checks, the preprocessing a model carries
 (``FeatureSchema``, ``ScalingParams``, ``CyclicalInfo``) and the extraction
 settings (``ExtractionConfig``). No numpy here, so ``report``, which only
 reads artifacts, starts without it; the computing modules import these back.
+
+This module owns the value checks every reader and API entry point shares:
+``number`` (a finite real number within bounds), ``count`` (an integer from a
+minimum) and ``strings`` (a list of strings). Configs, artifacts and the fitting
+functions call them, so one value is judged the same way everywhere.
 """
 
 from __future__ import annotations
@@ -22,6 +27,46 @@ BOX_FARTHEST = "farthest"
 
 RULESET_FORMAT = "rule-set/1"
 MODEL_FORMAT = "ocsvm-model/1"
+
+
+def number(v, what: str, *, low=None, above=None, high=None) -> float:
+    """v as a float; ConfigError naming what unless v is a real number, not a
+    bool, finite (an int too large for a float is not), and low <= v,
+    above < v and v <= high for each bound given."""
+    if type(v) is not float:  # the common case skips the abstract-class check
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise ConfigError("%s holds %r, which is not a number" % (what, v))
+        try:
+            v = float(v)
+        except OverflowError:
+            v = math.inf
+    if not math.isfinite(v):
+        raise ConfigError("%s holds a non-finite number" % what)
+    if ((low is not None and v < low) or (above is not None and v <= above)
+            or (high is not None and v > high)):
+        bounds = " and ".join("%s %r" % (op, b) for op, b in
+                              ((">=", low), (">", above), ("<=", high)) if b is not None)
+        raise ConfigError("%s must be %s, got %r" % (what, bounds, v))
+    return v
+
+
+def count(v, what: str, minimum: int) -> int:
+    """v as an int; ConfigError naming what unless v is an integer (numpy's
+    register as numbers.Integral), not a bool, and >= minimum."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < minimum:
+        raise ConfigError("%s must be an integer >= %d, got %r" % (what, minimum, v))
+    return int(v)
+
+
+def strings(v, what: str, size: int | None = None) -> list:
+    """v as given; ConfigError naming what unless v is a list of strings, of
+    length size if one is given. Text is not a list: "x" is not ["x"]."""
+    if (not isinstance(v, list) or not all(isinstance(s, str) for s in v)
+            or (size is not None and len(v) != size)):
+        raise ConfigError("%s must be a list of %sstrings, got %r"
+                          % (what, "" if size is None else "%d " % size, v))
+    return v
+
 
 # A categorical state is an ordered tuple of (column, token) pairs, one pair
 # per categorical column; () is the one state of data with no categorical
@@ -69,14 +114,13 @@ def cyclical_to_doc(cyclical: dict) -> dict:
 
 
 def cyclical_from_doc(doc: dict) -> dict:
-    """Inverse of cyclical_to_doc; SchemaError unless each period is a finite
-    number > 0 and each column name a string."""
+    """Inverse of cyclical_to_doc; ConfigError unless each period is a finite
+    number > 0, SchemaError unless each column name is a string."""
     out = {}
     for name, spec in doc.items():
         period, sin_col, cos_col = spec["period"], spec["sin"], spec["cos"]
-        if (isinstance(period, bool) or not isinstance(period, (int, float))
-                or not 0 < period < math.inf or not isinstance(sin_col, str)
-                or not isinstance(cos_col, str)):
+        number(period, "period of cyclical column %r" % name, above=0)
+        if not isinstance(sin_col, str) or not isinstance(cos_col, str):
             raise SchemaError("malformed cyclical entry %r: %r" % (name, spec))
         out[name] = CyclicalInfo(period=period, sin_col=sin_col, cos_col=cos_col)
     return out
@@ -107,59 +151,25 @@ class KernelParams:
     gamma: float
 
     def __post_init__(self):
-        if not 0 < self.gamma < math.inf:
-            raise ConfigError("gamma must be positive and finite, got %r" % self.gamma)
+        number(self.gamma, "gamma", above=0)
 
 
 # ---------------------------------------------------------------------------
 # The model document
 # ---------------------------------------------------------------------------
 
-def _float_array(value) -> tuple[tuple[int, ...], list[float]]:
-    """(shape, floats in C order) of np.array(value, dtype=np.float64): lists
-    nest as numpy finds them, None is nan, any other leaf goes through float().
-    A ragged nesting raises numpy's ValueError before any leaf is converted."""
-    shape: list[int] = []
-    ragged = reached = False  # reached: a leaf or an empty list fixed the depth
-
-    def walk(x, depth: int, max_dims: int) -> int:
-        nonlocal ragged, reached
-        if not isinstance(x, list):
-            ragged |= depth > max_dims or (depth < max_dims and reached)
-            reached = True
-            return min(max_dims, depth)
-        if depth + 1 > max_dims or (reached and shape[depth] != len(x)):
-            ragged = True
-            return min(max_dims, depth)
-        if not reached:
-            shape[depth:] = [len(x)]
-        if not x:
-            reached = True
-            return depth + 1
-        for item in x:
-            max_dims = walk(item, depth + 1, max_dims)
-        return max_dims
-
-    ndim = walk(value, 0, 64)
-    if ragged:
-        raise ValueError("setting an array element with a sequence. The requested array "
-                         "has an inhomogeneous shape after %d dimensions. The detected "
-                         "shape was %s + inhomogeneous part." % (ndim, tuple(shape[:ndim])))
-    leaves = [value]
-    for _ in range(ndim):
-        leaves = [v for x in leaves for v in x]
-    return tuple(shape[:ndim]), [math.nan if v is None else float(v) for v in leaves]
-
-
 def model_doc(text: str) -> dict:
     """The checked fields of an ocsvm-model document; SchemaError for any other text.
 
-    Every number the model scores with (rho, nu, gamma, the alphas, the
-    support vectors and the scaling bounds) must be finite, and n_train must
-    be an integer >= 2 and >= the support-vector count. The scaling holds
-    exactly the numerical columns, each degenerate exactly when min == max.
-    The result holds OcsvmModel's fields, the support vectors and alphas as
-    the document's lists.
+    A number here is a JSON int or float, not a bool, and finite: rho, nu,
+    gamma (> 0), each alpha, each support-vector entry and each scaling
+    bound must be one. The alphas are a non-empty list, the support vectors
+    one list of n_features numbers per alpha, and n_train an integer >= 2
+    and >= the support-vector count. The scaling holds exactly the numerical
+    columns, each degenerate exactly when min == max. The checks run in the
+    former numpy reader's order, so a document it refused for any other
+    fault gets the same message. The result holds OcsvmModel's fields, the
+    support vectors and alphas as the document's lists.
     """
     try:
         doc = json.loads(text)
@@ -178,24 +188,25 @@ def model_doc(text: str) -> dict:
             for c, s in doc["scaling"].items()
         })
         n_features = len(schema.feature_names())
-        sv_shape, sv = _float_array(doc["support_vectors"])
-        alphas_shape, alphas = _float_array(doc["alphas"])
-        if len(alphas_shape) != 1 or sv_shape != (len(alphas), n_features):
-            raise SchemaError("support vectors of shape %s do not match %d alphas "
-                              "and %d features" % (sv_shape, len(alphas), n_features))
+        sv, alphas = doc["support_vectors"], doc["alphas"]
+        if not (isinstance(alphas, list) and alphas and isinstance(sv, list)
+                and len(sv) == len(alphas)
+                and all(isinstance(row, list) and len(row) == n_features for row in sv)):
+            raise SchemaError("alphas must be a non-empty list and support_vectors one "
+                              "list of %d numbers per alpha" % n_features)
         n_train = doc["n_train"]
-        if (isinstance(n_train, bool) or not isinstance(n_train, int)
-                or n_train < max(2, len(alphas))):
+        try:
+            count(n_train, "n_train", max(2, len(alphas)))
+        except ConfigError:
             raise SchemaError("n_train must be an integer >= 2 and >= the %d support "
-                              "vectors, got %r" % (len(alphas), n_train))
-        rho, nu = float(doc["rho"]), float(doc["nu"])
+                              "vectors, got %r" % (len(alphas), n_train)) from None
+        rho, nu = doc["rho"], doc["nu"]
         bounds = [v for sc in scaling.per_column.values() for v in (sc.min, sc.max)]
         for what, values in (("rho", [rho]), ("nu", [nu]), ("alphas", alphas),
-                             ("support_vectors", sv), ("scaling", bounds)):
-            if not all(isinstance(v, (int, float)) for v in values):
-                raise SchemaError("%s holds a value that is not a number" % what)
-            if not all(map(math.isfinite, values)):
-                raise SchemaError("%s holds a non-finite number" % what)
+                             ("support_vectors", [v for row in sv for v in row]),
+                             ("scaling", bounds)):
+            for v in values:
+                number(v, what)
         if set(scaling.per_column) != set(schema.numerical):
             raise SchemaError("scaling covers %s, not the numerical columns %s"
                               % (sorted(scaling.per_column), list(schema.numerical)))
@@ -203,14 +214,13 @@ def model_doc(text: str) -> dict:
             if sc.degenerate is not (sc.min == sc.max):
                 raise SchemaError("scaling of %r: degenerate must be %s, got %r"
                                   % (c, sc.min == sc.max, sc.degenerate))
-        kernel = KernelParams(gamma=float(doc["gamma"]))
+        kernel = KernelParams(gamma=number(doc["gamma"], "gamma"))
     except KeyError as e:
         raise SchemaError("model has no field %s" % e) from None
     except (ValueError, TypeError, AttributeError, OverflowError, ConfigError) as e:
         raise SchemaError(str(e)) from None
-    return {"support_vectors": doc["support_vectors"], "alphas": doc["alphas"],
-            "rho": rho, "nu": nu, "kernel": kernel, "n_train": n_train,
-            "schema": schema, "scaling": scaling}
+    return {"support_vectors": sv, "alphas": alphas, "rho": float(rho), "nu": float(nu),
+            "kernel": kernel, "n_train": n_train, "schema": schema, "scaling": scaling}
 
 
 @dataclass(frozen=True)
@@ -272,21 +282,15 @@ class ExtractionConfig:
         if self.box_mode not in (BOX_ALL, BOX_FARTHEST):
             raise ConfigError("box_mode must be %r or %r, got %r"
                               % (BOX_ALL, BOX_FARTHEST, self.box_mode))
-        f = self.discard_factor
-        if (isinstance(f, bool) or not isinstance(f, numbers.Real)
-                or not (math.isfinite(f) and f >= 0)):
-            raise ConfigError("discard_factor must be a finite number >= 0, got %r" % (f,))
+        number(self.discard_factor, "discard_factor", low=0)
         for name in ("literal_cluster_threshold", "per_group_min_check"):
             if not isinstance(getattr(self, name), bool):
                 raise ConfigError("%s must be true or false, got %r" % (name, getattr(self, name)))
         for name, minimum in (("n_v", 1), ("max_clusters", 1), ("seed", 0),
                               ("n_init", 1), ("kmeans_max_iter", 1)):
             v = getattr(self, name)
-            if v is None and name in ("n_v", "max_clusters"):
-                continue
-            # numpy's integer types register as numbers.Integral
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < minimum:
-                raise ConfigError("%s must be an integer >= %d, got %r" % (name, minimum, v))
+            if not (v is None and name in ("n_v", "max_clusters")):
+                count(v, name, minimum)
 
 
 def state_text(state: CategoricalState) -> str:
@@ -372,29 +376,34 @@ def ruleset_to_json(rs: RuleSet) -> str:
 def _rule_from_doc(rd: dict, columns: tuple[str, ...]) -> Rule:
     """One rule of a rule-set document: the bounding box of a non-empty cluster.
 
-    SchemaError for a non-finite bound or an n_points that is not an
-    integer >= 1.
+    Raises unless the state is a list of [column, token] string pairs, each
+    bound a number and n_points an integer >= 1; ruleset_from_json reports
+    each refusal as a SchemaError.
     """
-    lower = tuple(float(v) for v in rd["lower"])
-    upper = tuple(float(v) for v in rd["upper"])
-    if not all(map(math.isfinite, lower + upper)):
-        raise SchemaError("rule bounds hold a non-finite number")
-    n_points = rd["n_points"]
-    if isinstance(n_points, bool) or not isinstance(n_points, int) or n_points < 1:
-        raise SchemaError("n_points must be an integer >= 1, got %r" % (n_points,))
-    return Rule(state=tuple((c, t) for c, t in rd["state"]), columns=columns,
-                lower=lower, upper=upper, n_points=n_points)
+    state = rd["state"]
+    if not isinstance(state, list):
+        raise SchemaError("state must be a list of [column, token] pairs, got %r" % (state,))
+    return Rule(state=tuple(tuple(strings(pair, "state pair", 2)) for pair in state),
+                columns=columns,
+                lower=tuple(number(v, "rule bound") for v in rd["lower"]),
+                upper=tuple(number(v, "rule bound") for v in rd["upper"]),
+                n_points=count(rd["n_points"], "n_points", 1))
 
 
 def ruleset_from_json(text: str) -> RuleSet:
-    """Inverse of ruleset_to_json; SchemaError for any other text."""
+    """Inverse of ruleset_to_json; SchemaError for any other text.
+
+    A number here is a JSON int or float, not a bool, and finite: each rule
+    bound must be one. columns is a list of strings, each state a list of
+    [column, token] string pairs, n_points an integer >= 1 and scaled a bool.
+    """
     try:
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise SchemaError("expected a JSON object, got %s" % type(doc).__name__)
         if doc.get("format") != RULESET_FORMAT:
             raise SchemaError("unsupported rule set format: %r" % doc.get("format"))
-        columns = tuple(doc["columns"])
+        columns = tuple(strings(doc["columns"], "columns"))
         rules = tuple(_rule_from_doc(rd, columns) for rd in doc["rules"])
         if not isinstance(doc["scaled"], bool):
             raise SchemaError("scaled must be true or false, got %r" % (doc["scaled"],))

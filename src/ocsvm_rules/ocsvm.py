@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
@@ -42,7 +41,8 @@ from .dataset import (
 )
 from .errors import ConfigError, SolverConvergenceError
 from .formats import (  # noqa: F401 - KernelParams stays importable from here
-    MODEL_FORMAT, FeatureSchema, KernelParams, ScalingParams, cyclical_to_doc, model_doc,
+    MODEL_FORMAT, FeatureSchema, KernelParams, ScalingParams, count, cyclical_to_doc,
+    model_doc, number,
 )
 
 NON_ANOMALOUS = 1
@@ -163,11 +163,12 @@ def fit(X, nu: float, kernel: KernelParams, tol: float = 1e-5,
     them the fit holds X and a few vectors of n floats, so no fit builds an
     n x n array.
 
-    Raises ConfigError unless X is a 2-D matrix of at least 2 rows, nu lies
-    in (0, 1] with nu * n >= 1, tol is a finite number > 0, and max_iter is
-    None or an integer >= 1. Raises SolverConvergenceError (carrying the
-    best iterate and the remaining KKT violation) if the pair-selection
-    loop hits max_iter, which defaults to 100 * n.
+    Raises ConfigError unless X is a 2-D matrix of at least 2 rows, nu is a
+    number (formats.number: not a bool, finite) in (0, 1] with nu * n >= 1,
+    tol a number > 0, and max_iter None or an integer >= 1. Raises
+    SolverConvergenceError (carrying the best iterate and the remaining KKT
+    violation) if the pair-selection loop hits max_iter, which defaults to
+    100 * n.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -175,18 +176,11 @@ def fit(X, nu: float, kernel: KernelParams, tol: float = 1e-5,
     n = X.shape[0]
     if n < 2:
         raise ConfigError("need at least 2 training points, got %d" % n)
-    if not 0 < nu <= 1:
-        raise ConfigError("nu must lie in (0, 1], got %r" % nu)
+    number(nu, "nu", above=0, high=1)
     if nu * n < 1:
         raise ConfigError("nu * n must be >= 1 (nu=%r, n=%d)" % (nu, n))
-    if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
-            or not (math.isfinite(tol) and tol > 0)):
-        raise ConfigError("tol must be a finite number > 0, got %r" % (tol,))
-    if max_iter is None:
-        max_iter = 100 * n
-    elif (isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer))
-            or max_iter < 1):
-        raise ConfigError("max_iter must be None or an integer >= 1, got %r" % (max_iter,))
+    number(tol, "tol", above=0)
+    max_iter = 100 * n if max_iter is None else count(max_iter, "max_iter", 1)
 
     C = 1.0 / (nu * n)
     kr = _KernelRows(X, kernel.gamma)

@@ -105,3 +105,23 @@ def write_csv(path, d: Dataset):
                 v = t.data[n][i]
                 row.append(repr(float(v)) if d.kind_of(n) == NUMERICAL else v)
             w.writerow(row)
+
+
+def probe_dataset(rs, rng, n_probes: int) -> Dataset:
+    """n_probes rows drawn uniformly around the rule set's boxes, padded by a
+    quarter of each span, with a random state of the rules' (or "other")."""
+    lows = np.array([r.lower for r in rs.rules])
+    highs = np.array([r.upper for r in rs.rules])
+    lo = lows.min(axis=0)
+    hi = highs.max(axis=0)
+    pad = np.maximum(hi - lo, 1.0) * 0.25
+    M = rng.uniform(lo - pad, hi + pad, size=(n_probes, len(rs.columns)))
+    cols = [(c, NUMERICAL) for c in rs.columns]
+    data = {c: M[:, k].copy() for k, c in enumerate(rs.columns)}
+    states = sorted({r.state for r in rs.rules})
+    for col in {c for s in states for c, _ in s}:
+        tokens = sorted({t for s in states for c, t in s if c == col} | {"other"})
+        picks = rng.integers(0, len(tokens), size=n_probes)
+        data[col] = tuple(tokens[i] for i in picks)
+        cols.append((col, CATEGORICAL))
+    return Dataset(columns=tuple(cols), data=data, rows=n_probes)

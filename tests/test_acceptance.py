@@ -13,7 +13,6 @@ import pytest
 
 import ocsvm_rules as o
 from ocsvm_rules.cli import main
-from ocsvm_rules.dataset import NUMERICAL, Dataset
 from ocsvm_rules.ocsvm import (
     dataset_decision_values,
     decision_values,
@@ -160,24 +159,6 @@ def test_criterion_04_zero_false_admits(capsys, seismic_run, grouped_run, blob_r
             assert int(covered_mask(res.ruleset_scaled, X_a_scaled).sum()) == 0
 
 
-def _probe_dataset(rs: RuleSet, rng, n_probes: int) -> Dataset:
-    lows = np.array([r.lower for r in rs.rules])
-    highs = np.array([r.upper for r in rs.rules])
-    lo = lows.min(axis=0)
-    hi = highs.max(axis=0)
-    pad = np.maximum(hi - lo, 1.0) * 0.25
-    M = rng.uniform(lo - pad, hi + pad, size=(n_probes, len(rs.columns)))
-    cols = [(c, NUMERICAL) for c in rs.columns]
-    data = {c: M[:, k].copy() for k, c in enumerate(rs.columns)}
-    states = sorted({r.state for r in rs.rules})
-    for col in {c for s in states for c, _ in s}:
-        tokens = sorted({t for s in states for c, t in s if c == col} | {"other"})
-        picks = rng.integers(0, len(tokens), size=n_probes)
-        data[col] = tuple(tokens[i] for i in picks)
-        cols.append((col, "categorical"))
-    return Dataset(columns=tuple(cols), data=data, rows=n_probes)
-
-
 def test_criterion_05_pruning_soundness(capsys, monkeypatch,
                                         seismic_run, grouped_run, blob_run):
     with _announce(capsys, 5, "pruning never changes covered membership"):
@@ -201,7 +182,7 @@ def test_criterion_05_pruning_soundness(capsys, monkeypatch,
                              cyclical=raw.cyclical)
             assert len(pruned.rules) == len(pruned_res.ruleset.rules)
 
-            probes = _probe_dataset(raw, rng, 10_000)
+            probes = synth.probe_dataset(raw, rng, 10_000)
             before = covered_mask(raw, probes)
             after = covered_mask(pruned, probes)
             assert int(np.count_nonzero(before != after)) == 0

@@ -451,6 +451,39 @@ def test_model_json_with_non_finite_number_exits_2(tmp_path, capsys, corrupt):
     assert not (tmp_path / "out" / "tree.json").exists()
 
 
+def _quote_first_alphas(doc):
+    doc["alphas"][0] = str(doc["alphas"][0])
+    doc["alphas"][1] = True
+
+
+# text or a bool where a number belongs; the former reader took each through
+# float() and scored with it
+@pytest.mark.parametrize("field, corrupt", [
+    ("nu", lambda doc: doc.update(nu=str(doc["nu"]))),
+    ("gamma", lambda doc: doc.update(gamma=str(doc["gamma"]))),
+    ("rho", lambda doc: doc.update(rho=True)),
+    ("alphas", _quote_first_alphas),
+    ("support_vectors", lambda doc: doc["support_vectors"][0].__setitem__(0, False)),
+    ("scaling", lambda doc: _first_scaling(doc).update(min=False, max=True,
+                                                       degenerate=False)),
+], ids=["nu-text", "gamma-text", "rho-bool", "alphas-text-and-bool",
+        "support-vector-bool", "scaling-bools"])
+@pytest.mark.parametrize("command", ["surrogate", "plot"])
+def test_model_json_with_a_non_number_exits_2(tmp_path, capsys, command, field, corrupt):
+    cfg = _write_config(tmp_path, synth.two_blobs())
+    assert main(["extract", "--config", str(cfg)]) == 0
+    path = tmp_path / "out" / "model.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    corrupt(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg)]) == 2
+    doc = _read_error(capsys, 2)
+    assert doc["error"] == "SchemaError"
+    assert "model.json" in doc["message"] and field in doc["message"]
+    assert "not a number" in doc["message"]
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda doc: doc["scaling"].pop("x"),
     lambda doc: doc["scaling"].update(z=dict(_first_scaling(doc))),
@@ -665,8 +698,17 @@ def test_plot_requires_extract_first(tmp_path, capsys):
                  "columns": ["x", "y"], "rules": [{"state": [], "lower": [0, 0],
                                                    "upper": [1, 1], "n_points": -7}]}),
      "SchemaError"),
+    (json.dumps({"format": "rule-set/1", "target": "non_anomalous", "scaled": False,
+                 "columns": ["x", "y"], "rules": [{"state": [], "lower": ["0.5", 0],
+                                                   "upper": [1, 1], "n_points": 1}]}),
+     "SchemaError"),
+    (json.dumps({"format": "rule-set/1", "target": "non_anomalous", "scaled": False,
+                 "columns": ["x", "y"], "rules": [{"state": [], "lower": [0, 0],
+                                                   "upper": [True, 1], "n_points": 1}]}),
+     "SchemaError"),
 ], ids=["bad-json", "list", "empty", "format-only", "not-utf8", "inverted-bounds",
-        "scaled-string", "negative-period", "nan-bound", "negative-count"])
+        "scaled-string", "negative-period", "nan-bound", "negative-count", "text-bound",
+        "bool-bound"])
 def test_corrupt_rules_json_exits_2(tmp_path, capsys, text, error):
     cfg = _write_config(tmp_path, synth.two_blobs())
     assert main(["extract", "--config", str(cfg)]) == 0

@@ -1,0 +1,197 @@
+"""The shared value checks (formats.number, count, strings) and the rule-set
+reader on random documents."""
+
+import json
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ocsvm_rules.errors import ConfigError, SchemaError
+from ocsvm_rules.formats import (
+    TARGET_ANOMALOUS,
+    TARGET_NON_ANOMALOUS,
+    CyclicalInfo,
+    Rule,
+    RuleSet,
+    count,
+    number,
+    ruleset_from_json,
+    ruleset_to_json,
+    strings,
+)
+
+
+# ---------------------------------------------------------------------------
+# number, count, strings
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("v", [0, 2, -1.5, 1e300, np.float64(0.25), np.float32(2.0),
+                               np.int64(3), Fraction(1, 4), 10 ** 300],
+                         ids=["zero", "int", "float", "large", "float64", "float32",
+                              "int64", "fraction", "large-int"])
+def test_number_takes_finite_reals_as_floats(v):
+    got = number(v, "x")
+    assert type(got) is float and got == float(v)
+
+
+@pytest.mark.parametrize("v, message", [
+    (True, "x holds True, which is not a number"),
+    (False, "x holds False, which is not a number"),
+    ("0.5", "x holds '0.5', which is not a number"),
+    (None, "x holds None, which is not a number"),
+    ([0.5], "x holds [0.5], which is not a number"),
+    ({}, "x holds {}, which is not a number"),
+    (float("nan"), "x holds a non-finite number"),
+    (float("-inf"), "x holds a non-finite number"),
+    (10 ** 400, "x holds a non-finite number"),  # beyond the float range
+], ids=["true", "false", "text", "null", "list", "object", "nan", "minus-inf", "huge-int"])
+def test_number_refuses_what_is_no_finite_number(v, message):
+    with pytest.raises(ConfigError) as e:
+        number(v, "x")
+    assert str(e.value) == message
+
+
+def test_number_bounds():
+    assert number(0, "x", low=0) == 0.0
+    assert number(1, "x", above=0, high=1) == 1.0
+    for v, bounds, message in [
+        (-1, {"low": 0}, "x must be >= 0, got -1.0"),
+        (0, {"above": 0}, "x must be > 0, got 0.0"),
+        (1.5, {"above": 0, "high": 1}, "x must be > 0 and <= 1, got 1.5"),
+        (0.0, {"above": 0, "high": 1}, "x must be > 0 and <= 1, got 0.0"),
+    ]:
+        with pytest.raises(ConfigError) as e:
+            number(v, "x", **bounds)
+        assert str(e.value) == message
+
+
+def test_count_takes_integers_from_the_minimum():
+    assert count(np.int64(3), "n", 1) == 3 and type(count(np.int64(3), "n", 1)) is int
+    assert count(0, "n", 0) == 0
+    assert count(2 ** 80, "n", 2) == 2 ** 80
+    for bad in (True, 2.0, "3", None, np.float64(3.0), 0):
+        with pytest.raises(ConfigError, match=r"^n must be an integer >= 1, got "):
+            count(bad, "n", 1)
+
+
+def test_strings_takes_lists_of_text():
+    assert strings(["a", "b"], "c") == ["a", "b"]
+    assert strings(["a", "b"], "c", 2) == ["a", "b"]
+    for bad in ("ab", ("a",), ["a", 1], None, ["a"]):
+        with pytest.raises(ConfigError, match="^c must be a list of 2 strings"):
+            strings(bad, "c", 2)
+
+
+# ---------------------------------------------------------------------------
+# Rule-set documents
+# ---------------------------------------------------------------------------
+
+_CYCLICAL = {"h": CyclicalInfo(period=24.0, sin_col="h_sin", cos_col="h_cos")}
+_RULESET = RuleSet(
+    target=TARGET_NON_ANOMALOUS, scaled=False, columns=("h_sin", "h_cos", "v"),
+    rules=(Rule(state=(("m", "on"), ("site", "a")), columns=("h_sin", "h_cos", "v"),
+                lower=(-1.0, 0.0, 2.5), upper=(0.5, 1.0, 3.0), n_points=4),
+           Rule(state=(("m", "off"), ("site", "a")), columns=("h_sin", "h_cos", "v"),
+                lower=(0.0, -0.5, 1.0), upper=(1.0, 0.5, 1.0), n_points=1)),
+    cyclical=_CYCLICAL)
+
+# what a mutation puts in place of a node
+_ODD_VALUES = [float("nan"), float("inf"), "x", "0.5", "", True, False, None, 0, -1, 2,
+               0.75, [], [0.5], ["m", "on"], {}]
+
+
+def _paths(node, path=()):
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _is_slot(path) -> bool:
+    """Whether the reader needs a number at path: a bound, a count or a period."""
+    return (len(path) == 4 and path[0] == "rules" and path[2] in ("lower", "upper")
+            or len(path) == 3 and path[0] == "rules" and path[2] == "n_points"
+            or len(path) == 3 and path[0] == "cyclical" and path[2] == "period")
+
+
+@st.composite
+def _mutated_ruleset_docs(draw):
+    doc = json.loads(ruleset_to_json(_RULESET))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(doc))
+        if draw(st.booleans()):
+            paths = [p for p in paths if _is_slot(p)] or paths
+        if draw(st.integers(0, 3)) == 0:
+            path = draw(st.sampled_from([p for p in paths
+                                         if isinstance(_at(doc, p[:-1]), dict)] or paths))
+            node = _at(doc, path[:-1])
+            if isinstance(node, dict):
+                del node[path[-1]]
+        else:
+            path = draw(st.sampled_from(paths))
+            _at(doc, path[:-1])[path[-1]] = draw(st.sampled_from(_ODD_VALUES))
+    return doc
+
+
+def _holds_a_non_number(doc) -> bool:
+    return any(type(_at(doc, p)) not in (int, float) for p in _paths(doc) if _is_slot(p))
+
+
+@settings(max_examples=300)
+@given(_mutated_ruleset_docs())
+def test_ruleset_reader_takes_only_well_typed_documents(doc):
+    text = json.dumps(doc)
+    try:
+        rs = ruleset_from_json(text)
+    except SchemaError:
+        return
+    assert not _holds_a_non_number(doc)
+    assert type(rs.scaled) is bool
+    assert all(type(c) is str for c in rs.columns)
+    for r in rs.rules:
+        assert all(type(v) is float and math.isfinite(v) for v in r.lower + r.upper)
+        assert type(r.n_points) is int and r.n_points >= 1
+        assert all(len(pair) == 2 and all(type(x) is str for x in pair) for pair in r.state)
+    assert ruleset_from_json(ruleset_to_json(rs)) == rs
+
+
+_names = st.text(min_size=1, max_size=4)
+
+
+@st.composite
+def _rulesets(draw):
+    columns = tuple(draw(st.lists(_names, min_size=1, max_size=3, unique=True)))
+    state_columns = draw(st.lists(_names, max_size=2, unique=True))
+    rules = []
+    for _ in range(draw(st.integers(0, 4))):
+        ends = [sorted(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                     min_size=2, max_size=2))) for _ in columns]
+        rules.append(Rule(state=tuple((c, draw(_names)) for c in state_columns),
+                          columns=columns, lower=tuple(lo for lo, _ in ends),
+                          upper=tuple(hi for _, hi in ends),
+                          n_points=draw(st.integers(1, 10 ** 6))))
+    cyclical = {}
+    if len(columns) >= 2 and draw(st.booleans()):
+        cyclical[draw(_names)] = CyclicalInfo(
+            period=draw(st.floats(1e-3, 1e6)), sin_col=columns[0], cos_col=columns[1])
+    return RuleSet(target=draw(st.sampled_from([TARGET_NON_ANOMALOUS, TARGET_ANOMALOUS])),
+                   scaled=draw(st.booleans()), columns=columns, rules=tuple(rules),
+                   cyclical=cyclical)
+
+
+@given(_rulesets())
+def test_ruleset_json_round_trip(rs):
+    text = ruleset_to_json(rs)
+    back = ruleset_from_json(text)
+    assert back == rs
+    assert ruleset_to_json(back) == text

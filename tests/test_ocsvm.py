@@ -103,6 +103,11 @@ def test_kernel_matrix_peak_memory_is_one_result():
 def test_kernel_params_validation():
     with pytest.raises(ConfigError):
         KernelParams(gamma=0.0)
+    # a bool or text is no gamma, even where float() would take it
+    for bad in (True, "0.5", float("nan"), 10 ** 400):
+        with pytest.raises(ConfigError, match="gamma"):
+            KernelParams(gamma=bad)
+    assert KernelParams(gamma=np.float32(0.5)).gamma == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +202,14 @@ def test_stopping_settings_are_checked(setting):
     X = synth.gaussian_cloud(50, seed=4)
     with pytest.raises(ConfigError):
         fit(X, nu=0.2, kernel=KernelParams(gamma=0.2), **setting)
+
+
+@pytest.mark.parametrize("nu", [True, "0.5", float("nan")])
+def test_nu_must_be_a_number(nu):
+    # nu=True used to fit as nu=1, and nu="0.5" to raise a bare TypeError
+    X = synth.gaussian_cloud(50, seed=4)
+    with pytest.raises(ConfigError, match="nu"):
+        fit(X, nu=nu, kernel=KernelParams(gamma=0.2))
 
 
 def test_non_convergence_carries_diagnostics():
@@ -542,11 +555,26 @@ _MODEL_DOC = {
 }
 
 # What a mutation puts in place of a node: non-finite numbers, text, bools,
-# null and small integers. A list or object in place of a scaling bound is
-# left out: the former reader let numpy judge it (and took a list whose shape
-# fit), the new one rejects it as not a number.
+# null, small integers, lists and an object.
 _ODD_VALUES = [float("nan"), float("inf"), -float("inf"), "x", "1.5", "", True, False,
-               None, 0, -1, 2]
+               None, 0, -1, 2, [], [0.5], {}]
+
+
+def _is_slot(doc, path) -> bool:
+    """Whether the model needs a number at path: rho, nu, gamma, n_train, an
+    alpha, a support-vector entry (or a row that is not a list), a scaling
+    bound or a cyclical period."""
+    head, n = path[0], len(path)
+    return (n == 1 and head in ("rho", "nu", "gamma", "n_train")
+            or head == "alphas" and n == 2
+            or head == "support_vectors" and (n == 3 or n == 2
+                                              and not isinstance(_at(doc, path), list))
+            or head == "scaling" and n == 3 and path[2] in ("min", "max")
+            or path[:2] == ("schema", "cyclical") and n == 4 and path[3] == "period")
+
+
+def _number_slots(doc) -> list:
+    return [_at(doc, p) for p in _paths(doc) if _is_slot(doc, p)]
 
 
 def _paths(node, path=()):
@@ -568,8 +596,9 @@ def _at(doc, path):
 def _mutated_model_docs(draw):
     doc = json.loads(json.dumps(_MODEL_DOC))
     for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(["delete", "replace", "rows", "n_train"]))
+        kind = draw(st.sampled_from(["delete", "replace", "slot", "rows", "n_train"]))
         paths = list(_paths(doc))
+        slots = [p for p in paths if _is_slot(doc, p)]
         if kind == "delete":
             dict_paths = [p for p in paths if isinstance(_at(doc, p[:-1]), dict)]
             if dict_paths:
@@ -578,6 +607,12 @@ def _mutated_model_docs(draw):
         elif kind == "replace" and paths:
             path = draw(st.sampled_from(paths))
             _at(doc, path[:-1])[path[-1]] = draw(st.sampled_from(_ODD_VALUES))
+        elif kind == "slot" and slots:
+            path = draw(st.sampled_from(slots))
+            # often text, a bool or a list that the former reader took as a number
+            _at(doc, path[:-1])[path[-1]] = draw(st.one_of(
+                st.sampled_from(["0.5", True, False, [0.5]]), st.sampled_from(_ODD_VALUES),
+                st.floats(-3, 3)))
         elif kind == "rows" and isinstance(doc.get("support_vectors"), list):
             rows = doc["support_vectors"]
             i = draw(st.integers(0, len(rows)))
@@ -612,18 +647,52 @@ def _read(reader, text):
         return None, str(e)
 
 
+def _is_number(v) -> bool:
+    return type(v) in (int, float)  # a bool's type is bool
+
+
+def _scalars(values, size=None) -> bool:
+    return (isinstance(values, list) and not any(isinstance(v, list) for v in values)
+            and (size is None or len(values) == size))
+
+
+def _well_shaped(doc) -> bool:
+    """Whether support_vectors and alphas, where present, have the shape the
+    reader needs: one list of n_features scalars (as the schema counts
+    them) per alpha, and a non-empty list of scalar alphas."""
+    try:
+        schema = doc["schema"]
+        n_features = len(tuple(schema["numerical"])) + sum(
+            len(tuple(schema["levels"][c])) for c in schema["categorical"])
+    except (KeyError, TypeError, AttributeError):
+        return True  # both readers stop at the schema
+    rows, alphas = doc.get("support_vectors", []), doc.get("alphas")
+    return (isinstance(rows, list) and all(_scalars(r, n_features) for r in rows)
+            and (alphas is None and "alphas" not in doc
+                 or _scalars(alphas, len(rows)) and len(alphas) > 0))
+
+
 @settings(max_examples=400)
 @given(_mutated_model_docs())
 def test_model_reader_decides_as_the_former_reader(text):
-    # model_from_json checks with formats.model_doc, which report also calls
+    # model_from_json checks with formats.model_doc, which report also calls.
+    # The former reader let float() and numpy judge the number slots, and so
+    # took text such as "1.5", bools and lists whose shape fit. The new one
+    # refuses whatever the former refused, and takes only JSON numbers in a
+    # number slot. Refusals agree on the message unless a number slot holds
+    # a non-number or the support vectors or alphas are off their shape.
     want, want_msg = _read(model_reference.model_from_json, text)
     got, got_msg = _read(model_from_json, text)
-    if want_msg is not None and want_msg.startswith("ufunc 'isfinite' not supported"):
-        # numpy's message for a scaling bound that is not a number
-        assert got_msg == "scaling holds a value that is not a number"
-        return
-    assert got_msg == want_msg
-    if want is not None:
+    doc = json.loads(text)
+    numbers_only = all(map(_is_number, _number_slots(doc)))
+    if want is None:
+        assert got is None
+        if numbers_only and _well_shaped(doc):
+            assert got_msg == want_msg
+    elif not numbers_only:
+        assert got is None, "took a non-number the former reader took"
+    else:
+        assert got is not None, got_msg
         for f in dataclasses.fields(want):
             a, b = getattr(got, f.name), getattr(want, f.name)
             if isinstance(b, np.ndarray):

@@ -582,13 +582,34 @@ def test_ruleset_json_rejects_an_infinite_count():
     ("lower", [float("nan")]), ("upper", [float("inf")]),
     ("lower", [float("-inf")]), ("n_points", -7), ("n_points", 0),
     ("n_points", True), ("n_points", 2.5), ("n_points", "3"),
+    ("lower", ["0.5"]), ("upper", [True]),
 ], ids=["lower-nan", "upper-inf", "lower-minus-inf", "n_points-negative",
-        "n_points-zero", "n_points-bool", "n_points-fraction", "n_points-string"])
+        "n_points-zero", "n_points-bool", "n_points-fraction", "n_points-string",
+        "lower-text", "upper-bool"])
 def test_ruleset_json_rejects_what_no_cluster_gives(field, value):
-    # every box is the bounding box of a non-empty cluster: finite bounds
-    # and at least one point
+    # every box is the bounding box of a non-empty cluster: bounds that are
+    # finite JSON numbers and at least one point
     doc = _one_rule_doc()
     assert ruleset_from_json(json.dumps(doc)).rules[0].n_points == 3
     doc["rules"][0][field] = value
+    with pytest.raises(SchemaError):
+        ruleset_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("change", [
+    lambda doc: doc.update(columns="x"),
+    lambda doc: doc["rules"][0].update(state=["mo"]),
+    lambda doc: doc["rules"][0].update(state=[["m", 5]]),
+    lambda doc: doc["rules"][0].update(state="mo"),
+    lambda doc: doc["rules"][0].update(state=[["m", "o", "n"]]),
+], ids=["columns-text", "state-pair-text", "state-int-token", "state-text",
+        "state-triple"])
+def test_ruleset_json_wants_lists_of_strings(change):
+    # text is no list: "x" used to read as the columns ("x",), the state
+    # ["mo"] as the pair ("m", "o"), and the int token 5 matched no row
+    doc = _one_rule_doc()
+    doc["rules"][0]["state"] = [["m", "on"]]
+    assert ruleset_from_json(json.dumps(doc)).rules[0].state == (("m", "on"),)
+    change(doc)
     with pytest.raises(SchemaError):
         ruleset_from_json(json.dumps(doc))
