@@ -19,8 +19,9 @@ Imports. Importing this module loads the standard library, errors and the
 numpy-free formats module only. extract, surrogate and plot need numpy: each
 binds the names it calls from the dataset, ocsvm and rules, surrogate or
 plotting modules when it starts, so surrogate and plot never load the
-k-means code. report reads JSON and text and never loads numpy, which would
-be most of its run time as a process.
+k-means code. report reads only the JSON artifacts, with the rule text of
+each rule set rendered from its rules_*.json, and never loads numpy, which
+would be most of its run time as a process.
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ from .errors import (
     SchemaError, SolverConvergenceError,
 )
 from .formats import (
-    BOX_ALL, TARGET_ANOMALOUS, TARGET_NON_ANOMALOUS, ExtractionConfig, KernelParams,
-    count, model_doc, number, ruleset_from_json, ruleset_to_json, ruleset_to_text,
-    state_text, strings,
+    TARGET_ANOMALOUS, TARGET_NON_ANOMALOUS, ExtractionConfig, KernelParams, count,
+    json_text, model_doc, model_to_json, number, ruleset_from_json, ruleset_to_json,
+    ruleset_to_text, state_text, strings,
 )
 
 # The names the commands call from numpy-backed modules. _bind puts a module's
@@ -49,11 +50,11 @@ from .formats import (
 # encode_matrix is not called here, but perfbench/tracing.py wraps it here.
 _LAZY = {
     "dataset": ("encode_matrix", "expand_numeric_names", "load_csv"),
-    "ocsvm": ("fit_dataset", "model_from_json", "model_to_json", "split_by_prediction"),
+    "ocsvm": ("fit_dataset", "model_from_json", "split_by_prediction"),
     "plotting": ("scatter_rules_svg",),
     "rules": ("extract_rule_sets",),
-    "surrogate": ("fit_surrogate", "training_accuracy", "tree_rule_to_text",
-                  "tree_stats", "tree_to_json", "tree_to_rules"),
+    "surrogate": ("fit_surrogate", "tree_rule_to_text", "tree_stats", "tree_to_json",
+                  "tree_to_rules"),
 }
 
 
@@ -74,6 +75,11 @@ def __getattr__(name):
 
 
 _SUFFIX = {TARGET_NON_ANOMALOUS: "na", TARGET_ANOMALOUS: "a"}
+# The config keys that set ExtractionConfig fields: each extraction key names
+# its field, and each kmeans key maps to one.
+_EXTRACTION_KEYS = ("discard_factor", "box_mode", "n_v", "max_clusters",
+                    "literal_cluster_threshold", "per_group_min_check")
+_KMEANS_KEYS = {"seed": "seed", "n_init": "n_init", "max_iter": "kmeans_max_iter"}
 _TARGET_ALIASES = {
     "na": TARGET_NON_ANOMALOUS,
     "a": TARGET_ANOMALOUS,
@@ -170,19 +176,15 @@ def load_config(path: str, *, target: str | None = None, out: str | None = None,
         if canonical not in targets:
             targets.append(canonical)
 
-    # ExtractionConfig checks every one of these settings
-    extraction = ExtractionConfig(
-        discard_factor=(ex.get("discard_factor", 1.0) if discard_factor is None
-                        else discard_factor),
-        box_mode=box_mode or ex.get("box_mode", BOX_ALL),
-        n_v=ex.get("n_v"),
-        max_clusters=ex.get("max_clusters"),
-        literal_cluster_threshold=ex.get("literal_cluster_threshold", False),
-        per_group_min_check=ex.get("per_group_min_check", False),
-        seed=km.get("seed", 0),
-        n_init=km.get("n_init", 10),
-        kmeans_max_iter=km.get("max_iter", 100),
-    )
+    # ExtractionConfig holds the defaults of the settings left out, and checks
+    # every setting given
+    settings = {key: ex[key] for key in _EXTRACTION_KEYS if key in ex}
+    settings.update({field: km[key] for key, field in _KMEANS_KEYS.items() if key in km})
+    if discard_factor is not None:
+        settings["discard_factor"] = discard_factor
+    if box_mode:
+        settings["box_mode"] = box_mode
+    extraction = ExtractionConfig(**settings)
 
     plot = _section(raw, "plot")
     plot_columns = plot.get("columns")
@@ -308,8 +310,7 @@ def cmd_extract(args) -> int:
         print("extract %s: %.2fs, %d rules" % (target, time.perf_counter() - t0,
                                                result.stats["n_rules"]),
               file=sys.stderr)
-    _write(cfg.output_dir / "extract_stats.json",
-           json.dumps(stats, indent=2, sort_keys=True) + "\n")
+    _write(cfg.output_dir / "extract_stats.json", json_text(stats))
     return 0
 
 
@@ -319,24 +320,15 @@ def cmd_surrogate(args) -> int:
     d = _load_dataset(cfg)
     model = _load_model(cfg, d)
     t0 = time.perf_counter()
-    tree, names, M, y = fit_surrogate(d, model)
-    acc = training_accuracy(tree, M, y)
+    tree, names = fit_surrogate(d, model)
     st = tree_stats(tree)
-    rules = tree_to_rules(tree, names)
-    per_class = {}
-    for r in rules:
-        per_class[str(r.label)] = per_class.get(str(r.label), 0) + 1
     print("surrogate: %.2fs, depth %d, %d leaves, accuracy %.4f"
-          % (time.perf_counter() - t0, st["depth"], st["n_leaves"], acc),
-          file=sys.stderr)
+          % (time.perf_counter() - t0, st["depth"], st["n_leaves"],
+             st["training_accuracy"]), file=sys.stderr)
     _write(cfg.output_dir / "tree.json", tree_to_json(tree, names))
     _write(cfg.output_dir / "tree_rules.txt",
-           "".join(tree_rule_to_text(r) + "\n" for r in rules))
-    doc = dict(st)
-    doc["training_accuracy"] = acc
-    doc["rules_per_class"] = per_class
-    _write(cfg.output_dir / "surrogate_stats.json",
-           json.dumps(doc, indent=2, sort_keys=True) + "\n")
+           "".join(tree_rule_to_text(r) + "\n" for r in tree_to_rules(tree, names)))
+    _write(cfg.output_dir / "surrogate_stats.json", json_text(st))
     return 0
 
 
@@ -392,6 +384,17 @@ def _extraction_summary(doc: dict):
     return doc, lines
 
 
+def _rules_summary(name: str, rs):
+    """Entry and lines for a rule set: its counts, then its rules as text."""
+    per_state: dict = {}
+    for r in rs.rules:
+        key = state_text(r.state)
+        per_state[key] = per_state.get(key, 0) + 1
+    entry = {"n_rules": len(rs.rules), "columns": list(rs.columns), "per_state": per_state}
+    head = "%s: %d rules over %s" % (name, len(rs.rules), ", ".join(rs.columns))
+    return entry, [head] + ["  " + line for line in ruleset_to_text(rs).splitlines()]
+
+
 def _surrogate_summary(doc: dict):
     return doc, ["surrogate: depth=%d leaves=%d accuracy=%.4f"
                  % (doc.get("depth", 0), doc.get("n_leaves", 0),
@@ -413,42 +416,17 @@ def cmd_report(args) -> int:
 
     report["rules"] = {}
     for suffix in ("na", "a"):
-        path = out / ("rules_%s.json" % suffix)
-        try:
-            rs = ruleset_from_json(path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            report["rules"][suffix] = {"status": "missing"}
-            continue
-        except Exception as e:
-            report["rules"][suffix] = {"status": "unreadable: %s" % e}
-            lines.append("rules %s: unreadable (%s)" % (suffix, e))
-            continue
-        per_state: dict = {}
-        for r in rs.rules:
-            key = state_text(r.state)
-            per_state[key] = per_state.get(key, 0) + 1
-        report["rules"][suffix] = {
-            "n_rules": len(rs.rules),
-            "columns": list(rs.columns),
-            "per_state": per_state,
-        }
-        lines.append("rules %s: %d rules over %s"
-                     % (suffix, len(rs.rules), ", ".join(rs.columns)))
-        try:
-            text = (out / ("rules_%s.txt" % suffix)).read_text(encoding="utf-8")
-        except OSError:
-            continue
-        except UnicodeDecodeError as e:
-            report["rules"][suffix]["text"] = "unreadable: %s" % e
-            lines.append("rules %s text: unreadable (%s)" % (suffix, e))
-            continue
-        lines += ["  " + line for line in text.splitlines()]
+        name = "rules " + suffix
+        report["rules"][suffix], section = _summarise(
+            out / ("rules_%s.json" % suffix), name,
+            lambda rs: _rules_summary(name, rs), ruleset_from_json)
+        lines += section
 
     report["surrogate"], section = _summarise(out / "surrogate_stats.json",
                                               "surrogate", _surrogate_summary)
     lines += section
 
-    _write(out / "report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write(out / "report.json", json_text(report))
     _write(out / "report.txt", "".join(line + "\n" for line in lines))
     return 0
 

@@ -1,5 +1,5 @@
 """The artifact and config formats, in pure Python: rule sets and their JSON
-and text, the model document's checks, the preprocessing a model carries
+and text, the model document and its checks, the preprocessing a model carries
 (``FeatureSchema``, ``ScalingParams``, ``CyclicalInfo``) and the extraction
 settings (``ExtractionConfig``). No numpy here, so ``report``, which only
 reads artifacts, starts without it; the computing modules import these back.
@@ -7,7 +7,8 @@ reads artifacts, starts without it; the computing modules import these back.
 This module owns the value checks every reader and API entry point shares:
 ``number`` (a finite real number within bounds), ``count`` (an integer from a
 minimum) and ``strings`` (a list of strings). Configs, artifacts and the fitting
-functions call them, so one value is judged the same way everywhere.
+functions call them, so one value is judged the same way everywhere. Every
+JSON artifact gets its layout from ``json_text``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,12 @@ BOX_FARTHEST = "farthest"
 
 RULESET_FORMAT = "rule-set/1"
 MODEL_FORMAT = "ocsvm-model/1"
+
+
+def json_text(doc) -> str:
+    """The text of a JSON artifact: doc with sorted keys, indented by 2, and a
+    final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def number(v, what: str, *, low=None, above=None, high=None) -> float:
@@ -158,18 +165,45 @@ class KernelParams:
 # The model document
 # ---------------------------------------------------------------------------
 
+def model_to_json(m) -> str:
+    """The ocsvm-model document of m, an OcsvmModel fitted with its preprocessing."""
+    if m.schema is None or m.scaling is None:
+        raise ConfigError("only models with attached preprocessing serialize")
+    return json_text({
+        "format": MODEL_FORMAT,
+        "nu": m.nu,
+        "gamma": m.kernel.gamma,
+        "rho": m.rho,
+        "n_train": m.n_train,
+        "alphas": [float(a) for a in m.alphas],
+        "support_vectors": [[float(v) for v in row] for row in m.support_vectors],
+        "schema": {
+            "numerical": list(m.schema.numerical),
+            "categorical": list(m.schema.categorical),
+            "levels": {c: list(toks) for c, toks in m.schema.levels.items()},
+            "cyclical": cyclical_to_doc(m.schema.cyclical),
+        },
+        "scaling": {
+            c: {"min": sc.min, "max": sc.max, "degenerate": sc.degenerate}
+            for c, sc in m.scaling.per_column.items()
+        },
+    })
+
+
 def model_doc(text: str) -> dict:
     """The checked fields of an ocsvm-model document; SchemaError for any other text.
 
     A number here is a JSON int or float, not a bool, and finite: rho, nu,
     gamma (> 0), each alpha, each support-vector entry and each scaling
-    bound must be one. The alphas are a non-empty list, the support vectors
-    one list of n_features numbers per alpha, and n_train an integer >= 2
-    and >= the support-vector count. The scaling holds exactly the numerical
-    columns, each degenerate exactly when min == max. The checks run in the
-    former numpy reader's order, so a document it refused for any other
-    fault gets the same message. The result holds OcsvmModel's fields, the
-    support vectors and alphas as the document's lists.
+    bound must be one. The numerical and categorical columns and each
+    column's levels are lists of strings. The alphas are a non-empty list,
+    the support vectors one list of n_features numbers per alpha, and
+    n_train an integer >= 2 and >= the support-vector count. The scaling
+    holds exactly the numerical columns, each degenerate exactly when
+    min == max. The checks run in the former numpy reader's order, so a
+    document it refused for any other fault gets the same message. The
+    result holds OcsvmModel's fields, the support vectors and alphas as the
+    document's lists.
     """
     try:
         doc = json.loads(text)
@@ -177,11 +211,13 @@ def model_doc(text: str) -> dict:
             raise SchemaError("expected a JSON object, got %s" % type(doc).__name__)
         if doc.get("format") != MODEL_FORMAT:
             raise SchemaError("unsupported model format: %r" % doc.get("format"))
+        sd = doc["schema"]
         schema = FeatureSchema(
-            numerical=tuple(doc["schema"]["numerical"]),
-            categorical=tuple(doc["schema"]["categorical"]),
-            levels={c: tuple(toks) for c, toks in doc["schema"]["levels"].items()},
-            cyclical=cyclical_from_doc(doc["schema"].get("cyclical", {})),
+            numerical=tuple(strings(sd["numerical"], "schema.numerical")),
+            categorical=tuple(strings(sd["categorical"], "schema.categorical")),
+            levels={c: tuple(strings(toks, "levels of %r" % c))
+                    for c, toks in sd["levels"].items()},
+            cyclical=cyclical_from_doc(sd.get("cyclical", {})),
         )
         scaling = ScalingParams(per_column={
             c: ColumnScale(min=s["min"], max=s["max"], degenerate=s["degenerate"])
@@ -370,7 +406,7 @@ def ruleset_to_json(rs: RuleSet) -> str:
             for r in rs.rules
         ],
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json_text(doc)
 
 
 def _rule_from_doc(rd: dict, columns: tuple[str, ...]) -> Rule:

@@ -23,7 +23,6 @@ works in buffers allocated before it starts.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
@@ -41,8 +40,7 @@ from .dataset import (
 )
 from .errors import ConfigError, SolverConvergenceError
 from .formats import (  # noqa: F401 - KernelParams stays importable from here
-    MODEL_FORMAT, FeatureSchema, KernelParams, ScalingParams, count, cyclical_to_doc,
-    model_doc, number,
+    FeatureSchema, KernelParams, ScalingParams, count, model_doc, number,
 )
 
 NON_ANOMALOUS = 1
@@ -356,34 +354,9 @@ def split_by_prediction(d: Dataset, m: OcsvmModel) -> tuple[Dataset, Dataset]:
 # Serialization
 # ---------------------------------------------------------------------------
 
-def model_to_json(m: OcsvmModel) -> str:
-    if m.schema is None or m.scaling is None:
-        raise ConfigError("only models with attached preprocessing serialize")
-    doc = {
-        "format": MODEL_FORMAT,
-        "nu": m.nu,
-        "gamma": m.kernel.gamma,
-        "rho": m.rho,
-        "n_train": m.n_train,
-        "alphas": [float(a) for a in m.alphas],
-        "support_vectors": [[float(v) for v in row] for row in m.support_vectors],
-        "schema": {
-            "numerical": list(m.schema.numerical),
-            "categorical": list(m.schema.categorical),
-            "levels": {c: list(toks) for c, toks in m.schema.levels.items()},
-            "cyclical": cyclical_to_doc(m.schema.cyclical),
-        },
-        "scaling": {
-            c: {"min": sc.min, "max": sc.max, "degenerate": sc.degenerate}
-            for c, sc in m.scaling.per_column.items()
-        },
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
 def model_from_json(text: str) -> OcsvmModel:
-    """Inverse of model_to_json: formats.model_doc checks the text, then the
-    support vectors and alphas become read-only float arrays."""
+    """Inverse of formats.model_to_json: formats.model_doc checks the text,
+    then the support vectors and alphas become read-only float arrays."""
     fields = model_doc(text)
     model = OcsvmModel(**dict(
         fields, support_vectors=np.array(fields["support_vectors"], dtype=np.float64),

@@ -22,13 +22,13 @@ depth of the tree is not bounded by Python's recursion limit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import Dataset, encode_matrix
 from .errors import ConfigError
+from .formats import json_text
 from .ocsvm import ANOMALOUS, NON_ANOMALOUS, OcsvmModel, ensure_expanded, predict_dataset
 
 TREE_FORMAT = "surrogate-tree/1"
@@ -175,20 +175,39 @@ def predict_tree(tree: TreeNode, X) -> np.ndarray:
     return out
 
 
-def tree_stats(tree: TreeNode) -> dict:
-    def walk(node, depth):
+def _leaves(tree: TreeNode):
+    """(leaf, path) for each leaf, left to right, from a stack, not recursion;
+    path holds the (feature, op, threshold) tests from the root down to the
+    leaf, op "<=" for a left turn and ">" for a right one."""
+    stack = [(tree, ())]
+    while stack:
+        node, path = stack.pop()
         if node.is_leaf:
-            return depth, 1, 1
-        dl, ll, nl = walk(node.left, depth + 1)
-        dr, lr, nr = walk(node.right, depth + 1)
-        return max(dl, dr), ll + lr, nl + nr + 1
-    depth, leaves, nodes = walk(tree, 0)
-    return {"depth": depth, "n_leaves": leaves, "n_nodes": nodes}
+            yield node, path
+            continue
+        stack.append((node.right, path + ((node.feature, ">", node.threshold),)))
+        stack.append((node.left, path + ((node.feature, "<=", node.threshold),)))
 
 
-def training_accuracy(tree: TreeNode, X, y) -> float:
-    y = np.asarray(y, dtype=np.int64)
-    return float(np.mean(predict_tree(tree, X) == y))
+def tree_stats(tree: TreeNode) -> dict:
+    """The surrogate_stats.json document of a tree that fit_tree grew.
+
+    Every split has two children, so n_nodes is 2 * n_leaves - 1, and
+    rules_per_class counts the leaves of each prediction. A leaf's counts
+    are the labels of the training rows that predict_tree routes to it, so
+    training_accuracy, the share of rows whose leaf predicts their label,
+    is the leaves' counts of their own prediction over the root's rows.
+    """
+    depth = n_leaves = hits = 0
+    per_class: dict = {}
+    for leaf, path in _leaves(tree):
+        depth = max(depth, len(path))
+        n_leaves += 1
+        hits += dict(leaf.counts)[leaf.prediction]
+        per_class[str(leaf.prediction)] = per_class.get(str(leaf.prediction), 0) + 1
+    return {"depth": depth, "n_leaves": n_leaves, "n_nodes": 2 * n_leaves - 1,
+            "rules_per_class": per_class,
+            "training_accuracy": hits / sum(c for _, c in tree.counts)}
 
 
 # ---------------------------------------------------------------------------
@@ -212,30 +231,23 @@ def tree_to_rules(tree: TreeNode, feature_names) -> tuple:
     """
     feature_names = list(feature_names)
     rules = []
-
-    def walk(node, path):
-        if node.is_leaf:
-            bounds = {}
-            for f, op, v in path:
-                key = (f, op)
-                if op == "<=":
-                    bounds[key] = min(bounds.get(key, np.inf), v)
-                else:
-                    bounds[key] = max(bounds.get(key, -np.inf), v)
-            preds = tuple(
-                (feature_names[f], op, float(v))
-                for (f, op), v in sorted(bounds.items(),
-                                         key=lambda kv: (kv[0][0], kv[0][1] == "<="))
-            )
-            rules.append(TreeRule(
-                label=int(node.prediction),
-                predicates=preds,
-                n_samples=sum(c for _, c in node.counts)))
-            return
-        walk(node.left, path + [(node.feature, "<=", node.threshold)])
-        walk(node.right, path + [(node.feature, ">", node.threshold)])
-
-    walk(tree, [])
+    for leaf, path in _leaves(tree):
+        bounds = {}
+        for f, op, v in path:
+            key = (f, op)
+            if op == "<=":
+                bounds[key] = min(bounds.get(key, np.inf), v)
+            else:
+                bounds[key] = max(bounds.get(key, -np.inf), v)
+        preds = tuple(
+            (feature_names[f], op, float(v))
+            for (f, op), v in sorted(bounds.items(),
+                                     key=lambda kv: (kv[0][0], kv[0][1] == "<="))
+        )
+        rules.append(TreeRule(
+            label=int(leaf.prediction),
+            predicates=preds,
+            n_samples=sum(c for _, c in leaf.counts)))
     return tuple(rules)
 
 
@@ -256,21 +268,19 @@ def tree_rule_to_text(rule: TreeRule) -> str:
 # Fitting against a detector
 # ---------------------------------------------------------------------------
 
-def fit_surrogate(d: Dataset,
-                  model: OcsvmModel) -> tuple[TreeNode, list, np.ndarray, np.ndarray]:
+def fit_surrogate(d: Dataset, model: OcsvmModel) -> tuple[TreeNode, list]:
     """Tree over original-unit features that mimics the model on d.
 
-    Returns (tree, feature names, training matrix, labels); numeric features
-    keep their units so the thresholds read directly, one-hot features split
-    at 0.5. The labels are the model's predictions on d.
+    Returns (tree, feature names); numeric features keep their units so the
+    thresholds read directly, one-hot features split at 0.5. The tree is
+    trained on the model's predictions on d.
     """
     if model.schema is None or model.scaling is None:
         raise ConfigError("model has no attached preprocessing; fit with fit_dataset")
     d_exp = ensure_expanded(d, model.schema)
     y = predict_dataset(model, d_exp)
     M = encode_matrix(d_exp, model.schema)  # unscaled numerics plus one-hot
-    tree = fit_tree(M, y)
-    return tree, model.schema.feature_names(), M, y
+    return fit_tree(M, y), model.schema.feature_names()
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +301,8 @@ def _node_to_doc(node: TreeNode) -> dict:
 
 
 def tree_to_json(tree: TreeNode, feature_names) -> str:
-    doc = {
+    return json_text({
         "format": TREE_FORMAT,
         "features": list(feature_names),
         "root": _node_to_doc(tree),
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    })

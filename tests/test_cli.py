@@ -7,7 +7,8 @@ import pytest
 
 import ocsvm_rules as o
 import ocsvm_rules.ocsvm as ocsvm_module
-from ocsvm_rules.cli import main
+from ocsvm_rules.cli import load_config, main
+from ocsvm_rules.formats import ExtractionConfig, json_text
 from ocsvm_rules.rules import state_text
 
 import synth
@@ -134,6 +135,11 @@ def test_bad_setting_exits_2_and_names_it(tmp_path, capsys, section, key, value)
     assert doc["error"] == "ConfigError"
     assert key in doc["message"]
     assert not (tmp_path / "out").exists()
+
+
+def test_config_without_extraction_settings_takes_the_defaults(tmp_path):
+    cfg = _write_config(tmp_path, synth.two_blobs())
+    assert load_config(str(cfg)).extraction == ExtractionConfig()
 
 
 def test_missing_dataset_file(tmp_path, capsys):
@@ -348,7 +354,7 @@ def test_surrogate_tree_matches_library_fit(tmp_path, capsys):
     assert main(["surrogate", "--config", str(cfg)]) == 0
     model = o.fit_dataset(d, ["x", "y"], [], nu=synth.BLOB_NU,
                           kernel=o.KernelParams(gamma=synth.BLOB_GAMMA))
-    tree, names, _, _ = o.fit_surrogate(d, model)
+    tree, names = o.fit_surrogate(d, model)
     expected = o.tree_to_json(tree, names)
     assert (tmp_path / "out" / "tree.json").read_text(encoding="utf-8") == expected
 
@@ -484,6 +490,32 @@ def test_model_json_with_a_non_number_exits_2(tmp_path, capsys, command, field, 
     assert "not a number" in doc["message"]
 
 
+# text where the schema wants a list of strings, which the former reader took
+# as the list of its characters; one-letter columns make such text fit the config
+@pytest.mark.parametrize("slot", ["numerical", "categorical", "levels"])
+@pytest.mark.parametrize("command", ["surrogate", "plot"])
+def test_model_json_with_text_for_a_list_exits_2(tmp_path, capsys, command, slot):
+    g = synth.grouped_dataset()
+    d = o.Dataset(columns=(("x", o.NUMERICAL), ("y", o.NUMERICAL), ("m", o.CATEGORICAL)),
+                  data={"x": g.data["x"], "y": g.data["y"], "m": g.data["mode"]},
+                  rows=g.rows)
+    cfg = _write_config(tmp_path, d, columns={"numerical": ["x", "y"], "categorical": ["m"]},
+                        ocsvm={"nu": 0.05, "gamma": 15.0})
+    assert main(["extract", "--config", str(cfg)]) == 0
+    path = tmp_path / "out" / "model.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    if slot == "levels":
+        doc["schema"]["levels"]["m"] = "no"
+    else:
+        doc["schema"][slot] = "".join(doc["schema"][slot])  # "xy" or "m"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg)]) == 2
+    doc = _read_error(capsys, 2)
+    assert doc["error"] == "SchemaError"
+    assert "model.json" in doc["message"] and "list of strings" in doc["message"]
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda doc: doc["scaling"].pop("x"),
     lambda doc: doc["scaling"].update(z=dict(_first_scaling(doc))),
@@ -544,6 +576,7 @@ def test_report_with_no_artifacts_still_succeeds(tmp_path, capsys):
     assert report["model"] == {"status": "missing"}
     assert report["extraction"] == {"status": "missing"}
     assert report["rules"]["na"] == {"status": "missing"}
+    assert "rules a: missing" in (tmp_path / "out" / "report.txt").read_text(encoding="utf-8")
 
 
 def test_report_summarizes_artifacts(tmp_path, capsys):
@@ -581,6 +614,8 @@ def test_report_isolates_corrupt_artifacts(tmp_path, capsys):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["rules"]["na"]["status"].startswith("unreadable")
     assert report["model"]["n_train"] == 121  # other sections unaffected
+    txt = (tmp_path / "out" / "report.txt").read_text(encoding="utf-8")
+    assert "rules na: unreadable: " in txt
 
     (tmp_path / "out" / "model.json").write_text("{}", encoding="utf-8")
     (tmp_path / "out" / "extract_stats.json").write_text("[1]", encoding="utf-8")
@@ -611,18 +646,23 @@ def test_report_reads_the_model_as_surrogate_does(tmp_path, capsys, fields):
     assert "model: unreadable" in (tmp_path / "out" / "report.txt").read_text(encoding="utf-8")
 
 
-def test_report_survives_rules_text_that_is_not_utf8(tmp_path, capsys):
+@pytest.mark.parametrize("change", ["deleted", "garbled"])
+def test_report_renders_rule_text_from_the_json(tmp_path, capsys, change):
     cfg = _write_config(tmp_path, synth.two_blobs())
     assert main(["extract", "--config", str(cfg), "--target", "both"]) == 0
-    (tmp_path / "out" / "rules_na.txt").write_bytes(b"\xff\xfe")
     assert main(["report", "--config", str(cfg)]) == 0
-    report = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert report["rules"]["na"]["n_rules"] == 2  # the JSON rules still count
-    assert report["rules"]["na"]["text"].startswith("unreadable")
-    assert "text" not in report["rules"]["a"]
-    txt = (tmp_path / "out" / "report.txt").read_text(encoding="utf-8")
-    assert "rules na text: unreadable" in txt
-    assert "  OUTLIER IF " in txt  # the anomalous rules text is still shown
+    out = tmp_path / "out"
+    names = ("report.json", "report.txt")
+    want = [(out / name).read_bytes() for name in names]
+    assert "  OUTLIER IF " in want[1].decode("utf-8")
+    for suffix in ("na", "a"):
+        path = out / ("rules_%s.txt" % suffix)
+        if change == "deleted":
+            path.unlink()
+        else:
+            path.write_bytes(b"\xff\xfe")
+    assert main(["report", "--config", str(cfg)]) == 0
+    assert [(out / name).read_bytes() for name in names] == want
 
 
 def _grouped_config(tmp_path):
@@ -647,6 +687,20 @@ def test_report_counts_rules_per_state_text(tmp_path, capsys, grouped):
         assert set(per_state) == {"mode=off", "mode=on"}
     else:
         assert set(per_state) == {"<none>"}
+
+
+def test_every_json_artifact_has_the_one_layout(tmp_path, capsys):
+    cfg = _grouped_config(tmp_path)
+    for argv in (["extract", "--target", "both"], ["surrogate"], ["report"]):
+        assert main(argv + ["--config", str(cfg)]) == 0, argv
+    written = sorted((tmp_path / "out").glob("*.json"))
+    assert [p.name for p in written] == [
+        "extract_stats.json", "model.json", "report.json", "rules_a.json",
+        "rules_a_scaled.json", "rules_na.json", "rules_na_scaled.json",
+        "surrogate_stats.json", "tree.json"]
+    for p in written:
+        text = p.read_text(encoding="utf-8")
+        assert json_text(json.loads(text)) == text, p.name
 
 
 def test_report_rerun_is_byte_identical(tmp_path, capsys):

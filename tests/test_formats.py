@@ -1,6 +1,7 @@
 """The shared value checks (formats.number, count, strings) and the rule-set
 reader on random documents."""
 
+import copy
 import json
 import math
 from fractions import Fraction
@@ -101,6 +102,9 @@ _RULESET = RuleSet(
 # what a mutation puts in place of a node
 _ODD_VALUES = [float("nan"), float("inf"), "x", "0.5", "", True, False, None, 0, -1, 2,
                0.75, [], [0.5], ["m", "on"], {}]
+# each draw is a copy: a later mutation inside a drawn list or object must not
+# change the pool, or replaying an example would draw a different document
+_odd_values = st.sampled_from(_ODD_VALUES).map(copy.deepcopy)
 
 
 def _paths(node, path=()):
@@ -139,7 +143,7 @@ def _mutated_ruleset_docs(draw):
                 del node[path[-1]]
         else:
             path = draw(st.sampled_from(paths))
-            _at(doc, path[:-1])[path[-1]] = draw(st.sampled_from(_ODD_VALUES))
+            _at(doc, path[:-1])[path[-1]] = draw(_odd_values)
     return doc
 
 

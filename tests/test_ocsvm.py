@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import tracemalloc
@@ -13,6 +14,7 @@ import synth
 import ocsvm_rules.ocsvm as oc
 from ocsvm_rules.dataset import ColumnScale, FeatureSchema, ScalingParams
 from ocsvm_rules.errors import ConfigError, SchemaError, SolverConvergenceError
+from ocsvm_rules.formats import model_to_json
 from ocsvm_rules.ocsvm import (
     ANOMALOUS,
     NON_ANOMALOUS,
@@ -22,7 +24,6 @@ from ocsvm_rules.ocsvm import (
     fit,
     fit_dataset,
     model_from_json,
-    model_to_json,
     predict_dataset,
     rbf_kernel_matrix,
     split_by_prediction,
@@ -173,7 +174,7 @@ def test_predict_boundary_is_non_anomalous():
     assert predict_dataset(on_boundary, row).tolist() == [NON_ANOMALOUS]
     X_a, X_na = split_by_prediction(row, on_boundary)
     assert (X_a.rows, X_na.rows) == (0, 1)
-    assert fit_surrogate(row, on_boundary)[3].tolist() == [NON_ANOMALOUS]
+    assert fit_surrogate(row, on_boundary)[0].prediction == NON_ANOMALOUS
     labels = predict_dataset(m, synth.matrix_dataset(X, names))
     g = decision_values(m, X)
     assert np.array_equal(labels, np.where(g >= 0, NON_ANOMALOUS, ANOMALOUS))
@@ -558,6 +559,9 @@ _MODEL_DOC = {
 # null, small integers, lists and an object.
 _ODD_VALUES = [float("nan"), float("inf"), -float("inf"), "x", "1.5", "", True, False,
                None, 0, -1, 2, [], [0.5], {}]
+# each draw is a copy: a later mutation inside a drawn list or object must not
+# change the pool, or replaying an example would draw a different document
+_odd_values = st.sampled_from(_ODD_VALUES).map(copy.deepcopy)
 
 
 def _is_slot(doc, path) -> bool:
@@ -606,12 +610,12 @@ def _mutated_model_docs(draw):
                 del _at(doc, path[:-1])[path[-1]]
         elif kind == "replace" and paths:
             path = draw(st.sampled_from(paths))
-            _at(doc, path[:-1])[path[-1]] = draw(st.sampled_from(_ODD_VALUES))
+            _at(doc, path[:-1])[path[-1]] = draw(_odd_values)
         elif kind == "slot" and slots:
             path = draw(st.sampled_from(slots))
             # often text, a bool or a list that the former reader took as a number
             _at(doc, path[:-1])[path[-1]] = draw(st.one_of(
-                st.sampled_from(["0.5", True, False, [0.5]]), st.sampled_from(_ODD_VALUES),
+                st.sampled_from(["0.5", True, False, [0.5]]), _odd_values,
                 st.floats(-3, 3)))
         elif kind == "rows" and isinstance(doc.get("support_vectors"), list):
             rows = doc["support_vectors"]
@@ -622,7 +626,7 @@ def _mutated_model_docs(draw):
             elif change == "drop":
                 del rows[i]
             elif change == "scalar":
-                rows[i] = draw(st.sampled_from(_ODD_VALUES))
+                rows[i] = draw(_odd_values)
             elif not isinstance(rows[i], list):
                 continue
             elif change == "short" and rows[i]:
@@ -656,6 +660,20 @@ def _scalars(values, size=None) -> bool:
             and (size is None or len(values) == size))
 
 
+def _lists_of_strings(doc) -> bool:
+    """Whether schema.numerical, schema.categorical and each levels entry,
+    where the document has them, are lists of strings. The former reader
+    took text there as the list of its characters, and other iterables
+    as the list of their items."""
+    schema = doc.get("schema")
+    if not isinstance(schema, dict):
+        return True
+    levels = schema.get("levels")
+    slots = [schema.get("numerical", []), schema.get("categorical", []),
+             *(levels.values() if isinstance(levels, dict) else ())]
+    return all(isinstance(v, list) and all(isinstance(t, str) for t in v) for v in slots)
+
+
 def _well_shaped(doc) -> bool:
     """Whether support_vectors and alphas, where present, have the shape the
     reader needs: one list of n_features scalars (as the schema counts
@@ -677,20 +695,22 @@ def _well_shaped(doc) -> bool:
 def test_model_reader_decides_as_the_former_reader(text):
     # model_from_json checks with formats.model_doc, which report also calls.
     # The former reader let float() and numpy judge the number slots, and so
-    # took text such as "1.5", bools and lists whose shape fit. The new one
-    # refuses whatever the former refused, and takes only JSON numbers in a
-    # number slot. Refusals agree on the message unless a number slot holds
-    # a non-number or the support vectors or alphas are off their shape.
+    # took text such as "1.5", bools and lists whose shape fit; it also took
+    # text as a list of column names or levels. The new one refuses whatever
+    # the former refused, and takes only JSON numbers in a number slot and
+    # lists of strings in a list slot. Refusals agree on the message unless
+    # a number or list slot holds a value of another type or the support
+    # vectors or alphas are off their shape.
     want, want_msg = _read(model_reference.model_from_json, text)
     got, got_msg = _read(model_from_json, text)
     doc = json.loads(text)
-    numbers_only = all(map(_is_number, _number_slots(doc)))
+    typed = all(map(_is_number, _number_slots(doc))) and _lists_of_strings(doc)
     if want is None:
         assert got is None
-        if numbers_only and _well_shaped(doc):
+        if typed and _well_shaped(doc):
             assert got_msg == want_msg
-    elif not numbers_only:
-        assert got is None, "took a non-number the former reader took"
+    elif not typed:
+        assert got is None, "took a value of another type that the former reader took"
     else:
         assert got is not None, got_msg
         for f in dataclasses.fields(want):

@@ -14,7 +14,6 @@ from ocsvm_rules.surrogate import (
     fit_surrogate,
     fit_tree,
     predict_tree,
-    training_accuracy,
     tree_rule_to_text,
     tree_stats,
     tree_to_json,
@@ -32,7 +31,8 @@ def test_pure_input_gives_single_leaf():
     t = fit_tree([[0.0], [1.0], [2.0]], [5, 5, 5])
     assert t.is_leaf
     assert t.prediction == 5
-    assert tree_stats(t) == {"depth": 0, "n_leaves": 1, "n_nodes": 1}
+    assert tree_stats(t) == {"depth": 0, "n_leaves": 1, "n_nodes": 1,
+                             "rules_per_class": {"5": 1}, "training_accuracy": 1.0}
 
 
 def test_simple_threshold_split():
@@ -59,7 +59,8 @@ def test_distinct_rows_always_fit_exactly():
     X = rng.normal(size=(120, 3))
     y = rng.integers(0, 3, size=120)
     t = fit_tree(X, y)
-    assert training_accuracy(t, X, y) == 1.0
+    assert predict_tree(t, X).tolist() == y.tolist()
+    assert tree_stats(t)["training_accuracy"] == 1.0
 
 
 def test_duplicate_conflicting_rows_take_majority():
@@ -202,18 +203,47 @@ def test_growth_needs_no_recursion_and_little_memory():
     n = sys.getrecursionlimit() + 200
     X = np.arange(n, dtype=np.float64)[:, None]
     y = np.arange(n) % 2
-    assert predict_tree(fit_tree(X, y), X).tolist() == y.tolist()
+    t = fit_tree(X, y)
+    assert predict_tree(t, X).tolist() == y.tolist()
+    # the leaf walk behind the stats and the rules needs no recursion either
+    assert tree_stats(t) == {"depth": n - 1, "n_leaves": n, "n_nodes": 2 * n - 1,
+                             "rules_per_class": {"0": (n + 1) // 2, "1": n // 2},
+                             "training_accuracy": 1.0}
+    rules = tree_to_rules(t, ["x"])
+    assert [r.label for r in rules] == y.tolist()
+    assert rules[-1].predicates == (("x", ">", n - 1.5),)
+
+
+@st.composite
+def _conflicting_rows(draw):
+    # a few distinct rounded rows, each drawn many times with any of three
+    # labels, so that leaves hold rows their prediction gets wrong
+    n_base = draw(st.integers(1, 8))
+    base = draw(st.lists(st.lists(st.floats(-3, 3).map(lambda v: round(v, 1)),
+                                  min_size=2, max_size=2),
+                         min_size=n_base, max_size=n_base))
+    picks = draw(st.lists(st.integers(0, n_base - 1), min_size=1, max_size=60))
+    y = draw(st.lists(st.sampled_from((-1, 1, 7)), min_size=len(picks), max_size=len(picks)))
+    return np.array([base[i] for i in picks]), np.array(y)
+
+
+@given(_conflicting_rows())
+def test_training_accuracy_is_the_share_that_prediction_gets_right(case):
+    X, y = case
+    t = fit_tree(X, y)
+    assert tree_stats(t)["training_accuracy"] == np.mean(predict_tree(t, X) == y)
 
 
 def test_surrogate_mimics_detector(grouped_data, grouped_model):
-    tree, names, M_fit, y_fit = fit_surrogate(grouped_data, grouped_model)
+    tree, names = fit_surrogate(grouped_data, grouped_model)
     d_exp = ensure_expanded(grouped_data, grouped_model.schema)
     y = np.where(dataset_decision_values(grouped_model, d_exp) >= 0,
                  NON_ANOMALOUS, ANOMALOUS)
     M = o.encode_matrix(d_exp, grouped_model.schema)
-    # the matrix and labels it returns are the ones it trained on
-    assert np.array_equal(M_fit, M) and np.array_equal(y_fit, y)
-    assert training_accuracy(tree, M, y) == 1.0
+    # the root counts the detector's labels, and every row reaches a leaf of its label
+    assert dict(tree.counts) == dict(zip(*np.unique(y, return_counts=True)))
+    assert np.array_equal(predict_tree(tree, M), y)
+    assert tree_stats(tree)["training_accuracy"] == 1.0
     assert set(names) == {"x", "y", "mode=off", "mode=on"}
     # both labels appear in the leaf rules
     rules = tree_to_rules(tree, names)
