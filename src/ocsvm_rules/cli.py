@@ -9,8 +9,9 @@ deterministic: rerunning a command over the same inputs rewrites
 byte-identical files. Progress and timings go to stderr; stdout carries
 only the error object on failure.
 
-Exit codes: 0 success, 2 bad configuration or input files, 3 not enough
-data to mine rules, 4 an iterative stage failed to converge. On exit 4 from
+Exit codes: 0 success, 2 bad configuration or input files, a config key
+that names no setting (a misspelt "ocsvm.gama") included, 3 not enough data
+to mine rules, 4 an iterative stage failed to converge. On exit 4 from
 rule extraction the error object also carries last_n_clusters and
 offending_boxes: one [lower, upper] pair per box still contaminated at that
 count, in scaled units and in the rule set's column order.
@@ -80,6 +81,15 @@ _SUFFIX = {TARGET_NON_ANOMALOUS: "na", TARGET_ANOMALOUS: "a"}
 _EXTRACTION_KEYS = ("discard_factor", "box_mode", "n_v", "max_clusters",
                     "literal_cluster_threshold", "per_group_min_check")
 _KMEANS_KEYS = {"seed": "seed", "n_init": "n_init", "max_iter": "kmeans_max_iter"}
+# Every key a config may hold, per section; load_config refuses any other.
+_SECTION_KEYS = {
+    "columns": ("numerical", "categorical", "cyclical"),
+    "ocsvm": ("nu", "gamma", "tol", "max_iter"),
+    "kmeans": tuple(_KMEANS_KEYS),
+    "extraction": _EXTRACTION_KEYS + ("targets",),
+    "plot": ("columns", "width", "height"),
+}
+_TOP_KEYS = ("dataset", "output_dir") + tuple(_SECTION_KEYS)
 _TARGET_ALIASES = {
     "na": TARGET_NON_ANOMALOUS,
     "a": TARGET_ANOMALOUS,
@@ -111,9 +121,15 @@ def _expect(cond: bool, msg: str):
         raise ConfigError(msg)
 
 
+def _known_keys(doc: dict, known, prefix: str = ""):
+    for key in doc:
+        _expect(key in known, "unknown config key %r" % (prefix + key))
+
+
 def _section(raw: dict, key: str) -> dict:
     v = raw.get(key, {})
     _expect(isinstance(v, dict), "config section %r must be an object" % key)
+    _known_keys(v, _SECTION_KEYS[key], key + ".")
     return v
 
 
@@ -137,6 +153,7 @@ def load_config(path: str, *, target: str | None = None, out: str | None = None,
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError("cannot read config: %s" % e) from None
     _expect(isinstance(raw, dict), "config root must be an object")
+    _known_keys(raw, _TOP_KEYS)
     base = p.parent
 
     dataset = raw.get("dataset")

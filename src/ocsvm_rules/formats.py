@@ -342,11 +342,55 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
+# How far a sin or cos value may lie outside a bound and still count as in
+# it: the rounding of math.sin, cos, asin and acos, a few ulps of 1.0.
+_ARC_TOL = 4 * math.ulp(1.0)
+
+
+def _cyclical_arcs(s_lo: float, s_hi: float, c_lo: float, c_hi: float,
+                   period: float) -> list:
+    """The [start, end] intervals of values in [0, period] whose (sin, cos)
+    pair lies in the box, ascending, each with start <= end.
+
+    The circle is cut at 0 and wherever sin or cos meets a bound. Between
+    two cuts every bound holds everywhere or nowhere, so a piece is in the
+    box when its midpoint is; each cut point is tested on its own, which
+    keeps a single value such as one hour. Neighbouring pieces and points in
+    the box merge, and the cut at 0 splits an arc that passes 0.
+    """
+    turn = 2.0 * math.pi
+    cuts = {0.0}
+    for b in (s_lo, s_hi):
+        if -1.0 <= b <= 1.0:
+            cuts.update((math.asin(b), math.pi - math.asin(b)))
+    for b in (c_lo, c_hi):
+        if -1.0 <= b <= 1.0:
+            cuts.update((math.acos(b), -math.acos(b)))
+    # a hair under 0 wraps to a full turn, which is the cut at 0 again
+    cuts = sorted({a % turn for a in cuts} - {turn})
+    arcs: list = []
+    for a, b in zip(cuts, cuts[1:] + [turn]):
+        for lo, hi in ((a, a), (a, b)):  # the cut point, then the piece after it
+            mid = (lo + hi) / 2.0
+            if not (s_lo - _ARC_TOL <= math.sin(mid) <= s_hi + _ARC_TOL
+                    and c_lo - _ARC_TOL <= math.cos(mid) <= c_hi + _ARC_TOL):
+                continue
+            if arcs and arcs[-1][1] == lo:
+                arcs[-1][1] = hi
+            else:
+                arcs.append([lo, hi])
+    return [(lo / turn * period, hi / turn * period) for lo, hi in arcs]
+
+
 def _cyclical_display(rule: Rule, cyclical: dict):
     """Per sin-column rendered text plus the set of columns it consumed.
 
-    The displayed interval comes from decoding the box corners, so it is
-    approximate; the stored bounds stay in (sin, cos) space.
+    A periodic column's (sin, cos) bounds print as the intervals of values
+    in [0, period] whose pair lies in the box, ascending: "hour ≈ [0.0, 2.0]
+    ∪ [22.0, 24.0]" for a box around midnight. A pair counts as in the box
+    up to _ARC_TOL, a few ulps, so each printed end lies within rounding of
+    a value the box admits. A box that admits no value keeps its raw sin and
+    cos bounds; the stored bounds stay in (sin, cos) space.
     """
     rendered, consumed = {}, set()
     idx = {c: k for k, c in enumerate(rule.columns)}
@@ -354,16 +398,12 @@ def _cyclical_display(rule: Rule, cyclical: dict):
         if info.sin_col not in idx or info.cos_col not in idx:
             continue
         si, ci = idx[info.sin_col], idx[info.cos_col]
-        corners = []
-        for s in (rule.lower[si], rule.upper[si]):
-            for c in (rule.lower[ci], rule.upper[ci]):
-                if s == 0.0 and c == 0.0:
-                    continue  # center of the circle decodes to nothing
-                corners.append(cyclical_decode(s, c, info.period))
-        if not corners:
+        arcs = _cyclical_arcs(rule.lower[si], rule.upper[si], rule.lower[ci],
+                              rule.upper[ci], info.period)
+        if not arcs:
             continue
-        rendered[info.sin_col] = "%s ≈ [%s, %s] (period %s)" % (
-            orig, _fmt(min(corners)), _fmt(max(corners)), _fmt(info.period))
+        rendered[info.sin_col] = "%s ≈ %s (period %s)" % (orig, " ∪ ".join(
+            "[%s, %s]" % (_fmt(lo), _fmt(hi)) for lo, hi in arcs), _fmt(info.period))
         consumed.add(info.sin_col)
         consumed.add(info.cos_col)
     return rendered, consumed
@@ -385,7 +425,11 @@ def rule_to_text(rule: Rule, target: str, cyclical: dict | None = None) -> str:
 
 
 def ruleset_to_text(rs: RuleSet) -> str:
-    lines = [rule_to_text(r, rs.target, rs.cyclical) for r in rs.rules]
+    """One rule_to_text line per rule. Only an original-unit set decodes its
+    periodic pairs: a scaled set's bounds are min-max-scaled, not sin and cos,
+    so it prints them as they are."""
+    cyclical = {} if rs.scaled else rs.cyclical
+    lines = [rule_to_text(r, rs.target, cyclical) for r in rs.rules]
     return "".join(line + "\n" for line in lines)
 
 

@@ -49,12 +49,8 @@ class TreeNode:
 
 
 def _majority(counts: tuple) -> int:
-    # highest count wins; equal counts fall to the lowest label
-    best_label, best_count = counts[0]
-    for label, count in counts[1:]:
-        if count > best_count:
-            best_label, best_count = label, count
-    return best_label
+    # highest count wins; max keeps the first of equal counts, the lowest label
+    return max(counts, key=lambda lc: lc[1])[0]
 
 
 def _best_split(XT: np.ndarray, codes: np.ndarray, S: np.ndarray,
@@ -175,18 +171,22 @@ def predict_tree(tree: TreeNode, X) -> np.ndarray:
     return out
 
 
-def _leaves(tree: TreeNode):
-    """(leaf, path) for each leaf, left to right, from a stack, not recursion;
-    path holds the (feature, op, threshold) tests from the root down to the
-    leaf, op "<=" for a left turn and ">" for a right one."""
-    stack = [(tree, ())]
+def _walk(tree: TreeNode):
+    """(node, depth, bounds) for every node in pre-order, from a stack, not
+    recursion. bounds maps each (feature, op) test on the root path, op "<="
+    for a left turn and ">" for a right one, to its tightest threshold; each
+    child gets a copy of its parent's map with one entry replaced."""
+    stack = [(tree, 0, {})]
     while stack:
-        node, path = stack.pop()
+        node, depth, bounds = stack.pop()
+        yield node, depth, bounds
         if node.is_leaf:
-            yield node, path
             continue
-        stack.append((node.right, path + ((node.feature, ">", node.threshold),)))
-        stack.append((node.left, path + ((node.feature, "<=", node.threshold),)))
+        f, v = node.feature, node.threshold
+        stack.append((node.right, depth + 1,
+                      {**bounds, (f, ">"): max(bounds.get((f, ">"), -np.inf), v)}))
+        stack.append((node.left, depth + 1,
+                      {**bounds, (f, "<="): min(bounds.get((f, "<="), np.inf), v)}))
 
 
 def tree_stats(tree: TreeNode) -> dict:
@@ -200,8 +200,10 @@ def tree_stats(tree: TreeNode) -> dict:
     """
     depth = n_leaves = hits = 0
     per_class: dict = {}
-    for leaf, path in _leaves(tree):
-        depth = max(depth, len(path))
+    for leaf, d, _ in _walk(tree):
+        if not leaf.is_leaf:
+            continue
+        depth = max(depth, d)
         n_leaves += 1
         hits += dict(leaf.counts)[leaf.prediction]
         per_class[str(leaf.prediction)] = per_class.get(str(leaf.prediction), 0) + 1
@@ -231,14 +233,9 @@ def tree_to_rules(tree: TreeNode, feature_names) -> tuple:
     """
     feature_names = list(feature_names)
     rules = []
-    for leaf, path in _leaves(tree):
-        bounds = {}
-        for f, op, v in path:
-            key = (f, op)
-            if op == "<=":
-                bounds[key] = min(bounds.get(key, np.inf), v)
-            else:
-                bounds[key] = max(bounds.get(key, -np.inf), v)
+    for leaf, _, bounds in _walk(tree):
+        if not leaf.is_leaf:
+            continue
         preds = tuple(
             (feature_names[f], op, float(v))
             for (f, op), v in sorted(bounds.items(),
@@ -287,17 +284,18 @@ def fit_surrogate(d: Dataset, model: OcsvmModel) -> tuple[TreeNode, list]:
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _node_to_doc(node: TreeNode) -> dict:
-    doc = {
-        "prediction": node.prediction,
-        "counts": [[l, c] for l, c in node.counts],
-    }
-    if not node.is_leaf:
-        doc["feature"] = node.feature
-        doc["threshold"] = node.threshold
-        doc["left"] = _node_to_doc(node.left)
-        doc["right"] = _node_to_doc(node.right)
-    return doc
+def _node_to_doc(tree: TreeNode) -> dict:
+    """The nested document of a tree, built bottom-up from the reversed
+    pre-order, as fit_tree builds its nodes, so no depth hits the recursion
+    limit."""
+    built: list[dict] = []
+    for node in reversed([node for node, _, _ in _walk(tree)]):
+        doc = {"prediction": node.prediction, "counts": [[l, c] for l, c in node.counts]}
+        if not node.is_leaf:
+            doc.update(feature=node.feature, threshold=node.threshold,
+                       left=built.pop(), right=built.pop())
+        built.append(doc)
+    return built[0]
 
 
 def tree_to_json(tree: TreeNode, feature_names) -> str:

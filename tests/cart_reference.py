@@ -4,6 +4,12 @@
 tree growth, kept verbatim as a slow, obviously-correct oracle for the
 vectorised search. ``TreeNode``, ``_counts``, ``_majority`` and ``_gini``
 are copied alongside so the module imports nothing from ``ocsvm_rules``.
+
+``_leaves``, ``tree_stats``, ``tree_to_rules`` and ``_node_to_doc`` are the
+surrogate's former tree walks: a root-path tuple copied per node, each leaf's
+path re-read to tighten its bounds, and a recursive document builder. They are
+kept verbatim as the oracle for the single pre-order walk, except that
+``tree_to_rules`` returns (label, predicates, n_samples) tuples.
 """
 
 from __future__ import annotations
@@ -103,3 +109,79 @@ def fit_tree(X, y) -> TreeNode:
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.asarray(y).astype(np.int64)
     return _grow(X, y, np.arange(X.shape[0]))
+
+
+def _leaves(tree: TreeNode):
+    """(leaf, path) for each leaf, left to right, from a stack, not recursion;
+    path holds the (feature, op, threshold) tests from the root down to the
+    leaf, op "<=" for a left turn and ">" for a right one."""
+    stack = [(tree, ())]
+    while stack:
+        node, path = stack.pop()
+        if node.is_leaf:
+            yield node, path
+            continue
+        stack.append((node.right, path + ((node.feature, ">", node.threshold),)))
+        stack.append((node.left, path + ((node.feature, "<=", node.threshold),)))
+
+
+def tree_stats(tree: TreeNode) -> dict:
+    """The surrogate_stats.json document of a tree that fit_tree grew.
+
+    Every split has two children, so n_nodes is 2 * n_leaves - 1, and
+    rules_per_class counts the leaves of each prediction. A leaf's counts
+    are the labels of the training rows that predict_tree routes to it, so
+    training_accuracy, the share of rows whose leaf predicts their label,
+    is the leaves' counts of their own prediction over the root's rows.
+    """
+    depth = n_leaves = hits = 0
+    per_class: dict = {}
+    for leaf, path in _leaves(tree):
+        depth = max(depth, len(path))
+        n_leaves += 1
+        hits += dict(leaf.counts)[leaf.prediction]
+        per_class[str(leaf.prediction)] = per_class.get(str(leaf.prediction), 0) + 1
+    return {"depth": depth, "n_leaves": n_leaves, "n_nodes": 2 * n_leaves - 1,
+            "rules_per_class": per_class,
+            "training_accuracy": hits / sum(c for _, c in tree.counts)}
+
+
+def tree_to_rules(tree: TreeNode, feature_names) -> tuple:
+    """One rule per leaf, left to right.
+
+    Repeated tests on a feature collapse to the tightest bound, so each
+    feature appears at most once per op.
+    """
+    feature_names = list(feature_names)
+    rules = []
+    for leaf, path in _leaves(tree):
+        bounds = {}
+        for f, op, v in path:
+            key = (f, op)
+            if op == "<=":
+                bounds[key] = min(bounds.get(key, np.inf), v)
+            else:
+                bounds[key] = max(bounds.get(key, -np.inf), v)
+        preds = tuple(
+            (feature_names[f], op, float(v))
+            for (f, op), v in sorted(bounds.items(),
+                                     key=lambda kv: (kv[0][0], kv[0][1] == "<="))
+        )
+        rules.append((
+            int(leaf.prediction),
+            preds,
+            sum(c for _, c in leaf.counts)))
+    return tuple(rules)
+
+
+def _node_to_doc(node: TreeNode) -> dict:
+    doc = {
+        "prediction": node.prediction,
+        "counts": [[l, c] for l, c in node.counts],
+    }
+    if not node.is_leaf:
+        doc["feature"] = node.feature
+        doc["threshold"] = node.threshold
+        doc["left"] = _node_to_doc(node.left)
+        doc["right"] = _node_to_doc(node.right)
+    return doc

@@ -137,6 +137,29 @@ def test_bad_setting_exits_2_and_names_it(tmp_path, capsys, section, key, value)
     assert not (tmp_path / "out").exists()
 
 
+# a misspelt key per section: each would have been read as its default
+UNKNOWN_KEYS = [
+    ("ocsvm", {"nu": synth.BLOB_NU, "gama": 5.0}, "ocsvm.gama"),
+    ("extraction", {"discard_facter": 2.0}, "extraction.discard_facter"),
+    ("kmeans", {"n_inti": 3}, "kmeans.n_inti"),
+    ("columns", {"numerical": ["x", "y"], "categorical": [], "cyclic": {"x": 24}},
+     "columns.cyclic"),
+    ("plot", {"widht": 300}, "plot.widht"),
+    ("plott", {"columns": ["x", "y"]}, "plott"),
+]
+
+
+@pytest.mark.parametrize("section, value, key", UNKNOWN_KEYS,
+                         ids=[key for _, _, key in UNKNOWN_KEYS])
+def test_unknown_config_key_exits_2_and_names_it(tmp_path, capsys, section, value, key):
+    cfg = _write_config(tmp_path, synth.two_blobs(), **{section: value})
+    assert main(["extract", "--config", str(cfg)]) == 2
+    doc = _read_error(capsys, 2)
+    assert doc["error"] == "ConfigError"
+    assert repr(key) in doc["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_without_extraction_settings_takes_the_defaults(tmp_path):
     cfg = _write_config(tmp_path, synth.two_blobs())
     assert load_config(str(cfg)).extraction == ExtractionConfig()
@@ -776,6 +799,16 @@ def test_corrupt_rules_json_exits_2(tmp_path, capsys, text, error):
     assert not (tmp_path / "out" / "plot_na.svg").exists()
 
 
+def test_plot_columns_missing_from_the_rules_exit_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path, synth.two_blobs(), plot={"columns": ["x", "z"]})
+    assert main(["extract", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["plot", "--config", str(cfg)]) == 2
+    doc = _read_error(capsys, 2)
+    assert doc["error"] == "ConfigError" and "plot.columns" in doc["message"]
+    assert not (tmp_path / "out" / "plot_na.svg").exists()
+
+
 def test_plot_writes_svg(tmp_path, capsys):
     cfg = _write_config(tmp_path, synth.two_blobs(),
                         plot={"columns": ["x", "y"], "width": 400, "height": 300})
@@ -865,3 +898,21 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0
     assert proc.stdout == ""
     assert (tmp_path / "out" / "model.json").exists()
+
+
+def test_box_mode_flag_writes_what_the_config_setting_writes(tmp_path, capsys):
+    flag = _write_config(tmp_path, synth.two_blobs(), name="flag.json")
+    setting = _write_config(tmp_path, synth.two_blobs(), name="setting.json",
+                            extraction={"box_mode": "farthest"})
+    assert main(["extract", "--config", str(flag), "--target", "both",
+                 "--box-mode", "farthest", "--out", str(tmp_path / "flag")]) == 0
+    assert main(["extract", "--config", str(setting), "--target", "both",
+                 "--out", str(tmp_path / "setting")]) == 0
+    assert main(["extract", "--config", str(flag), "--target", "both",
+                 "--out", str(tmp_path / "all")]) == 0
+    names = ["rules_%s%s.json" % (suffix, kind) for suffix in ("na", "a")
+             for kind in ("", "_scaled")]
+    read = {run: [(tmp_path / run / name).read_bytes() for name in names]
+            for run in ("flag", "setting", "all")}
+    assert read["flag"] == read["setting"]
+    assert read["flag"] != read["all"]  # the flag changed the boxes

@@ -1,9 +1,10 @@
-"""The shared value checks (formats.number, count, strings) and the rule-set
-reader on random documents."""
+"""The shared value checks (formats.number, count, strings), the rule-set
+reader on random documents and the text of periodic columns."""
 
 import copy
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -17,10 +18,13 @@ from ocsvm_rules.formats import (
     CyclicalInfo,
     Rule,
     RuleSet,
+    _ARC_TOL,
     count,
     number,
+    rule_to_text,
     ruleset_from_json,
     ruleset_to_json,
+    ruleset_to_text,
     strings,
 )
 
@@ -199,3 +203,101 @@ def test_ruleset_json_round_trip(rs):
     back = ruleset_from_json(text)
     assert back == rs
     assert ruleset_to_json(back) == text
+
+
+# ---------------------------------------------------------------------------
+# Periodic columns in rule text
+# ---------------------------------------------------------------------------
+
+HOUR = {"hour": CyclicalInfo(period=24.0, sin_col="hour_sin", cos_col="hour_cos")}
+
+
+def _hour_box(hours, period=24.0):
+    """The rule over (hour_sin, hour_cos) that bounds these values, encoded
+    as dataset.expand_cyclical encodes them."""
+    angles = 2.0 * np.pi * np.asarray(hours, dtype=np.float64) / period
+    s, c = np.sin(angles), np.cos(angles)
+    return Rule(state=(), columns=("hour_sin", "hour_cos"),
+                lower=(float(s.min()), float(c.min())),
+                upper=(float(s.max()), float(c.max())), n_points=len(angles))
+
+
+def _admitted(rule, values, period, tol=0.0):
+    angles = 2.0 * np.pi * np.asarray(values, dtype=np.float64) / period
+    s, c = np.sin(angles), np.cos(angles)
+    return ((s >= rule.lower[0] - tol) & (s <= rule.upper[0] + tol)
+            & (c >= rule.lower[1] - tol) & (c <= rule.upper[1] + tol))
+
+
+def _printed(text):
+    return [(float(lo), float(hi)) for lo, hi in re.findall(r"\[([^,\]]+), ([^\]]+)\]", text)]
+
+
+def _ends(hours):
+    text = rule_to_text(_hour_box(hours), TARGET_NON_ANOMALOUS, HOUR)
+    return [v for interval in _printed(text) for v in interval]
+
+
+def test_periodic_text_prints_the_arcs_the_box_admits():
+    # hours 22 to 2 pass midnight: two intervals, not their complement
+    text = rule_to_text(_hour_box([22, 23, 0, 1, 2]), TARGET_NON_ANOMALOUS, HOUR)
+    assert re.fullmatch(r"NOT OUTLIER IF hour ≈ \[\S+, \S+\] ∪ \[\S+, \S+\] \(period 24\.0\)",
+                        text)
+    assert _ends([22, 23, 0, 1, 2]) == pytest.approx([0.0, 2.0, 22.0, 24.0], abs=1e-12)
+    # hours 3 and 21 share their cos, so the box holds just those two; with
+    # hour 0 it spans the arc from 21 through midnight to 3
+    assert _ends([3, 21]) == pytest.approx([3.0, 3.0, 21.0, 21.0], abs=1e-12)
+    assert _ends([3, 21, 0]) == pytest.approx([0.0, 3.0, 21.0, 24.0], abs=1e-12)
+    # one hour, and every hour
+    assert _ends([5]) == pytest.approx([5.0, 5.0], abs=1e-12)
+    assert _ends([0, 6, 12, 18]) == [0.0, 24.0]
+
+
+def test_periodic_text_keeps_raw_bounds_of_a_box_off_the_circle():
+    r = Rule(state=(), columns=("hour_sin", "hour_cos"), lower=(0.9, 0.9),
+             upper=(1.0, 1.0), n_points=1)
+    assert rule_to_text(r, TARGET_NON_ANOMALOUS, HOUR) == (
+        "NOT OUTLIER IF hour_sin ≥ 0.9 ∧ hour_sin ≤ 1.0 ∧ hour_cos ≥ 0.9 ∧ hour_cos ≤ 1.0")
+
+
+def test_scaled_rule_text_prints_periodic_bounds_as_they_are():
+    # min-max-scaled sin and cos are no sin and cos: decoding them as an angle
+    # described other hours than the rule admits
+    r = Rule(state=(), columns=("hour_sin", "hour_cos"), lower=(0.0, 0.0),
+             upper=(1.0, 0.5), n_points=3)
+    scaled = RuleSet(target=TARGET_NON_ANOMALOUS, scaled=True, columns=r.columns,
+                     rules=(r,), cyclical=HOUR)
+    assert ruleset_to_text(scaled) == (
+        "NOT OUTLIER IF hour_sin ≥ 0.0 ∧ hour_sin ≤ 1.0 ∧ hour_cos ≥ 0.0 ∧ hour_cos ≤ 0.5\n")
+    unscaled = RuleSet(target=TARGET_NON_ANOMALOUS, scaled=False, columns=r.columns,
+                       rules=(r,), cyclical=HOUR)
+    assert ruleset_to_text(unscaled).startswith("NOT OUTLIER IF hour ≈ [")
+
+
+@st.composite
+def _periodic_clusters(draw):
+    period = draw(st.sampled_from([24.0, 7.0, 60.0, 365.0, 1.0]))
+    whole = st.integers(0, int(period) - 1).map(float)
+    real = st.floats(0.0, period, exclude_max=True)
+    values = draw(st.lists(whole | real, min_size=1, max_size=8))
+    return period, values
+
+
+@given(_periodic_clusters())
+def test_periodic_text_covers_every_admitted_value(case):
+    period, values = case
+    rule = _hour_box(values, period)
+    info = {"hour": CyclicalInfo(period=period, sin_col="hour_sin", cos_col="hour_cos")}
+    intervals = _printed(rule_to_text(rule, TARGET_NON_ANOMALOUS, info))
+    assert intervals and all(0.0 <= lo <= hi <= period for lo, hi in intervals)
+    assert all(a[1] < b[0] for a, b in zip(intervals, intervals[1:]))
+    # near the top or bottom of a sin or cos, a bound within rounding of 1
+    # fixes the angle only to about sqrt(2 * _ARC_TOL) radians
+    slack = math.sqrt(2.0 * _ARC_TOL) * period / (2.0 * math.pi)
+    probes = np.concatenate([values, np.arange(0.0, period, period / 480.0)])
+    for v in probes[_admitted(rule, probes, period)]:
+        assert any(lo - slack <= v <= hi + slack for lo, hi in intervals), (v, intervals)
+    # the midpoint of every printed interval is admitted, up to the
+    # rounding of the printed ends back to an angle
+    mids = [(lo + hi) / 2.0 for lo, hi in intervals]
+    assert _admitted(rule, mids, period, tol=4 * _ARC_TOL).all(), intervals

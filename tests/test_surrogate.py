@@ -11,6 +11,7 @@ import ocsvm_rules as o
 from ocsvm_rules.errors import ConfigError
 from ocsvm_rules.ocsvm import ANOMALOUS, NON_ANOMALOUS, dataset_decision_values, ensure_expanded
 from ocsvm_rules.surrogate import (
+    _node_to_doc,
     fit_surrogate,
     fit_tree,
     predict_tree,
@@ -214,6 +215,19 @@ def test_growth_needs_no_recursion_and_little_memory():
     assert rules[-1].predicates == (("x", ">", n - 1.5),)
 
 
+def test_tree_document_needs_no_recursion():
+    # the chain of the test above: each split peels the lowest row off to the left
+    n = sys.getrecursionlimit() + 200
+    X = np.arange(n, dtype=np.float64)[:, None]
+    y = np.arange(n) % 2
+    doc = _node_to_doc(fit_tree(X, y))
+    for i in range(n - 1):
+        assert doc["threshold"] == i + 0.5
+        assert doc["left"] == {"prediction": int(y[i]), "counts": [[int(y[i]), 1]]}
+        doc = doc["right"]
+    assert doc == {"prediction": int(y[-1]), "counts": [[int(y[-1]), 1]]}
+
+
 @st.composite
 def _conflicting_rows(draw):
     # a few distinct rounded rows, each drawn many times with any of three
@@ -379,3 +393,34 @@ def test_predict_tree_matches_row_walk(case, data):
         min_size=1, max_size=40))
     Q = np.array(rows)
     assert predict_tree(t, Q).tolist() == [_walk(t, row) for row in Q]
+
+
+# ---------------------------------------------------------------------------
+# The pre-order walk against the former leaf-path walks
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _walk_inputs(draw):
+    # a few distinct rounded rows drawn many times: repeated rows, ties and
+    # repeated tests on one feature down a path
+    n_features = draw(st.integers(1, 3))
+    n_base = draw(st.integers(1, 12))
+    base = draw(st.lists(st.lists(st.floats(-3, 3).map(lambda v: round(v, 1)),
+                                  min_size=n_features, max_size=n_features),
+                         min_size=n_base, max_size=n_base))
+    picks = draw(st.lists(st.integers(0, n_base - 1), min_size=1, max_size=80))
+    labels = (-1, 1, 7)[:draw(st.integers(2, 3))]
+    y = draw(st.lists(st.sampled_from(labels), min_size=len(picks), max_size=len(picks)))
+    return np.array([base[i] for i in picks]), np.array(y)
+
+
+@given(_walk_inputs())
+def test_tree_walk_matches_leaf_path_reference(case):
+    X, y = case
+    t = fit_tree(X, y)
+    names = ["f%d" % j for j in range(X.shape[1])]
+    assert tree_stats(t) == cart_reference.tree_stats(t)
+    # repr and JSON text tell -0.0 from 0.0
+    got = tuple((r.label, r.predicates, r.n_samples) for r in tree_to_rules(t, names))
+    assert repr(got) == repr(cart_reference.tree_to_rules(t, names))
+    assert json.dumps(_node_to_doc(t)) == json.dumps(cart_reference._node_to_doc(t))
