@@ -19,9 +19,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ParseError, SchemaError
-from .formats import (  # noqa: F401 - cyclical_decode stays importable from here
-    CategoricalState, ColumnScale, CyclicalInfo, FeatureSchema, ScalingParams, cyclical_decode,
-    number,
+from .formats import (
+    CategoricalState, ColumnScale, CyclicalInfo, FeatureSchema, ScalingParams, number,
 )
 
 NUMERICAL = "numerical"

@@ -95,18 +95,6 @@ class ScalingParams:
     per_column: dict  # name -> ColumnScale
 
 
-def cyclical_decode(s: float, c: float, period: float) -> float:
-    """The value whose expand_cyclical pair is (s, c); result lies in [0, period)."""
-    if period <= 0:
-        raise ConfigError("cyclical period must be positive, got %r" % period)
-    if s == 0.0 and c == 0.0:
-        raise ConfigError("cannot decode (0, 0): angle undefined")
-    frac = math.atan2(s, c) / (2.0 * math.pi)
-    out = (frac % 1.0) * period
-    # a hair under a full turn can round up to the period itself
-    return 0.0 if out >= period else out
-
-
 @dataclass(frozen=True)
 class CyclicalInfo:
     period: float

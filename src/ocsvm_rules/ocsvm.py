@@ -19,6 +19,10 @@ X[i] @ X.T and kept in a least-recently-used cache of at most
 KERNEL_CACHE_BYTES, LIBSVM's default 100 MiB. The solver usually reads a
 small share of the rows, and no n x n array is built. The loop itself
 works in buffers allocated before it starts.
+
+Scoring uses the same kernel routine, _rbf_kernel, on blocks of at most
+_KERNEL_BLOCK entries, and scores each distinct row once, so equal rows
+always get the same decision value.
 """
 
 from __future__ import annotations
@@ -53,60 +57,39 @@ KERNEL_CACHE_BYTES = 100 * 2**20
 # perfbench/run.py reads it to compute ocsvm.gram_mb.
 DENSE_KERNEL_LIMIT = math.isqrt(KERNEL_CACHE_BYTES // 8)
 
-# Entries per block while rbf_kernel_matrix finishes its result in place:
-# a 512 KiB block stays in cache through the five elementwise passes.
+# Kernel entries per block of rows that decision_values scores: a 512 KiB
+# block stays in cache through the five elementwise passes of _rbf_kernel.
 _KERNEL_BLOCK = 1 << 16
 
-def _rbf_from_gram(blk: np.ndarray, xx: np.ndarray, yy: np.ndarray,
-                   gamma: float) -> None:
-    """Turn a block of X @ Y.T into its RBF kernel values, in place.
 
-    blk holds the rows of X whose squared norms are xx against all of Y
-    (norms yy). The result is exp(-gamma * max((xx + yy) - 2 * xy, 0)) with
-    the same roundings as that whole-matrix expression: every step is
-    elementwise, so no choice of block changes a float.
+def _rbf_kernel(X: np.ndarray, Y: np.ndarray, xx: np.ndarray, yy: np.ndarray,
+                gamma: float) -> np.ndarray:
+    """RBF kernel block exp(-gamma * ||x - y||^2) between the rows of X and Y.
+
+    xx and yy are the squared norms of the rows of X and Y. The block is
+    exp(-gamma * max((xx + yy) - 2 * xy, 0)) built in place in the buffer of
+    X @ Y.T; the steps are elementwise, so a row's values depend only on its
+    row of the product.
     """
+    blk = X @ Y.T
     blk *= 2.0
     np.subtract(xx[:, None] + yy[None, :], blk, out=blk)
     np.maximum(blk, 0.0, out=blk)  # guard tiny negatives from cancellation
     blk *= -gamma
     np.exp(blk, out=blk)
-
-
-def rbf_kernel_matrix(X, Y, gamma: float) -> np.ndarray:
-    """Pairwise RBF kernel exp(-gamma * ||x - y||^2) between the rows of X and Y.
-
-    The result is built in place in the buffer of ``X @ Y.T``, one block of
-    about _KERNEL_BLOCK entries at a time, so the only n x m array is the
-    result. ``rbf_kernel_matrix(X, X, gamma)`` is exactly symmetric: numpy
-    computes ``X @ X.T`` as one triangle and mirrors it, and every later
-    step is elementwise.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    if X.shape[1] != Y.shape[1]:
-        raise ConfigError("kernel arguments differ in dimension: %d vs %d"
-                          % (X.shape[1], Y.shape[1]))
-    xx = np.sum(X * X, axis=1)
-    yy = np.sum(Y * Y, axis=1)
-    K = X @ Y.T
-    rows = max(1, _KERNEL_BLOCK // max(1, K.shape[1]))
-    for start in range(0, K.shape[0], rows):
-        _rbf_from_gram(K[start : start + rows], xx[start : start + rows], yy, gamma)
-    return K
+    return blk
 
 
 class _KernelRows:
     """Row access to the Gram matrix Q within KERNEL_CACHE_BYTES.
 
-    Row i is X[i] @ X.T finished by rbf_kernel_matrix's elementwise
-    transform on its first read, and an LRU cache keeps the last
-    max(2, budget // (8 n)) rows read; up to 3620 rows that is every row.
-    A one-row product rounds differently from the whole X @ X.T, so these
-    rows match rbf_kernel_matrix(X, X, gamma)'s only to the last bits, but
-    they equal rbf_kernel_matrix(X[i:i+1], X, gamma)[0] exactly, and the
-    rows together form an exactly symmetric matrix. The two rows of a step
-    are the two most recent, so reading the second never evicts the first.
+    Row i is _rbf_kernel(X[i:i+1], X, ...), computed on its first read,
+    and an LRU cache keeps the last max(2, budget // (8 n)) rows read; up
+    to 3620 rows that is every row. A one-row product rounds differently
+    from the whole X @ X.T, so these rows match the whole-matrix kernel only
+    to the last bits, but together they form an exactly symmetric matrix.
+    The two rows of a step are the two most recent, so reading the second
+    never evicts the first.
     """
 
     def __init__(self, X: np.ndarray, gamma: float):
@@ -125,8 +108,8 @@ class _KernelRows:
             return row[0]
         if len(cache) >= self._capacity:
             cache.popitem(last=False)
-        row = cache[i] = self.X[i : i + 1] @ self.X.T
-        _rbf_from_gram(row, self._xx[i : i + 1], self._xx, self.gamma)
+        row = cache[i] = _rbf_kernel(self.X[i : i + 1], self.X,
+                                     self._xx[i : i + 1], self._xx, self.gamma)
         return row[0]
 
 
@@ -315,12 +298,37 @@ def ensure_expanded(d: Dataset, schema: FeatureSchema) -> Dataset:
 
 
 def decision_values(m: OcsvmModel, X) -> np.ndarray:
+    """g(x) = sum_i alpha_i k(sv_i, x) - rho for each row x of X.
+
+    Equal rows get one value: the rows are sorted once, each distinct row is
+    scored once, and its value is copied to its equals, so no rounding puts
+    two of them on opposite sides of 0. The distinct rows are scored in
+    blocks of at most _KERNEL_BLOCK kernel entries (one row when there are
+    more support vectors than that), so no n x n_SV array is built.
+
+    Raises ConfigError unless the rows have the model's number of features.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[1] != m.support_vectors.shape[1]:
-        raise ConfigError("expected %d features, got %d"
-                          % (m.support_vectors.shape[1], X.shape[1]))
-    K = rbf_kernel_matrix(X, m.support_vectors, m.kernel.gamma)
-    return K @ m.alphas - m.rho
+    sv = m.support_vectors
+    if X.shape[1] != sv.shape[1]:
+        raise ConfigError("expected %d features, got %d" % (sv.shape[1], X.shape[1]))
+    n = X.shape[0]
+    order = np.lexsort(X.T) if X.shape[1] else np.arange(n)
+    X = X[order]
+    first = np.ones(n, dtype=bool)
+    first[1:] = (X[1:] != X[:-1]).any(axis=1)
+    X = X[first]
+    yy = np.sum(sv * sv, axis=1)
+    g = np.empty(X.shape[0])
+    step = max(1, _KERNEL_BLOCK // max(1, sv.shape[0]))
+    for start in range(0, X.shape[0], step):
+        blk = X[start : start + step]
+        K = _rbf_kernel(blk, sv, np.sum(blk * blk, axis=1), yy, m.kernel.gamma)
+        g[start : start + step] = K @ m.alphas
+    g -= m.rho
+    out = np.empty(n)
+    out[order] = g[np.cumsum(first) - 1]
+    return out
 
 
 def _expanded(m: OcsvmModel, d: Dataset) -> Dataset:
@@ -344,6 +352,9 @@ def split_by_prediction(d: Dataset, m: OcsvmModel) -> tuple[Dataset, Dataset]:
     """Partition rows into (anomalous, non-anomalous) per the model.
 
     Both halves carry the model's periodic columns as their (sin, cos) pairs.
+    Rows that encode equally get one decision value (see decision_values),
+    so they land in the same half; scoring holds one block of at most
+    _KERNEL_BLOCK kernel entries at a time.
     """
     d = _expanded(m, d)
     anomalous = predict_dataset(m, d) == ANOMALOUS

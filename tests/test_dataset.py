@@ -9,7 +9,6 @@ from ocsvm_rules.dataset import (
     NUMERICAL,
     Dataset,
     build_schema,
-    cyclical_decode,
     encode_matrix,
     expand_cyclical,
     expand_numeric_names,
@@ -210,21 +209,14 @@ def test_scale_unknown_column():
 @given(st.floats(0, 1000), st.floats(0.1, 500))
 def test_cyclical_roundtrip_modulo_period(v, period):
     e, _ = expand_cyclical(make([v]), {"x": period})
-    back = cyclical_decode(e.data["x_sin"][0], e.data["x_cos"][0], period)
-    assert 0.0 <= back < period
-    assert min(abs(back - v % period), period - abs(back - v % period)) < 1e-6 * max(1.0, period)
-
-
-def test_cyclical_decode_rejects_origin():
-    with pytest.raises(ConfigError):
-        cyclical_decode(0.0, 0.0, 24.0)
+    angle = 2.0 * math.pi * v / period
+    assert e.data["x_sin"][0] == pytest.approx(math.sin(angle), abs=1e-12)
+    assert e.data["x_cos"][0] == pytest.approx(math.cos(angle), abs=1e-12)
 
 
 def test_cyclical_bad_period():
     with pytest.raises(ConfigError):
         expand_cyclical(make([1.0]), {"x": 0.0})
-    with pytest.raises(ConfigError):
-        cyclical_decode(0.5, 0.5, -1.0)
 
 
 def test_expand_cyclical_replaces_column_in_place():

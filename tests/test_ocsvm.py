@@ -19,48 +19,30 @@ from ocsvm_rules.ocsvm import (
     ANOMALOUS,
     NON_ANOMALOUS,
     KernelParams,
+    OcsvmModel,
     dataset_decision_values,
     decision_values,
     fit,
     fit_dataset,
     model_from_json,
     predict_dataset,
-    rbf_kernel_matrix,
     split_by_prediction,
 )
+from ocsvm_reference import rbf_kernel_matrix
 from ocsvm_rules.surrogate import fit_surrogate
-
-finite2d = st.lists(
-    st.lists(st.floats(-100, 100), min_size=2, max_size=2),
-    min_size=1, max_size=8)
 
 
 # ---------------------------------------------------------------------------
 # Kernel
 # ---------------------------------------------------------------------------
 
-@given(finite2d, st.floats(0.01, 5.0))
-def test_kernel_matrix_symmetric_unit_diagonal(rows, gamma):
-    X = np.array(rows)
-    K = rbf_kernel_matrix(X, X, gamma)
-    # exact: the solver reads rows of Q in place of its columns
-    assert np.array_equal(K, K.T)
-    assert np.allclose(np.diag(K), 1.0)
-    # exp underflows to exactly 0 for far-apart points
-    assert (K >= 0).all() and (K <= 1.0 + 1e-15).all()
-
-
 def test_kernel_matrix_single_pair():
-    K = rbf_kernel_matrix([[1.0, 2.0]], [[3.0, -1.0]], 0.3)
-    assert K.shape == (1, 1)
-    assert K[0, 0] == pytest.approx(np.exp(-0.3 * 13.0))
-
-
-def test_kernel_dimension_mismatch():
-    with pytest.raises(ConfigError):
-        rbf_kernel_matrix(np.zeros((1, 1)), np.zeros((1, 2)), 0.5)
-    with pytest.raises(ConfigError):
-        rbf_kernel_matrix(np.zeros((2, 2)), np.zeros((2, 3)), 0.5)
+    # one support vector with alpha 1 and rho 0: g is the kernel value itself
+    m = OcsvmModel(support_vectors=np.array([[3.0, -1.0]]), alphas=np.array([1.0]),
+                   rho=0.0, nu=1.0, kernel=KernelParams(gamma=0.3), n_train=1)
+    g = decision_values(m, [[1.0, 2.0]])
+    assert g.shape == (1,)
+    assert g[0] == pytest.approx(np.exp(-0.3 * 13.0))
 
 
 def _kernel_data(kind: str, n: int, seed: int) -> np.ndarray:
@@ -75,30 +57,56 @@ def _kernel_data(kind: str, n: int, seed: int) -> np.ndarray:
     return np.column_stack([rng.uniform(0.0, 1.0, n), onehot])
 
 
-@pytest.mark.parametrize("kind", ["rounded", "large_scale", "onehot"])
-def test_kernel_matrix_matches_reference(kind):
-    X = _kernel_data(kind, 700, seed=1)
-    Y = _kernel_data(kind, 300, seed=2)
-    gamma = 1e-9 if kind == "large_scale" else 0.7
-    for A, B in ((X, X), (X, Y), (Y, X)):
-        # several blocks of rows, and a partial last one
-        assert A.shape[0] > 2 * (oc._KERNEL_BLOCK // B.shape[0])
-        got = rbf_kernel_matrix(A, B, gamma)
-        assert np.array_equal(got, ocsvm_reference.rbf_kernel_matrix(A, B, gamma))
-
-
-def test_kernel_matrix_peak_memory_is_one_result():
-    n = 2000
-    X = np.random.default_rng(0).normal(size=(n, 5))
+def test_scoring_peak_memory_is_bounded():
+    # the whole 5000 x 400 kernel block would be 16 MB; scoring holds one
+    # block of at most _KERNEL_BLOCK entries (512 KiB) and a few row copies
+    n, n_sv = 5000, 400
+    rng = np.random.default_rng(0)
+    m = OcsvmModel(support_vectors=rng.normal(size=(n_sv, 5)), alphas=np.full(n_sv, 1.0 / n_sv),
+                   rho=0.05, nu=0.5, kernel=KernelParams(gamma=0.5), n_train=2 * n_sv)
+    X = rng.normal(size=(n, 5))
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        K = rbf_kernel_matrix(X, X, 0.5)
+        g = decision_values(m, X)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert K.shape == (n, n)
-    assert peak < 1.25 * 8 * n * n
+    assert peak < 4 * 2**20
+    # many blocks, and the whole-matrix formula gives the same values up to
+    # the rounding of a GEMM by block
+    assert n > 2 * (oc._KERNEL_BLOCK // n_sv)
+    whole = rbf_kernel_matrix(X, m.support_vectors, 0.5) @ m.alphas - m.rho
+    assert np.allclose(g, whole, rtol=0.0, atol=1e-14)
+
+
+@st.composite
+def _grid_scoring(draw):
+    """A random model and integer-grid rows drawn from a small pool, so rows repeat."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 3))
+    top = draw(st.integers(1, 6))
+    pool = rng.integers(0, top + 1, size=(draw(st.integers(1, 30)), d)).astype(np.float64)
+    X = pool[rng.integers(0, len(pool), size=draw(st.integers(1, 400)))]
+    n_sv = draw(st.integers(1, 700))
+    alphas = rng.uniform(0.0, 1.0, n_sv) + 1e-3
+    m = OcsvmModel(support_vectors=rng.integers(0, top + 1, size=(n_sv, d)).astype(np.float64),
+                   alphas=alphas / alphas.sum(), rho=float(rng.uniform(0.0, 0.5)), nu=0.5,
+                   kernel=KernelParams(gamma=draw(st.sampled_from([0.1, 1.0, 5.0, 20.0]))),
+                   n_train=n_sv)
+    return m, X, rng.permutation(len(X))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_grid_scoring())
+def test_equal_rows_score_equal(case):
+    m, X, p = case
+    g = decision_values(m, X)
+    # bit for bit: the order of the rows moves no value
+    assert np.array_equal(decision_values(m, X[p]), g[p])
+    for row in np.unique(X, axis=0):
+        vals = g[(X == row).all(axis=1)]
+        assert np.array_equal(vals, np.full(vals.shape, vals[0]))
 
 
 def test_kernel_params_validation():
@@ -229,6 +237,14 @@ def test_decision_values_feature_count_checked():
     m = fit(X, nu=0.2, kernel=KernelParams(gamma=0.2))
     with pytest.raises(ConfigError):
         decision_values(m, np.zeros((3, 5)))
+
+
+def test_decision_values_of_no_rows_and_of_no_features():
+    # no rows: nothing to sort; no features: every row equals every other
+    m = fit(synth.gaussian_cloud(20, seed=0), nu=0.5, kernel=KernelParams(gamma=0.5))
+    assert decision_values(m, np.zeros((0, 2))).shape == (0,)
+    bare = fit(np.zeros((4, 0)), nu=0.5, kernel=KernelParams(gamma=0.5))
+    assert decision_values(bare, np.zeros((3, 0))).tolist() == [0.0, 0.0, 0.0]
 
 
 def _fit_data(kind: str) -> np.ndarray:
