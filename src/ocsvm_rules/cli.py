@@ -1,13 +1,17 @@
 """Command line front end.
 
-Subcommands: extract (fit the detector, write it to model.json and mine
-rule boxes), surrogate (fit the mimic tree), report (summarize written
-artifacts), plot (SVG scatter with rule boxes). extract is the only command
-that fits the detector: surrogate and plot read the model.json it wrote and
-refuse one that does not match the config or the dataset. All artifacts are
-deterministic: rerunning a command over the same inputs rewrites
-byte-identical files. Progress and timings go to stderr; stdout carries
-only the error object on failure.
+Subcommands: extract (fit the detector, write it to model.json, record its
+split of the rows in split.json and mine rule boxes), surrogate (fit the
+mimic tree), report (summarize written artifacts), plot (SVG scatter with
+rule boxes). extract is the only command that fits the detector: surrogate
+reads the model.json it wrote and scores the rows with it, plot reads the
+model.json and the split.json it wrote and scores none, and both refuse a
+model that does not match the config or the dataset. plot also refuses a
+split.json written for other dataset bytes (their sha256 differs), so a
+dataset changed since extract, even with as many rows, exits 2. All
+artifacts are deterministic: rerunning a command over the same inputs
+rewrites byte-identical files. Progress and timings go to stderr; stdout
+carries only the error object on failure.
 
 Exit codes: 0 success, 2 bad configuration or input files, a config key
 that names no setting (a misspelt "ocsvm.gama") included, 3 not enough data
@@ -17,12 +21,14 @@ offending_boxes: one [lower, upper] pair per box still contaminated at that
 count, in scaled units and in the rule set's column order.
 
 Imports. Importing this module loads the standard library, errors and the
-numpy-free formats module only. extract, surrogate and plot need numpy: each
-binds the names it calls from the dataset, ocsvm and rules, surrogate or
-plotting modules when it starts, so surrogate and plot never load the
-k-means code. report reads only the JSON artifacts, with the rule text of
-each rule set rendered from its rules_*.json, and never loads numpy, which
-would be most of its run time as a process.
+numpy-free formats module only. extract and surrogate need numpy: each
+binds the names it calls from the dataset, ocsvm and rules or surrogate
+modules when it starts, so surrogate never loads the k-means code. plot
+binds only the numpy-free plotting module: it reads the dataset with
+formats.read_csv_table and colours the points by split.json, so it never
+loads numpy, which would be most of its run time as a process. Neither does
+report, which reads only the JSON artifacts, with the rule text of each rule
+set rendered from its rules_*.json.
 """
 
 from __future__ import annotations
@@ -41,17 +47,20 @@ from .errors import (
 )
 from .formats import (
     TARGET_ANOMALOUS, TARGET_NON_ANOMALOUS, ExtractionConfig, KernelParams, count,
-    json_text, model_doc, model_to_json, number, ruleset_from_json, ruleset_to_json,
-    ruleset_to_text, state_text, strings,
+    cyclical_columns, expand_numeric_names, file_sha256, json_text, model_doc,
+    model_to_json, number, read_csv_table, ruleset_from_json, ruleset_to_json,
+    ruleset_to_text, split_from_json, split_to_json, state_text, strings,
 )
 
-# The names the commands call from numpy-backed modules. _bind puts a module's
-# names in this module's globals, where the commands look them up, and keeps
-# a name already there: a wrapper set on cli before main runs sees every call.
-# encode_matrix is not called here, but perfbench/tracing.py wraps it here.
+# The names the commands call from modules loaded on demand, all but plotting
+# backed by numpy. _bind puts a module's names in this module's globals, where
+# the commands look them up, and keeps a name already there: a wrapper set on
+# cli before main runs sees every call. encode_matrix is not called here, but
+# perfbench/tracing.py wraps it here.
 _LAZY = {
-    "dataset": ("encode_matrix", "expand_numeric_names", "load_csv"),
-    "ocsvm": ("fit_dataset", "model_from_json", "split_by_prediction"),
+    "dataset": ("encode_matrix", "load_csv"),
+    "ocsvm": ("anomalous_rows", "ensure_expanded", "fit_dataset", "model_from_doc",
+              "split_by_prediction"),
     "plotting": ("scatter_rules_svg",),
     "rules": ("extract_rule_sets",),
     "surrogate": ("fit_surrogate", "tree_rule_to_text", "tree_stats", "tree_to_json",
@@ -233,9 +242,10 @@ def load_config(path: str, *, target: str | None = None, out: str | None = None,
     )
 
 
-def _load_dataset(cfg: RunConfig):
+def _read_dataset(cfg: RunConfig, read, *args):
+    """read(the dataset's path, *args); ConfigError if the file cannot be read."""
     try:
-        return load_csv(cfg.dataset, cfg.numerical, cfg.categorical)
+        return read(cfg.dataset, *args)
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError("cannot read dataset: %s" % e) from None
 
@@ -270,25 +280,39 @@ def _parse_artifact(path: Path, parse):
         raise SchemaError("malformed %s: %s" % (path, e)) from None
 
 
-def _load_model(cfg: RunConfig, d):
-    """The model extract wrote to <out>/model.json, checked against cfg and d."""
+def _check_model(cfg: RunConfig, rows: int) -> dict:
+    """The fields formats.model_doc reads from the <out>/model.json extract
+    wrote, checked against cfg and the dataset's row count."""
     path = cfg.output_dir / "model.json"
-    model = _parse_artifact(path, model_from_json)
-    schema = model.schema
+    m = _parse_artifact(path, model_doc)
+    schema = m["schema"]
     periods = {c: info.period for c, info in schema.cyclical.items()}
     for what, saved, wanted in (
-            ("ocsvm.nu", model.nu, cfg.nu),
-            ("ocsvm.gamma", model.kernel.gamma, cfg.gamma),
+            ("ocsvm.nu", m["nu"], cfg.nu),
+            ("ocsvm.gamma", m["kernel"].gamma, cfg.gamma),
             ("columns.cyclical", periods, cfg.cyclical),
             ("columns.numerical", schema.numerical,
              expand_numeric_names(cfg.numerical, schema.cyclical)),
             ("columns.categorical", schema.categorical, tuple(cfg.categorical)),
-            ("dataset rows", model.n_train, d.rows)):
+            ("dataset rows", m["n_train"], rows)):
         _expect(saved == wanted, "%s was fitted with %s %r, not %r; run extract again"
                 % (path, what, saved, wanted))
     print("model: loaded %s, %d support vectors of %d points"
-          % (path, model.n_support, model.n_train), file=sys.stderr)
-    return model
+          % (path, len(m["alphas"]), m["n_train"]), file=sys.stderr)
+    return m
+
+
+def _check_split(cfg: RunConfig, rows: int) -> list:
+    """The anomalous row indices of the <out>/split.json extract wrote,
+    checked against the dataset's bytes and row count."""
+    path = cfg.output_dir / "split.json"
+    split = _parse_artifact(path, split_from_json)
+    for what, saved, wanted in (
+            ("dataset sha256", split["data_sha256"], _read_dataset(cfg, file_sha256)),
+            ("dataset rows", split["rows"], rows)):
+        _expect(saved == wanted, "%s was written for %s %r, not %r; run extract again"
+                % (path, what, saved, wanted))
+    return split["anomalous"]
 
 
 def _write(path: Path, text: str):
@@ -306,10 +330,14 @@ def cmd_extract(args) -> int:
     cfg = load_config(args.config, target=args.target, out=args.out,
                       discard_factor=args.discard_factor, box_mode=args.box_mode)
     _bind("dataset", "ocsvm", "rules")
-    d = _load_dataset(cfg)
+    d = _read_dataset(cfg, load_csv, cfg.numerical, cfg.categorical)
     model = _fit_model(cfg, d)
     _write(cfg.output_dir / "model.json", model_to_json(model))
-    split = split_by_prediction(d, model)
+    d = ensure_expanded(d, model.schema)  # once, for the split and its halves
+    anomalous = anomalous_rows(d, model)
+    _write(cfg.output_dir / "split.json",
+           split_to_json(_read_dataset(cfg, file_sha256), d.rows, anomalous.tolist()))
+    split = split_by_prediction(d, model, anomalous)
     stats = {}
     for target in cfg.targets:
         t0 = time.perf_counter()
@@ -334,8 +362,8 @@ def cmd_extract(args) -> int:
 def cmd_surrogate(args) -> int:
     cfg = load_config(args.config, out=args.out)
     _bind("dataset", "ocsvm", "surrogate")
-    d = _load_dataset(cfg)
-    model = _load_model(cfg, d)
+    d = _read_dataset(cfg, load_csv, cfg.numerical, cfg.categorical)
+    model = model_from_doc(_check_model(cfg, d.rows))
     t0 = time.perf_counter()
     tree, names = fit_surrogate(d, model)
     st = tree_stats(tree)
@@ -450,10 +478,15 @@ def cmd_report(args) -> int:
 
 def cmd_plot(args) -> int:
     cfg = load_config(args.config, target=args.target, out=args.out)
-    _bind("dataset", "ocsvm", "plotting")
-    d = _load_dataset(cfg)
-    model = _load_model(cfg, d)
-    X_a, X_na = split_by_prediction(d, model)
+    _bind("plotting")
+    rows, values, _ = _read_dataset(cfg, read_csv_table, cfg.numerical, cfg.categorical)
+    schema = _check_model(cfg, rows)["schema"]
+    anomalous = [False] * rows
+    for i in _check_split(cfg, rows):
+        anomalous[i] = True
+    for name, info in schema.cyclical.items():
+        values[info.sin_col], values[info.cos_col] = cyclical_columns(values.pop(name),
+                                                                      info.period)
     for target in cfg.targets:
         suffix = _SUFFIX[target]
         path = cfg.output_dir / ("rules_%s.json" % suffix)
@@ -465,10 +498,17 @@ def cmd_plot(args) -> int:
         except ValueError:
             raise ConfigError("plot.columns %r not all present in the rules"
                               % (cols,)) from None
+        for c in cols:
+            if c not in values:
+                raise SchemaError("%s has column %r, which is no numerical column of "
+                                  "%s; run extract again" % (path, c, cfg.dataset))
+        points = ([], [])  # non-anomalous, anomalous
+        for xy, a in zip(zip(values[cols[0]], values[cols[1]]), anomalous):
+            points[a].append(xy)
         boxes = [((r.lower[ix[0]], r.lower[ix[1]]), (r.upper[ix[0]], r.upper[ix[1]]))
                  for r in rs.rules]
         svg = scatter_rules_svg(
-            X_na.numeric_matrix(cols), X_a.numeric_matrix(cols), boxes,
+            points[0], points[1], boxes,
             labels=(cols[0], cols[1]), width=cfg.plot_width,
             height=cfg.plot_height,
             title="non-anomalous rules" if target == TARGET_NON_ANOMALOUS

@@ -11,16 +11,15 @@ nothing mutates in place.
 
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ParseError, SchemaError
+from .errors import SchemaError
 from .formats import (
-    CategoricalState, ColumnScale, CyclicalInfo, FeatureSchema, ScalingParams, number,
+    CategoricalState, ColumnScale, CyclicalInfo, FeatureSchema, ScalingParams,
+    cyclical_columns, number, read_csv_table,
 )
 
 NUMERICAL = "numerical"
@@ -135,60 +134,12 @@ def load_csv(path, numerical, categorical) -> Dataset:
 
     ``numerical`` and ``categorical`` list the columns to ingest; other file
     columns are ignored. Numerical cells must parse as finite numbers.
+    formats.read_csv_table reads and checks the file.
     """
-    numerical = list(numerical)
-    categorical = list(categorical)
-    declared = numerical + categorical
-    if len(set(declared)) != len(declared):
-        raise SchemaError("columns declared twice: %r" % sorted(
-            {c for c in declared if declared.count(c) > 1}))
-
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file: %s" % path) from None
-        header = [h.strip() for h in header]
-        if len(set(header)) != len(header):
-            dupes = sorted({h for h in header if header.count(h) > 1})
-            raise SchemaError("duplicate header names %r in %s" % (dupes, path))
-        missing = [c for c in declared if c not in header]
-        if missing:
-            raise SchemaError("declared columns missing from %s: %r" % (path, missing))
-        pos = {c: header.index(c) for c in declared}
-
-        num_vals = {c: [] for c in numerical}
-        cat_vals = {c: [] for c in categorical}
-        rows = 0
-        for i, record in enumerate(reader, start=1):
-            if not record:
-                continue
-            if len(record) < len(header):
-                raise ParseError("row %d of %s has %d fields, header has %d"
-                                 % (i, path, len(record), len(header)))
-            for c in numerical:
-                token = record[pos[c]].strip()
-                try:
-                    v = float(token)
-                except ValueError:
-                    raise ParseError(
-                        "row %d, column %r: cannot parse %r as a number" % (i, c, token)
-                    ) from None
-                if not math.isfinite(v):
-                    raise ParseError(
-                        "row %d, column %r: non-finite value %r" % (i, c, token))
-                num_vals[c].append(v)
-            for c in categorical:
-                cat_vals[c].append(record[pos[c]])
-            rows += 1
-
-    columns = tuple([(c, NUMERICAL) for c in numerical] + [(c, CATEGORICAL) for c in categorical])
-    data = {}
-    for c in numerical:
-        data[c] = np.array(num_vals[c], dtype=np.float64)
-    for c in categorical:
-        data[c] = Categorical.from_tokens(cat_vals[c])
+    rows, num_vals, cat_vals = read_csv_table(path, numerical, categorical)
+    columns = tuple([(c, NUMERICAL) for c in num_vals] + [(c, CATEGORICAL) for c in cat_vals])
+    data = {c: np.array(v, dtype=np.float64) for c, v in num_vals.items()}
+    data.update((c, Categorical.from_tokens(v)) for c, v in cat_vals.items())
     return Dataset(columns=columns, data=data, rows=rows)
 
 
@@ -229,7 +180,8 @@ def scale_apply(d: Dataset, p: ScalingParams) -> Dataset:
 # ---------------------------------------------------------------------------
 
 def expand_cyclical(d: Dataset, periods: dict) -> tuple[Dataset, dict]:
-    """Replace each periodic column with its (sin, cos) pair.
+    """Replace each periodic column with its (sin, cos) pair, the values of
+    formats.cyclical_columns.
 
     Returns the expanded dataset and a map original-name -> CyclicalInfo for
     later display decoding.
@@ -242,15 +194,15 @@ def expand_cyclical(d: Dataset, periods: dict) -> tuple[Dataset, dict]:
             if kind != NUMERICAL:
                 raise SchemaError("cyclical column %r must be numerical" % name)
             period = number(periods[name], "cyclical period for %r" % name, above=0)
-            angles = 2.0 * np.pi * d.data[name] / period
             sin_name = name + "_sin"
             cos_name = name + "_cos"
             if sin_name in d.data or cos_name in d.data:
                 raise SchemaError("cyclical expansion of %r collides with existing column" % name)
             columns.append((sin_name, NUMERICAL))
             columns.append((cos_name, NUMERICAL))
-            data[sin_name] = np.sin(angles)
-            data[cos_name] = np.cos(angles)
+            sin, cos = cyclical_columns(d.data[name].tolist(), period)
+            data[sin_name] = np.array(sin, dtype=np.float64)
+            data[cos_name] = np.array(cos, dtype=np.float64)
             info[name] = CyclicalInfo(period=period, sin_col=sin_name, cos_col=cos_name)
         else:
             columns.append((name, kind))
@@ -259,18 +211,6 @@ def expand_cyclical(d: Dataset, periods: dict) -> tuple[Dataset, dict]:
     if unknown:
         raise SchemaError("cyclical columns not in dataset: %r" % sorted(unknown))
     return Dataset(columns=tuple(columns), data=data, rows=d.rows), info
-
-
-def expand_numeric_names(l_n, info: dict) -> tuple[str, ...]:
-    """Numeric column list with each expanded column replaced by its pair."""
-    out = []
-    for name in l_n:
-        if name in info:
-            out.append(info[name].sin_col)
-            out.append(info[name].cos_col)
-        else:
-            out.append(name)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,19 @@
-"""The artifact and config formats, in pure Python: rule sets and their JSON
-and text, the model document and its checks, the preprocessing a model carries
-(``FeatureSchema``, ``ScalingParams``, ``CyclicalInfo``) and the extraction
-settings (``ExtractionConfig``). No numpy here, so ``report``, which only
-reads artifacts, starts without it; the computing modules import these back.
+"""The artifact and input formats, in pure Python: the CSV dataset's columns,
+rule sets and their JSON and text, the model document and its checks, the
+split document (which rows the detector predicts anomalous), the
+preprocessing a model carries (``FeatureSchema``, ``ScalingParams``,
+``CyclicalInfo`` and the (sin, cos) columns of a periodic one) and the
+extraction settings (``ExtractionConfig``). No numpy here, so ``report`` and
+``plot``, which only read files, start without it; the computing modules
+import these back.
 
 This module owns the value checks every reader and API entry point shares:
 ``number`` (a finite real number within bounds), ``count`` (an integer from a
 minimum) and ``strings`` (a list of strings). Configs, artifacts and the fitting
 functions call them, so one value is judged the same way everywhere. Every
-JSON artifact gets its layout from ``json_text``.
+JSON artifact gets its layout from ``json_text``. Modules that a command
+needs only sometimes (csv, hashlib) are imported by the function that uses
+them, so importing this module stays cheap.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, SchemaError
+from .errors import ConfigError, ParseError, SchemaError
 
 TARGET_NON_ANOMALOUS = "non_anomalous"
 TARGET_ANOMALOUS = "anomalous"
@@ -28,12 +33,69 @@ BOX_FARTHEST = "farthest"
 
 RULESET_FORMAT = "rule-set/1"
 MODEL_FORMAT = "ocsvm-model/1"
+SPLIT_FORMAT = "split/1"
+
+
+def _scalar(v) -> str:
+    """The JSON text of a str, None, bool, int or float, as json.dumps writes it."""
+    if isinstance(v, float):
+        if math.isfinite(v):
+            return float.__repr__(v)
+        return "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
+    if isinstance(v, str):
+        return json.encoder.encode_basestring_ascii(v)
+    if v is None:
+        return "null"
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    raise TypeError("Object of type %s is not JSON serializable" % type(v).__name__)
 
 
 def json_text(doc) -> str:
     """The text of a JSON artifact: doc with sorted keys, indented by 2, and a
-    final newline."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    final newline, byte for byte json.dumps(doc, indent=2, sort_keys=True)
+    plus "\\n".
+
+    The layout comes from an explicit stack of what is left to write, not
+    from recursion, so a document nests to any depth: a surrogate tree grown
+    as one chain of splits nests once per split. doc must be a tree of dicts,
+    lists, tuples and scalars; a container holding itself would never end.
+    """
+    out: list[str] = []
+    # what is left to write, the next last: text, or (value, "\n" + its indent)
+    todo: list = [(doc, "\n")]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        v, newline = item
+        if isinstance(v, dict):
+            opening, closing = "{", "}"
+            # a key that is no string is written as the string of its JSON text
+            entries = [(_scalar(k if isinstance(k, str) else _scalar(k)) + ": ", value)
+                       for k, value in sorted(v.items())]
+        elif isinstance(v, (list, tuple)):
+            opening, closing = "[", "]"
+            entries = [("", value) for value in v]
+        else:
+            out.append(_scalar(v))
+            continue
+        inner = newline + "  "
+        if not entries:
+            out.append(opening + closing)
+        elif not any(isinstance(value, (dict, list, tuple)) for _, value in entries):
+            # no container inside (a support vector, say): one piece
+            out.append(opening + inner + ("," + inner).join(
+                key + _scalar(value) for key, value in entries) + newline + closing)
+        else:
+            todo.append(newline + closing)
+            for k in range(len(entries) - 1, -1, -1):
+                key, value = entries[k]
+                todo += [(value, inner), ("," if k else opening) + inner + key]
+    return "".join(out) + "\n"
 
 
 def number(v, what: str, *, low=None, above=None, high=None) -> float:
@@ -75,6 +137,80 @@ def strings(v, what: str, size: int | None = None) -> list:
     return v
 
 
+# ---------------------------------------------------------------------------
+# The CSV dataset
+# ---------------------------------------------------------------------------
+
+def read_csv_table(path, numerical, categorical) -> tuple[int, dict, dict]:
+    """(rows, numerical values, categorical tokens) of a CSV file with a header row.
+
+    Each dict maps a declared column, in the order given, to its cells in row
+    order: floats for a numerical column, the raw text for a categorical one.
+    Other file columns are ignored and blank records skipped. Raises
+    SchemaError for a column declared twice, a duplicate header name or a
+    declared column the header lacks, and ParseError for an empty file, a
+    short row or a numerical cell that is not a finite number. OSError and
+    UnicodeDecodeError from reading the file propagate.
+    """
+    import csv
+
+    numerical = list(numerical)
+    categorical = list(categorical)
+    declared = numerical + categorical
+    if len(set(declared)) != len(declared):
+        raise SchemaError("columns declared twice: %r" % sorted(
+            {c for c in declared if declared.count(c) > 1}))
+
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError("empty file: %s" % path) from None
+        header = [h.strip() for h in header]
+        if len(set(header)) != len(header):
+            dupes = sorted({h for h in header if header.count(h) > 1})
+            raise SchemaError("duplicate header names %r in %s" % (dupes, path))
+        missing = [c for c in declared if c not in header]
+        if missing:
+            raise SchemaError("declared columns missing from %s: %r" % (path, missing))
+        pos = {c: header.index(c) for c in declared}
+
+        num_vals = {c: [] for c in numerical}
+        cat_vals = {c: [] for c in categorical}
+        rows = 0
+        for i, record in enumerate(reader, start=1):
+            if not record:
+                continue
+            if len(record) < len(header):
+                raise ParseError("row %d of %s has %d fields, header has %d"
+                                 % (i, path, len(record), len(header)))
+            for c in numerical:
+                token = record[pos[c]].strip()
+                try:
+                    v = float(token)
+                except ValueError:
+                    raise ParseError(
+                        "row %d, column %r: cannot parse %r as a number" % (i, c, token)
+                    ) from None
+                if not math.isfinite(v):
+                    raise ParseError(
+                        "row %d, column %r: non-finite value %r" % (i, c, token))
+                num_vals[c].append(v)
+            for c in categorical:
+                cat_vals[c].append(record[pos[c]])
+            rows += 1
+    return rows, num_vals, cat_vals
+
+
+def file_sha256(path) -> str:
+    """The hex sha256 of the file's bytes."""
+    import hashlib
+
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 # A categorical state is an ordered tuple of (column, token) pairs, one pair
 # per categorical column; () is the one state of data with no categorical
 # column. States compare by exact token equality.
@@ -100,6 +236,26 @@ class CyclicalInfo:
     period: float
     sin_col: str
     cos_col: str
+
+
+def cyclical_columns(values, period: float) -> tuple[list, list]:
+    """The sin and cos columns that replace a periodic column: for each value
+    v, math.sin and math.cos of the angle 2 pi v / period."""
+    angles = [2.0 * math.pi * v / period for v in values]
+    return [math.sin(a) for a in angles], [math.cos(a) for a in angles]
+
+
+def expand_numeric_names(l_n, info: dict) -> tuple[str, ...]:
+    """Numeric column list with each periodic column (a key of info, an
+    original-name -> CyclicalInfo map) replaced by its (sin, cos) pair."""
+    out = []
+    for name in l_n:
+        if name in info:
+            out.append(info[name].sin_col)
+            out.append(info[name].cos_col)
+        else:
+            out.append(name)
+    return tuple(out)
 
 
 def cyclical_to_doc(cyclical: dict) -> dict:
@@ -245,6 +401,49 @@ def model_doc(text: str) -> dict:
         raise SchemaError(str(e)) from None
     return {"support_vectors": sv, "alphas": alphas, "rho": float(rho), "nu": float(nu),
             "kernel": kernel, "n_train": n_train, "schema": schema, "scaling": scaling}
+
+
+# ---------------------------------------------------------------------------
+# The split document
+# ---------------------------------------------------------------------------
+
+def split_to_json(data_sha256: str, rows: int, anomalous) -> str:
+    """The split document: of the rows of the dataset whose bytes have the
+    sha256 data_sha256, the ascending indices the detector predicts anomalous."""
+    return json_text({"format": SPLIT_FORMAT, "data_sha256": data_sha256, "rows": rows,
+                      "anomalous": list(anomalous)})
+
+
+def split_from_json(text: str) -> dict:
+    """The fields of a split document; SchemaError for any other text.
+
+    data_sha256 is a string, rows an integer >= 0 and anomalous a list of
+    integers (a JSON int, not a bool), strictly ascending within [0, rows).
+    """
+    try:
+        doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise SchemaError("expected a JSON object, got %s" % type(doc).__name__)
+        if doc.get("format") != SPLIT_FORMAT:
+            raise SchemaError("unsupported split format: %r" % doc.get("format"))
+        digest, rows, anomalous = doc["data_sha256"], doc["rows"], doc["anomalous"]
+        if not isinstance(digest, str):
+            raise SchemaError("data_sha256 must be a string, got %r" % (digest,))
+        count(rows, "rows", 0)
+        if not isinstance(anomalous, list):
+            raise SchemaError("anomalous must be a list of row indices, got %r"
+                              % (anomalous,))
+        last = -1
+        for i in anomalous:
+            if type(i) is not int or not last < i < rows:
+                raise SchemaError("anomalous rows must be integers ascending within "
+                                  "[0, %d), got %r after %r" % (rows, i, last))
+            last = i
+    except KeyError as e:
+        raise SchemaError("split has no field %s" % e) from None
+    except (ValueError, ConfigError) as e:
+        raise SchemaError(str(e)) from None
+    return {"data_sha256": digest, "rows": rows, "anomalous": anomalous}
 
 
 @dataclass(frozen=True)

@@ -38,13 +38,13 @@ from .dataset import (
     build_schema,
     encode_matrix,
     expand_cyclical,
-    expand_numeric_names,
     scale_apply,
     scale_fit,
 )
 from .errors import ConfigError, SolverConvergenceError
 from .formats import (  # noqa: F401 - KernelParams stays importable from here
-    FeatureSchema, KernelParams, ScalingParams, count, model_doc, number,
+    FeatureSchema, KernelParams, ScalingParams, count, expand_numeric_names, model_doc,
+    number,
 )
 
 NON_ANOMALOUS = 1
@@ -348,17 +348,24 @@ def predict_dataset(m: OcsvmModel, d: Dataset) -> np.ndarray:
     return np.where(dataset_decision_values(m, d) >= 0, NON_ANOMALOUS, ANOMALOUS)
 
 
-def split_by_prediction(d: Dataset, m: OcsvmModel) -> tuple[Dataset, Dataset]:
+def anomalous_rows(d: Dataset, m: OcsvmModel) -> np.ndarray:
+    """Ascending indices of the rows of d that the model predicts anomalous."""
+    return np.flatnonzero(predict_dataset(m, d) == ANOMALOUS)
+
+
+def split_by_prediction(d: Dataset, m: OcsvmModel, anomalous=None) -> tuple[Dataset, Dataset]:
     """Partition rows into (anomalous, non-anomalous) per the model.
 
-    Both halves carry the model's periodic columns as their (sin, cos) pairs.
-    Rows that encode equally get one decision value (see decision_values),
-    so they land in the same half; scoring holds one block of at most
-    _KERNEL_BLOCK kernel entries at a time.
+    anomalous, the indices anomalous_rows gave for d and m, saves scoring
+    the rows again. Both halves carry the model's periodic columns as their
+    (sin, cos) pairs. Rows that encode equally get one decision value (see
+    decision_values), so they land in the same half; scoring holds one block
+    of at most _KERNEL_BLOCK kernel entries at a time.
     """
     d = _expanded(m, d)
-    anomalous = predict_dataset(m, d) == ANOMALOUS
-    return d.take(anomalous), d.take(~anomalous)
+    mask = np.zeros(d.rows, dtype=bool)
+    mask[anomalous_rows(d, m) if anomalous is None else anomalous] = True
+    return d.take(mask), d.take(~mask)
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +374,13 @@ def split_by_prediction(d: Dataset, m: OcsvmModel) -> tuple[Dataset, Dataset]:
 
 def model_from_json(text: str) -> OcsvmModel:
     """Inverse of formats.model_to_json: formats.model_doc checks the text,
-    then the support vectors and alphas become read-only float arrays."""
-    fields = model_doc(text)
+    then model_from_doc builds the model."""
+    return model_from_doc(model_doc(text))
+
+
+def model_from_doc(fields: dict) -> OcsvmModel:
+    """The model of the fields formats.model_doc read, the support vectors
+    and alphas as read-only float arrays."""
     model = OcsvmModel(**dict(
         fields, support_vectors=np.array(fields["support_vectors"], dtype=np.float64),
         alphas=np.array(fields["alphas"], dtype=np.float64)))

@@ -1,12 +1,12 @@
 """Self-contained SVG scatter plots of points and rule boxes.
 
-Output is a plain SVG string built with fixed-precision coordinates, so
-the same inputs always produce the same bytes.
+Points are any sequence of (x, y) pairs: a list of tuples, or the rows of
+an (n, 2) array. Output is a plain SVG string built with fixed-precision
+coordinates, so the same inputs always produce the same bytes. No numpy
+here: the plot command draws without loading it.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .errors import ConfigError
 
@@ -26,14 +26,10 @@ def _tick(v: float) -> str:
     return "%g" % v
 
 
-def _ranges(chunks):
-    xs, ys = [], []
-    for arr in chunks:
-        if arr is None or len(arr) == 0:
-            continue
-        a = np.asarray(arr, dtype=np.float64).reshape(-1, 2)
-        xs.extend((a[:, 0].min(), a[:, 0].max()))
-        ys.extend((a[:, 1].min(), a[:, 1].max()))
+def _ranges(point_sets):
+    """Padded (x, y) ranges over every pair of every set; (0, 1) each if none."""
+    xs = [x for pts in point_sets for x, _ in pts]
+    ys = [y for pts in point_sets for _, y in pts]
     if not xs:
         return (0.0, 1.0), (0.0, 1.0)
 
@@ -51,18 +47,17 @@ def scatter_rules_svg(points, anomalies, boxes, labels=("x", "y"),
                       title: str | None = None) -> str:
     """Render two point sets and axis-aligned boxes.
 
-    points / anomalies: (n, 2) arrays (either may be empty or None).
+    points / anomalies: sequences of (x, y) pairs (either may be empty or None).
     boxes: iterable of ((x_lo, y_lo), (x_hi, y_hi)) pairs.
     """
     if width <= 2 * MARGIN or height <= 2 * MARGIN:
         raise ConfigError("plot area too small: %dx%d" % (width, height))
-    boxes = [(np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64))
-             for lo, hi in boxes]
-    for lo, hi in boxes:
-        if lo.shape != (2,) or hi.shape != (2,):
-            raise ConfigError("plot boxes must be 2-D")
-    corners = [np.vstack([lo, hi]) for lo, hi in boxes]
-    (xmin, xmax), (ymin, ymax) = _ranges([points, anomalies] + corners)
+    points = () if points is None else points
+    anomalies = () if anomalies is None else anomalies
+    boxes = [(tuple(lo), tuple(hi)) for lo, hi in boxes]
+    if any(len(lo) != 2 or len(hi) != 2 for lo, hi in boxes):
+        raise ConfigError("plot boxes must be 2-D")
+    (xmin, xmax), (ymin, ymax) = _ranges([points, anomalies] + boxes)
 
     def sx(v):
         return MARGIN + (v - xmin) / (xmax - xmin) * (width - 2 * MARGIN)
@@ -116,19 +111,17 @@ def scatter_rules_svg(points, anomalies, boxes, labels=("x", "y"),
             'fill-opacity="0.08" stroke="%s" stroke-width="1.5"/>'
             % (_px(x0), _px(y0), _px(w), _px(h), BOX_COLOR, BOX_COLOR))
 
-    if points is not None and len(points):
-        for x, y in np.asarray(points, dtype=np.float64).reshape(-1, 2):
-            parts.append('<circle cx="%s" cy="%s" r="2.5" fill="%s" '
-                         'fill-opacity="0.7"/>' % (_px(sx(x)), _px(sy(y)), POINT_COLOR))
-    if anomalies is not None and len(anomalies):
-        for x, y in np.asarray(anomalies, dtype=np.float64).reshape(-1, 2):
-            cx, cy = sx(x), sy(y)
-            parts.append(
-                '<path d="M %s %s L %s %s M %s %s L %s %s" stroke="%s" '
-                'stroke-width="1.8"/>'
-                % (_px(cx - 3), _px(cy - 3), _px(cx + 3), _px(cy + 3),
-                   _px(cx - 3), _px(cy + 3), _px(cx + 3), _px(cy - 3),
-                   ANOMALY_COLOR))
+    for x, y in points:
+        parts.append('<circle cx="%s" cy="%s" r="2.5" fill="%s" '
+                     'fill-opacity="0.7"/>' % (_px(sx(x)), _px(sy(y)), POINT_COLOR))
+    for x, y in anomalies:
+        cx, cy = sx(x), sy(y)
+        parts.append(
+            '<path d="M %s %s L %s %s M %s %s L %s %s" stroke="%s" '
+            'stroke-width="1.8"/>'
+            % (_px(cx - 3), _px(cy - 3), _px(cx + 3), _px(cy + 3),
+               _px(cx - 3), _px(cy + 3), _px(cx + 3), _px(cy - 3),
+               ANOMALY_COLOR))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -719,7 +720,7 @@ def test_every_json_artifact_has_the_one_layout(tmp_path, capsys):
     written = sorted((tmp_path / "out").glob("*.json"))
     assert [p.name for p in written] == [
         "extract_stats.json", "model.json", "report.json", "rules_a.json",
-        "rules_a_scaled.json", "rules_na.json", "rules_na_scaled.json",
+        "rules_a_scaled.json", "rules_na.json", "rules_na_scaled.json", "split.json",
         "surrogate_stats.json", "tree.json"]
     for p in written:
         text = p.read_text(encoding="utf-8")
@@ -783,9 +784,11 @@ def test_plot_requires_extract_first(tmp_path, capsys):
                  "columns": ["x", "y"], "rules": [{"state": [], "lower": [0, 0],
                                                    "upper": [True, 1], "n_points": 1}]}),
      "SchemaError"),
+    (json.dumps({"format": "rule-set/1", "target": "non_anomalous", "scaled": False,
+                 "columns": ["x", "z"], "rules": []}), "SchemaError"),
 ], ids=["bad-json", "list", "empty", "format-only", "not-utf8", "inverted-bounds",
         "scaled-string", "negative-period", "nan-bound", "negative-count", "text-bound",
-        "bool-bound"])
+        "bool-bound", "column-not-in-data"])
 def test_corrupt_rules_json_exits_2(tmp_path, capsys, text, error):
     cfg = _write_config(tmp_path, synth.two_blobs())
     assert main(["extract", "--config", str(cfg)]) == 0
@@ -833,8 +836,74 @@ def test_plot_both_targets_with_cyclical_column(tmp_path, capsys):
         assert (out / ("plot_%s.svg" % suffix)).read_bytes() == svg, suffix
 
 
+def test_extract_writes_the_split_of_the_rows(tmp_path, capsys):
+    d = synth.two_blobs()
+    cfg = _write_config(tmp_path, d)
+    assert main(["extract", "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    model = o.model_from_json((out / "model.json").read_text(encoding="utf-8"))
+    assert json.loads((out / "split.json").read_text(encoding="utf-8")) == {
+        "format": "split/1",
+        "data_sha256": hashlib.sha256((tmp_path / "data.csv").read_bytes()).hexdigest(),
+        "rows": d.rows,
+        "anomalous": np.flatnonzero(
+            ocsvm_module.dataset_decision_values(model, d) < 0).tolist()}
+
+
+def test_plot_refuses_a_dataset_changed_since_extract(tmp_path, capsys):
+    d = synth.two_blobs()
+    cfg = _write_config(tmp_path, d)
+    assert main(["extract", "--config", str(cfg)]) == 0
+    # as many rows and the same columns, so the model's checks all pass
+    synth.write_csv(tmp_path / "data.csv",
+                    synth.matrix_dataset(d.numeric_matrix(["x", "y"]) * [3.0, 1.0]))
+    capsys.readouterr()
+    assert main(["plot", "--config", str(cfg)]) == 2
+    doc = _read_error(capsys, 2)
+    assert doc["error"] == "ConfigError"
+    assert "split.json" in doc["message"] and "run extract again" in doc["message"]
+    assert not (tmp_path / "out" / "plot_na.svg").exists()
+
+
+SPLIT_FAULTS = {
+    "broken-json": lambda doc: "{broken",
+    "format": lambda doc: json.dumps(dict(doc, format="split/0")),
+    "bool-index": lambda doc: json.dumps(dict(doc, anomalous=[True])),
+    "negative-index": lambda doc: json.dumps(dict(doc, anomalous=[-1])),
+    "index-out-of-range": lambda doc: json.dumps(dict(doc, anomalous=[doc["rows"]])),
+    "unsorted": lambda doc: json.dumps(dict(doc, anomalous=[2, 1])),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(SPLIT_FAULTS))
+def test_malformed_split_json_exits_2(tmp_path, capsys, fault):
+    cfg = _write_config(tmp_path, synth.two_blobs())
+    assert main(["extract", "--config", str(cfg)]) == 0
+    path = tmp_path / "out" / "split.json"
+    path.write_text(SPLIT_FAULTS[fault](json.loads(path.read_text(encoding="utf-8"))),
+                    encoding="utf-8")
+    capsys.readouterr()
+    assert main(["plot", "--config", str(cfg)]) == 2
+    doc = _read_error(capsys, 2)
+    assert doc["error"] == "SchemaError"
+    assert doc["message"].startswith("malformed %s: " % path)
+
+
+def test_plot_without_split_json_says_run_extract_first(tmp_path, capsys):
+    cfg = _write_config(tmp_path, synth.two_blobs())
+    assert main(["extract", "--config", str(cfg)]) == 0
+    (tmp_path / "out" / "split.json").unlink()
+    capsys.readouterr()
+    assert main(["plot", "--config", str(cfg)]) == 2
+    doc = _read_error(capsys, 2)
+    assert doc["error"] == "ConfigError"
+    assert "split.json" in doc["message"] and "run extract first" in doc["message"]
+
+
 @pytest.mark.parametrize("command", ["extract", "plot"])
 def test_both_targets_score_the_rows_once(tmp_path, capsys, monkeypatch, command):
+    # extract scores every row once for both targets; plot reads the split
+    # extract wrote to split.json and scores none
     cfg = _hourly_config(tmp_path)
     assert main(["extract", "--config", str(cfg), "--target", "both"]) == 0
     # dataset_decision_values looks decision_values up as a module global
@@ -847,7 +916,7 @@ def test_both_targets_score_the_rows_once(tmp_path, capsys, monkeypatch, command
 
     monkeypatch.setattr(ocsvm_module, "decision_values", counting)
     assert main([command, "--config", str(cfg), "--target", "both"]) == 0
-    assert calls == [synth.hourly().rows]
+    assert calls == ([synth.hourly().rows] if command == "extract" else [])
 
 
 # ---------------------------------------------------------------------------
@@ -873,15 +942,19 @@ def test_report_runs_without_numpy_and_plot_without_kmeans(tmp_path, capsys):
     # report only reads JSON and text; numpy is most of its start-up time
     cfg = _grouped_config(tmp_path)
     assert main(["extract", "--config", str(cfg), "--target", "both"]) == 0
+    # plot reads the split extract wrote and draws without numpy too; csv
+    # and hashlib load only when a command reads the dataset
     script = (
         "import sys\n"
+        "before = set(sys.modules)\n"
         "import ocsvm_rules.cli as cli\n"
         "assert 'numpy' not in sys.modules, 'import'\n"
-        "assert cli.main(['report', '--config', sys.argv[1]]) == 0\n"
-        "assert 'numpy' not in sys.modules, 'report'\n"
-        "for argv in (['surrogate'], ['plot', '--target', 'both']):\n"
+        "assert not {'csv', 'hashlib'} & (set(sys.modules) - before), 'import'\n"
+        "for argv in (['report'], ['plot', '--target', 'both']):\n"
         "    assert cli.main(argv + ['--config', sys.argv[1]]) == 0, argv\n"
-        "    assert 'ocsvm_rules.clustering' not in sys.modules, argv\n")
+        "    assert 'numpy' not in sys.modules, argv\n"
+        "assert cli.main(['surrogate', '--config', sys.argv[1]]) == 0\n"
+        "assert 'ocsvm_rules.clustering' not in sys.modules, 'surrogate'\n")
     proc = subprocess.run([sys.executable, "-c", script, str(cfg)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

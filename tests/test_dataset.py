@@ -11,7 +11,6 @@ from ocsvm_rules.dataset import (
     build_schema,
     encode_matrix,
     expand_cyclical,
-    expand_numeric_names,
     load_csv,
     scale_apply,
     scale_fit,
@@ -19,6 +18,7 @@ from ocsvm_rules.dataset import (
     unique_categorical_states,
 )
 from ocsvm_rules.errors import ConfigError, ParseError, SchemaError
+from ocsvm_rules.formats import expand_numeric_names
 
 import categorical_reference as ref
 import synth

@@ -1,5 +1,6 @@
-"""The shared value checks (formats.number, count, strings), the rule-set
-reader on random documents and the text of periodic columns."""
+"""The shared value checks (formats.number, count, strings), the JSON
+layout, the rule-set and split readers on random documents and the text of
+periodic columns."""
 
 import copy
 import json
@@ -20,11 +21,14 @@ from ocsvm_rules.formats import (
     RuleSet,
     _ARC_TOL,
     count,
+    json_text,
     number,
     rule_to_text,
     ruleset_from_json,
     ruleset_to_json,
     ruleset_to_text,
+    split_from_json,
+    split_to_json,
     strings,
 )
 
@@ -301,3 +305,47 @@ def test_periodic_text_covers_every_admitted_value(case):
     # rounding of the printed ends back to an angle
     mids = [(lo + hi) / 2.0 for lo, hi in intervals]
     assert _admitted(rule, mids, period, tol=4 * _ARC_TOL).all(), intervals
+
+
+_json_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+                 | st.text(max_size=8))
+_json_docs = st.recursive(
+    _json_scalars,
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=300)
+@given(_json_docs)
+def test_json_text_is_the_layout_of_json_dumps(doc):
+    assert json_text(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_json_text_writes_keys_and_scalars_as_json_dumps_does():
+    doc = {1: [np.float64(0.1), math.inf, -math.inf, math.nan], True: None, 2.5: "é\n",
+           None: {"b": (), "a": {}}}
+    # json.dumps sorts keys of one type only; these differ in type
+    for key, value in doc.items():
+        part = {key: value}
+        assert json_text(part) == json.dumps(part, indent=2, sort_keys=True) + "\n"
+    with pytest.raises(TypeError):
+        json_text({"x": object()})
+
+
+def test_split_round_trip():
+    text = split_to_json("ab" * 32, 5, [0, 3])
+    assert split_from_json(text) == {"data_sha256": "ab" * 32, "rows": 5, "anomalous": [0, 3]}
+    assert json_text(json.loads(text)) == text
+
+
+# test_cli.py runs a broken document, a wrong format tag and bool, negative,
+# out-of-range and unsorted indices through plot
+@pytest.mark.parametrize("change", [
+    {"data_sha256": 7}, {"rows": -1}, {"rows": True}, {"anomalous": "0"},
+    {"anomalous": [3, 3]}, {"anomalous": [1.0]}, {"data_sha256": None, "rows": None},
+], ids=lambda change: "%s=%r" % next(iter(change.items())))
+def test_split_reader_refuses_a_malformed_document(change):
+    doc = dict(json.loads(split_to_json("ab" * 32, 5, [0, 3])), **change)
+    with pytest.raises(SchemaError):
+        split_from_json(json.dumps({k: v for k, v in doc.items() if v is not None}))

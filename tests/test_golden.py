@@ -10,6 +10,11 @@ The report digests pin report.json and report.txt after extract --target
 both and surrogate through the command line, as recorded before report
 stopped building the model's arrays to summarise it.
 
+The plot digests pin plot_na.svg and plot_a.svg after extract --target both
+and plot --target both, as recorded while plot still rebuilt the model and
+scored every row with numpy to colour the points. hourly takes the periodic
+path: its plotted columns are hour_sin and hour_cos.
+
 The two_blobs and grouped_dataset digests (model, both rule sets, tree)
 were re-pinned when every fit moved to one-row kernel products
 X[i] @ X.T, which round differently from the whole X @ X.T. The models
@@ -138,15 +143,53 @@ REPORT_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(REPORT_RUNS))
-def test_report_golden(name, tmp_path, capsys):
-    data, columns, ocsvm = REPORT_RUNS[name]
+def _run_commands(tmp_path, run, commands, files) -> tuple:
+    """sha256 of each of files after the commands ran over run's dataset."""
+    data, columns, ocsvm = run
     synth.write_csv(tmp_path / "data.csv", data())
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"dataset": "data.csv", "columns": columns, "ocsvm": ocsvm}),
                    encoding="utf-8")
-    for argv in (["extract", "--target", "both"], ["surrogate"], ["report"]):
+    for argv in commands:
         assert main(argv + ["--config", str(cfg)]) == 0, argv
     out = tmp_path / "out"
-    assert tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
-                 for f in ("report.json", "report.txt")) == REPORT_GOLDEN[name]
+    return tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in files)
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_RUNS))
+def test_report_golden(name, tmp_path, capsys):
+    assert _run_commands(
+        tmp_path, REPORT_RUNS[name],
+        (["extract", "--target", "both"], ["surrogate"], ["report"]),
+        ("report.json", "report.txt")) == REPORT_GOLDEN[name]
+
+
+# the report runs and the periodic path, whose points carry hour_sin and hour_cos
+PLOT_RUNS = dict(REPORT_RUNS, hourly=(synth.hourly, synth.HOURLY_COLUMNS, synth.HOURLY_OCSVM))
+
+PLOT_GOLDEN = {
+    "grouped_dataset": (
+        "3dfee88fc48877c2b860ea73dd1792156d1b55deea8c39dbd22188d8029d1aa1",
+        "86d03328de657f5c7ab0c8704ee8b65910a7dda01a8e8391f00aadf204c561aa",
+    ),
+    "hourly": (
+        "8f4a36e63a4d87475b5ad257fb71b21b33de2829a23b2c8847586622df893246",
+        "4cbf3624b53bb854ec4ff1c4f17831ee00e487803c07125bc40c6620d188cf37",
+    ),
+    "seismic_like": (
+        "6fd356f79cb6b0fa4b2424371c006cc139ac61a1abe371b41936f9fc068bd1fa",
+        "1429667399dc3fb648e8e5b1536879b80d5b56e013088b29178a1ef05a0195aa",
+    ),
+    "two_blobs": (
+        "17da4d2702e40100d0f3793acc4abbb3b1a0e91144386a6b3e7f660f8a342928",
+        "ae41055d71cd6b8468f6f95fc6fbf7c981ab5da898209bce2dc5390af43a6364",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLOT_RUNS))
+def test_plot_golden(name, tmp_path, capsys):
+    assert _run_commands(
+        tmp_path, PLOT_RUNS[name],
+        (["extract", "--target", "both"], ["plot", "--target", "both"]),
+        ("plot_na.svg", "plot_a.svg")) == PLOT_GOLDEN[name]

@@ -220,12 +220,24 @@ def test_tree_document_needs_no_recursion():
     n = sys.getrecursionlimit() + 200
     X = np.arange(n, dtype=np.float64)[:, None]
     y = np.arange(n) % 2
-    doc = _node_to_doc(fit_tree(X, y))
+    tree = fit_tree(X, y)
+    doc = root = _node_to_doc(tree)
     for i in range(n - 1):
         assert doc["threshold"] == i + 0.5
         assert doc["left"] == {"prediction": int(y[i]), "counts": [[int(y[i]), 1]]}
         doc = doc["right"]
     assert doc == {"prediction": int(y[-1]), "counts": [[int(y[-1]), 1]]}
+    # tree_to_json lays the chain out without recursion; json's reader and
+    # writer recurse once per level, so they read it back under a raised limit
+    text = tree_to_json(tree, ["x"])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(4 * n)
+    try:
+        back = json.loads(text)
+        assert back == {"format": "surrogate-tree/1", "features": ["x"], "root": root}
+        assert json.dumps(back, indent=2, sort_keys=True) + "\n" == text
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 @st.composite
