@@ -18,11 +18,11 @@ _EXPORTS = {
                "expand_cyclical load_csv scale_apply scale_fit unique_categorical_states",
     "errors": "ConfigError ExtractionConvergenceError InsufficientDataError "
               "OcsvmRulesError ParseError SchemaError SolverConvergenceError",
-    "formats": "TARGET_ANOMALOUS TARGET_NON_ANOMALOUS ExtractionConfig FeatureSchema "
-               "KernelParams Rule RuleSet ScalingParams model_to_json "
-               "rule_to_text ruleset_from_json ruleset_to_json ruleset_to_text",
-    "ocsvm": "ANOMALOUS NON_ANOMALOUS OcsvmModel decision_values fit fit_dataset "
-             "model_from_json split_by_prediction",
+    "formats": "ANOMALOUS NON_ANOMALOUS TARGET_ANOMALOUS TARGET_NON_ANOMALOUS "
+               "ExtractionConfig FeatureSchema KernelParams Rule RuleSet ScalingParams "
+               "model_to_json rule_to_text ruleset_from_json ruleset_to_json ruleset_to_text",
+    "ocsvm": "OcsvmModel anomalous_rows decision_values fit fit_dataset model_from_json "
+             "split_by_prediction",
     "rules": "ExtractionResult bounding_box covered_mask extract_rule_sets",
     "surrogate": "TreeNode TreeRule fit_surrogate fit_tree predict_tree "
                  "tree_stats tree_to_json tree_to_rules",

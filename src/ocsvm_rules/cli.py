@@ -3,15 +3,13 @@
 Subcommands: extract (fit the detector, write it to model.json, record its
 split of the rows in split.json and mine rule boxes), surrogate (fit the
 mimic tree), report (summarize written artifacts), plot (SVG scatter with
-rule boxes). extract is the only command that fits the detector: surrogate
-reads the model.json it wrote and scores the rows with it, plot reads the
-model.json and the split.json it wrote and scores none, and both refuse a
-model that does not match the config or the dataset. plot also refuses a
-split.json written for other dataset bytes (their sha256 differs), so a
-dataset changed since extract, even with as many rows, exits 2. All
-artifacts are deterministic: rerunning a command over the same inputs
-rewrites byte-identical files. Progress and timings go to stderr; stdout
-carries only the error object on failure.
+rule boxes). extract is the only command that fits or scores the detector;
+surrogate and plot read split.json. Both refuse a model.json that does not
+match the config or the dataset, and a split.json written for other dataset
+bytes (their sha256 differs), so a dataset changed since extract, even with
+as many rows, exits 2. All artifacts are deterministic: rerunning a command
+over the same inputs rewrites byte-identical files. Progress and timings go
+to stderr; stdout carries only the error object on failure.
 
 Exit codes: 0 success, 2 bad configuration or input files, a config key
 that names no setting (a misspelt "ocsvm.gama") included, 3 not enough data
@@ -21,14 +19,14 @@ offending_boxes: one [lower, upper] pair per box still contaminated at that
 count, in scaled units and in the rule set's column order.
 
 Imports. Importing this module loads the standard library, errors and the
-numpy-free formats module only. extract and surrogate need numpy: each
-binds the names it calls from the dataset, ocsvm and rules or surrogate
-modules when it starts, so surrogate never loads the k-means code. plot
-binds only the numpy-free plotting module: it reads the dataset with
-formats.read_csv_table and colours the points by split.json, so it never
-loads numpy, which would be most of its run time as a process. Neither does
-report, which reads only the JSON artifacts, with the rule text of each rule
-set rendered from its rules_*.json.
+numpy-free formats module only. Each command binds the names it calls when
+it starts: extract from the dataset, ocsvm and rules modules; surrogate from
+the dataset and surrogate modules only, so it loads neither the detector nor
+the k-means code. plot binds only the numpy-free plotting module: it reads
+the dataset with formats.read_csv_table, so it never loads numpy, which
+would be most of its run time as a process. Neither does report, which
+reads only the JSON artifacts, with the rule text of each rule set rendered
+from its rules_*.json.
 """
 
 from __future__ import annotations
@@ -58,9 +56,8 @@ from .formats import (
 # cli before main runs sees every call. encode_matrix is not called here, but
 # perfbench/tracing.py wraps it here.
 _LAZY = {
-    "dataset": ("encode_matrix", "load_csv"),
-    "ocsvm": ("anomalous_rows", "ensure_expanded", "fit_dataset", "model_from_doc",
-              "split_by_prediction"),
+    "dataset": ("encode_matrix", "ensure_expanded", "load_csv"),
+    "ocsvm": ("anomalous_rows", "fit_dataset", "split_by_prediction"),
     "plotting": ("scatter_rules_svg",),
     "rules": ("extract_rule_sets",),
     "surrogate": ("fit_surrogate", "tree_rule_to_text", "tree_stats", "tree_to_json",
@@ -280,9 +277,10 @@ def _parse_artifact(path: Path, parse):
         raise SchemaError("malformed %s: %s" % (path, e)) from None
 
 
-def _check_model(cfg: RunConfig, rows: int) -> dict:
-    """The fields formats.model_doc reads from the <out>/model.json extract
-    wrote, checked against cfg and the dataset's row count."""
+def _extracted(cfg: RunConfig, rows: int) -> tuple:
+    """(schema, anomalous row indices) that extract wrote to <out>/model.json
+    and <out>/split.json, the model checked against cfg and the dataset's
+    row count, the split against the dataset's bytes and row count."""
     path = cfg.output_dir / "model.json"
     m = _parse_artifact(path, model_doc)
     schema = m["schema"]
@@ -299,12 +297,6 @@ def _check_model(cfg: RunConfig, rows: int) -> dict:
                 % (path, what, saved, wanted))
     print("model: loaded %s, %d support vectors of %d points"
           % (path, len(m["alphas"]), m["n_train"]), file=sys.stderr)
-    return m
-
-
-def _check_split(cfg: RunConfig, rows: int) -> list:
-    """The anomalous row indices of the <out>/split.json extract wrote,
-    checked against the dataset's bytes and row count."""
     path = cfg.output_dir / "split.json"
     split = _parse_artifact(path, split_from_json)
     for what, saved, wanted in (
@@ -312,7 +304,7 @@ def _check_split(cfg: RunConfig, rows: int) -> list:
             ("dataset rows", split["rows"], rows)):
         _expect(saved == wanted, "%s was written for %s %r, not %r; run extract again"
                 % (path, what, saved, wanted))
-    return split["anomalous"]
+    return schema, split["anomalous"]
 
 
 def _write(path: Path, text: str):
@@ -361,11 +353,11 @@ def cmd_extract(args) -> int:
 
 def cmd_surrogate(args) -> int:
     cfg = load_config(args.config, out=args.out)
-    _bind("dataset", "ocsvm", "surrogate")
+    _bind("dataset", "surrogate")
     d = _read_dataset(cfg, load_csv, cfg.numerical, cfg.categorical)
-    model = model_from_doc(_check_model(cfg, d.rows))
+    schema, anomalous = _extracted(cfg, d.rows)
     t0 = time.perf_counter()
-    tree, names = fit_surrogate(d, model)
+    tree, names = fit_surrogate(d, schema, anomalous)
     st = tree_stats(tree)
     print("surrogate: %.2fs, depth %d, %d leaves, accuracy %.4f"
           % (time.perf_counter() - t0, st["depth"], st["n_leaves"],
@@ -480,9 +472,9 @@ def cmd_plot(args) -> int:
     cfg = load_config(args.config, target=args.target, out=args.out)
     _bind("plotting")
     rows, values, _ = _read_dataset(cfg, read_csv_table, cfg.numerical, cfg.categorical)
-    schema = _check_model(cfg, rows)["schema"]
+    schema, split = _extracted(cfg, rows)
     anomalous = [False] * rows
-    for i in _check_split(cfg, rows):
+    for i in split:
         anomalous[i] = True
     for name, info in schema.cyclical.items():
         values[info.sin_col], values[info.cos_col] = cyclical_columns(values.pop(name),
@@ -543,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.set_defaults(func=cmd_extract)
 
     ps = sub.add_parser("surrogate", help="fit the mimic decision tree to the "
-                        "model.json that extract wrote")
+                        "split that extract recorded")
     common(ps)
     ps.set_defaults(func=cmd_surrogate)
 
@@ -551,8 +543,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(pr)
     pr.set_defaults(func=cmd_report)
 
-    pp = sub.add_parser("plot", help="SVG scatter of points, split by the "
-                        "model.json that extract wrote, and rule boxes")
+    pp = sub.add_parser("plot", help="SVG scatter of points, split as extract "
+                        "recorded, and rule boxes")
     common(pp, with_target=True)
     pp.set_defaults(func=cmd_plot)
     return ap

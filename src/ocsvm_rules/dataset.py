@@ -16,9 +16,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import ConfigError, SchemaError
 from .formats import (
-    CategoricalState, ColumnScale, CyclicalInfo, FeatureSchema, ScalingParams,
+    CategoricalState, ColumnScale, CyclicalInfo, FeatureSchema, ScalingParams, count,
     cyclical_columns, number, read_csv_table,
 )
 
@@ -128,6 +128,16 @@ class Dataset:
                 new[name] = Categorical(col.codes[idx], col.levels)
         return Dataset(columns=self.columns, data=new, rows=int(len(idx)))
 
+    def row_mask(self, rows) -> np.ndarray:
+        """Bool mask over the rows, True at each index in rows; ConfigError unless
+        every index is an integer (not a bool) in [0, self.rows): none wraps around."""
+        mask = np.zeros(self.rows, dtype=bool)
+        for i in rows:
+            if count(i, "row index", 0) >= self.rows:
+                raise ConfigError("row index %r is out of range for %d rows" % (i, self.rows))
+            mask[i] = True
+        return mask
+
 
 def load_csv(path, numerical, categorical) -> Dataset:
     """Read a CSV file with a header row into a typed Dataset.
@@ -211,6 +221,20 @@ def expand_cyclical(d: Dataset, periods: dict) -> tuple[Dataset, dict]:
     if unknown:
         raise SchemaError("cyclical columns not in dataset: %r" % sorted(unknown))
     return Dataset(columns=tuple(columns), data=data, rows=d.rows), info
+
+
+def ensure_expanded(d: Dataset, schema: FeatureSchema) -> Dataset:
+    """Expand periodic columns unless the dataset already carries the pairs."""
+    names = set(d.column_names)
+    periods = {}
+    for orig, info in schema.cyclical.items():
+        if info.sin_col in names and info.cos_col in names:
+            continue
+        periods[orig] = info.period
+    if not periods:
+        return d
+    expanded, _ = expand_cyclical(d, periods)
+    return expanded
 
 
 # ---------------------------------------------------------------------------

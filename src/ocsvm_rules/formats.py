@@ -27,6 +27,9 @@ from .errors import ConfigError, ParseError, SchemaError
 
 TARGET_NON_ANOMALOUS = "non_anomalous"
 TARGET_ANOMALOUS = "anomalous"
+# The detector's labels of a row, as tree.json and surrogate_stats.json hold them.
+NON_ANOMALOUS = 1
+ANOMALOUS = -1
 
 BOX_ALL = "all"
 BOX_FARTHEST = "farthest"

@@ -37,18 +37,16 @@ from .dataset import (
     Dataset,
     build_schema,
     encode_matrix,
+    ensure_expanded,
     expand_cyclical,
     scale_apply,
     scale_fit,
 )
 from .errors import ConfigError, SolverConvergenceError
-from .formats import (  # noqa: F401 - KernelParams stays importable from here
-    FeatureSchema, KernelParams, ScalingParams, count, expand_numeric_names, model_doc,
-    number,
+from .formats import (  # noqa: F401 - the labels and KernelParams stay importable from here
+    ANOMALOUS, NON_ANOMALOUS, FeatureSchema, KernelParams, ScalingParams, count,
+    expand_numeric_names, model_doc, number,
 )
-
-NON_ANOMALOUS = 1
-ANOMALOUS = -1
 
 # Bytes of kernel rows the solver keeps, LIBSVM's default cache size (-m 100).
 KERNEL_CACHE_BYTES = 100 * 2**20
@@ -283,20 +281,6 @@ def fit_dataset(d: Dataset, l_n, l_c, nu: float, kernel: KernelParams,
     return replace(model, schema=schema, scaling=scaling)
 
 
-def ensure_expanded(d: Dataset, schema: FeatureSchema) -> Dataset:
-    """Expand periodic columns unless the dataset already carries the pairs."""
-    names = set(d.column_names)
-    periods = {}
-    for orig, info in schema.cyclical.items():
-        if info.sin_col in names and info.cos_col in names:
-            continue
-        periods[orig] = info.period
-    if not periods:
-        return d
-    expanded, _ = expand_cyclical(d, periods)
-    return expanded
-
-
 def decision_values(m: OcsvmModel, X) -> np.ndarray:
     """g(x) = sum_i alpha_i k(sv_i, x) - rho for each row x of X.
 
@@ -343,14 +327,11 @@ def dataset_decision_values(m: OcsvmModel, d: Dataset) -> np.ndarray:
     return decision_values(m, encode_matrix(scaled, m.schema))
 
 
-def predict_dataset(m: OcsvmModel, d: Dataset) -> np.ndarray:
-    """+1 non-anomalous, -1 anomalous per row of d; a decision value of 0 is +1."""
-    return np.where(dataset_decision_values(m, d) >= 0, NON_ANOMALOUS, ANOMALOUS)
-
-
 def anomalous_rows(d: Dataset, m: OcsvmModel) -> np.ndarray:
-    """Ascending indices of the rows of d that the model predicts anomalous."""
-    return np.flatnonzero(predict_dataset(m, d) == ANOMALOUS)
+    """Ascending indices of the rows of d that the model predicts anomalous:
+    every row whose decision value is not >= 0, so a value of 0 is
+    non-anomalous."""
+    return np.flatnonzero(~(dataset_decision_values(m, d) >= 0))
 
 
 def split_by_prediction(d: Dataset, m: OcsvmModel, anomalous=None) -> tuple[Dataset, Dataset]:
@@ -360,11 +341,11 @@ def split_by_prediction(d: Dataset, m: OcsvmModel, anomalous=None) -> tuple[Data
     the rows again. Both halves carry the model's periodic columns as their
     (sin, cos) pairs. Rows that encode equally get one decision value (see
     decision_values), so they land in the same half; scoring holds one block
-    of at most _KERNEL_BLOCK kernel entries at a time.
+    of at most _KERNEL_BLOCK kernel entries at a time. Raises ConfigError
+    unless every index is an integer in [0, d.rows) (Dataset.row_mask).
     """
     d = _expanded(m, d)
-    mask = np.zeros(d.rows, dtype=bool)
-    mask[anomalous_rows(d, m) if anomalous is None else anomalous] = True
+    mask = d.row_mask(anomalous_rows(d, m) if anomalous is None else anomalous)
     return d.take(mask), d.take(~mask)
 
 
@@ -373,14 +354,9 @@ def split_by_prediction(d: Dataset, m: OcsvmModel, anomalous=None) -> tuple[Data
 # ---------------------------------------------------------------------------
 
 def model_from_json(text: str) -> OcsvmModel:
-    """Inverse of formats.model_to_json: formats.model_doc checks the text,
-    then model_from_doc builds the model."""
-    return model_from_doc(model_doc(text))
-
-
-def model_from_doc(fields: dict) -> OcsvmModel:
-    """The model of the fields formats.model_doc read, the support vectors
-    and alphas as read-only float arrays."""
+    """Inverse of formats.model_to_json: formats.model_doc checks the text, and
+    the support vectors and alphas become read-only float arrays."""
+    fields = model_doc(text)
     model = OcsvmModel(**dict(
         fields, support_vectors=np.array(fields["support_vectors"], dtype=np.float64),
         alphas=np.array(fields["alphas"], dtype=np.float64)))

@@ -26,10 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, encode_matrix
+from .dataset import Dataset, encode_matrix, ensure_expanded
 from .errors import ConfigError
-from .formats import json_text
-from .ocsvm import ANOMALOUS, NON_ANOMALOUS, OcsvmModel, ensure_expanded, predict_dataset
+from .formats import ANOMALOUS, NON_ANOMALOUS, FeatureSchema, json_text
 
 TREE_FORMAT = "surrogate-tree/1"
 
@@ -262,22 +261,25 @@ def tree_rule_to_text(rule: TreeRule) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Fitting against a detector
+# Fitting to a detector's split
 # ---------------------------------------------------------------------------
 
-def fit_surrogate(d: Dataset, model: OcsvmModel) -> tuple[TreeNode, list]:
-    """Tree over original-unit features that mimics the model on d.
+def fit_surrogate(d: Dataset, schema: FeatureSchema, anomalous) -> tuple[TreeNode, list]:
+    """Tree over original-unit features that mimics a detector's split of d.
+
+    schema is the detector's preprocessing. The rows listed in anomalous are
+    labelled ANOMALOUS, all others NON_ANOMALOUS; nothing is scored here. For
+    a fitted model m the call is fit_surrogate(d, m.schema, anomalous_rows(d, m));
+    the command line passes the split that extract recorded in split.json.
 
     Returns (tree, feature names); numeric features keep their units so the
-    thresholds read directly, one-hot features split at 0.5. The tree is
-    trained on the model's predictions on d.
+    thresholds read directly, one-hot features split at 0.5. Raises
+    ConfigError unless every index is an integer in [0, d.rows).
     """
-    if model.schema is None or model.scaling is None:
-        raise ConfigError("model has no attached preprocessing; fit with fit_dataset")
-    d_exp = ensure_expanded(d, model.schema)
-    y = predict_dataset(model, d_exp)
-    M = encode_matrix(d_exp, model.schema)  # unscaled numerics plus one-hot
-    return fit_tree(M, y), model.schema.feature_names()
+    d_exp = ensure_expanded(d, schema)
+    y = np.where(d_exp.row_mask(anomalous), ANOMALOUS, NON_ANOMALOUS)
+    M = encode_matrix(d_exp, schema)  # unscaled numerics plus one-hot
+    return fit_tree(M, y), schema.feature_names()
 
 
 # ---------------------------------------------------------------------------

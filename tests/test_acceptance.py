@@ -226,7 +226,7 @@ def test_criterion_07_surrogate_tree(capsys, grouped_run):
         assert predict_tree(xor, [[0, 0], [0, 1], [1, 0], [1, 1]]).tolist() == [0, 1, 1, 0]
 
         d, model, _ = grouped_run
-        tree, names = o.fit_surrogate(d, model)
+        tree, names = o.fit_surrogate(d, model.schema, o.anomalous_rows(d, model))
         d_exp = ensure_expanded(d, model.schema)
         y_det = np.where(dataset_decision_values(model, d_exp) >= 0, 1, -1)
         M = o.encode_matrix(d_exp, model.schema)

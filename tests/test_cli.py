@@ -378,7 +378,7 @@ def test_surrogate_tree_matches_library_fit(tmp_path, capsys):
     assert main(["surrogate", "--config", str(cfg)]) == 0
     model = o.fit_dataset(d, ["x", "y"], [], nu=synth.BLOB_NU,
                           kernel=o.KernelParams(gamma=synth.BLOB_GAMMA))
-    tree, names = o.fit_surrogate(d, model)
+    tree, names = o.fit_surrogate(d, model.schema, o.anomalous_rows(d, model))
     expected = o.tree_to_json(tree, names)
     assert (tmp_path / "out" / "tree.json").read_text(encoding="utf-8") == expected
 
@@ -850,7 +850,12 @@ def test_extract_writes_the_split_of_the_rows(tmp_path, capsys):
             ocsvm_module.dataset_decision_values(model, d) < 0).tolist()}
 
 
-def test_plot_refuses_a_dataset_changed_since_extract(tmp_path, capsys):
+# the first file each command that reads split.json writes
+FIRST_OUTPUT = {"surrogate": "tree.json", "plot": "plot_na.svg"}
+
+
+@pytest.mark.parametrize("command", sorted(FIRST_OUTPUT))
+def test_refuses_a_dataset_changed_since_extract(tmp_path, capsys, command):
     d = synth.two_blobs()
     cfg = _write_config(tmp_path, d)
     assert main(["extract", "--config", str(cfg)]) == 0
@@ -858,11 +863,11 @@ def test_plot_refuses_a_dataset_changed_since_extract(tmp_path, capsys):
     synth.write_csv(tmp_path / "data.csv",
                     synth.matrix_dataset(d.numeric_matrix(["x", "y"]) * [3.0, 1.0]))
     capsys.readouterr()
-    assert main(["plot", "--config", str(cfg)]) == 2
+    assert main([command, "--config", str(cfg)]) == 2
     doc = _read_error(capsys, 2)
     assert doc["error"] == "ConfigError"
     assert "split.json" in doc["message"] and "run extract again" in doc["message"]
-    assert not (tmp_path / "out" / "plot_na.svg").exists()
+    assert not (tmp_path / "out" / FIRST_OUTPUT[command]).exists()
 
 
 SPLIT_FAULTS = {
@@ -875,35 +880,39 @@ SPLIT_FAULTS = {
 }
 
 
-@pytest.mark.parametrize("fault", sorted(SPLIT_FAULTS))
-def test_malformed_split_json_exits_2(tmp_path, capsys, fault):
+# the plot cases keep the bare fault as their id
+@pytest.mark.parametrize("fault, command", [
+    pytest.param(fault, command, id=fault if command == "plot" else fault + "-" + command)
+    for fault in sorted(SPLIT_FAULTS) for command in sorted(FIRST_OUTPUT)])
+def test_malformed_split_json_exits_2(tmp_path, capsys, fault, command):
     cfg = _write_config(tmp_path, synth.two_blobs())
     assert main(["extract", "--config", str(cfg)]) == 0
     path = tmp_path / "out" / "split.json"
     path.write_text(SPLIT_FAULTS[fault](json.loads(path.read_text(encoding="utf-8"))),
                     encoding="utf-8")
     capsys.readouterr()
-    assert main(["plot", "--config", str(cfg)]) == 2
+    assert main([command, "--config", str(cfg)]) == 2
     doc = _read_error(capsys, 2)
     assert doc["error"] == "SchemaError"
     assert doc["message"].startswith("malformed %s: " % path)
 
 
-def test_plot_without_split_json_says_run_extract_first(tmp_path, capsys):
+@pytest.mark.parametrize("command", sorted(FIRST_OUTPUT))
+def test_without_split_json_says_run_extract_first(tmp_path, capsys, command):
     cfg = _write_config(tmp_path, synth.two_blobs())
     assert main(["extract", "--config", str(cfg)]) == 0
     (tmp_path / "out" / "split.json").unlink()
     capsys.readouterr()
-    assert main(["plot", "--config", str(cfg)]) == 2
+    assert main([command, "--config", str(cfg)]) == 2
     doc = _read_error(capsys, 2)
     assert doc["error"] == "ConfigError"
     assert "split.json" in doc["message"] and "run extract first" in doc["message"]
 
 
-@pytest.mark.parametrize("command", ["extract", "plot"])
+@pytest.mark.parametrize("command", ["extract", "surrogate", "plot"])
 def test_both_targets_score_the_rows_once(tmp_path, capsys, monkeypatch, command):
-    # extract scores every row once for both targets; plot reads the split
-    # extract wrote to split.json and scores none
+    # extract scores every row once for both targets; surrogate and plot
+    # read the split extract wrote to split.json and score none
     cfg = _hourly_config(tmp_path)
     assert main(["extract", "--config", str(cfg), "--target", "both"]) == 0
     # dataset_decision_values looks decision_values up as a module global
@@ -915,7 +924,8 @@ def test_both_targets_score_the_rows_once(tmp_path, capsys, monkeypatch, command
         return inner(m, X)
 
     monkeypatch.setattr(ocsvm_module, "decision_values", counting)
-    assert main([command, "--config", str(cfg), "--target", "both"]) == 0
+    targets = [] if command == "surrogate" else ["--target", "both"]
+    assert main([command, "--config", str(cfg)] + targets) == 0
     assert calls == ([synth.hourly().rows] if command == "extract" else [])
 
 
@@ -954,7 +964,8 @@ def test_report_runs_without_numpy_and_plot_without_kmeans(tmp_path, capsys):
         "    assert cli.main(argv + ['--config', sys.argv[1]]) == 0, argv\n"
         "    assert 'numpy' not in sys.modules, argv\n"
         "assert cli.main(['surrogate', '--config', sys.argv[1]]) == 0\n"
-        "assert 'ocsvm_rules.clustering' not in sys.modules, 'surrogate'\n")
+        "assert 'ocsvm_rules.clustering' not in sys.modules, 'surrogate'\n"
+        "assert 'ocsvm_rules.ocsvm' not in sys.modules, 'surrogate'\n")
     proc = subprocess.run([sys.executable, "-c", script, str(cfg)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

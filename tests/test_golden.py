@@ -110,8 +110,8 @@ def test_ruleset_json_golden(name, target, request):
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_surrogate_tree_json_golden(name, request):
     data_fx, model_fx = FIXTURES[name]
-    tree, names = o.fit_surrogate(request.getfixturevalue(data_fx),
-                                  request.getfixturevalue(model_fx))
+    d, model = request.getfixturevalue(data_fx), request.getfixturevalue(model_fx)
+    tree, names = o.fit_surrogate(d, model.schema, o.anomalous_rows(d, model))
     assert _sha(o.tree_to_json(tree, names)) == TREE_GOLDEN[name]
 
 

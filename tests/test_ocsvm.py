@@ -16,16 +16,15 @@ from ocsvm_rules.dataset import ColumnScale, FeatureSchema, ScalingParams
 from ocsvm_rules.errors import ConfigError, SchemaError, SolverConvergenceError
 from ocsvm_rules.formats import model_to_json
 from ocsvm_rules.ocsvm import (
-    ANOMALOUS,
     NON_ANOMALOUS,
     KernelParams,
     OcsvmModel,
+    anomalous_rows,
     dataset_decision_values,
     decision_values,
     fit,
     fit_dataset,
     model_from_json,
-    predict_dataset,
     split_by_prediction,
 )
 from ocsvm_reference import rbf_kernel_matrix
@@ -172,20 +171,22 @@ def test_predict_boundary_is_non_anomalous():
                                           for c in names}))
     densest = X[np.argmax(decision_values(m, X))][None]
     row = synth.matrix_dataset(densest, names)
-    assert predict_dataset(m, row).tolist() == [NON_ANOMALOUS]
+    assert anomalous_rows(row, m).tolist() == []
     assert decision_values(m, densest)[0] > 0
     # a model whose rho equals the kernel sum at densest puts it on the boundary
     s = rbf_kernel_matrix(densest, m.support_vectors, m.kernel.gamma) @ m.alphas
     on_boundary = dataclasses.replace(m, rho=float(s[0]))
     assert decision_values(on_boundary, densest)[0] == 0.0
     assert dataset_decision_values(on_boundary, row).tolist() == [0.0]
-    assert predict_dataset(on_boundary, row).tolist() == [NON_ANOMALOUS]
+    assert anomalous_rows(row, on_boundary).tolist() == []
     X_a, X_na = split_by_prediction(row, on_boundary)
     assert (X_a.rows, X_na.rows) == (0, 1)
-    assert fit_surrogate(row, on_boundary)[0].prediction == NON_ANOMALOUS
-    labels = predict_dataset(m, synth.matrix_dataset(X, names))
-    g = decision_values(m, X)
-    assert np.array_equal(labels, np.where(g >= 0, NON_ANOMALOUS, ANOMALOUS))
+    tree, _ = fit_surrogate(row, on_boundary.schema, anomalous_rows(row, on_boundary))
+    assert tree.prediction == NON_ANOMALOUS
+    d = synth.matrix_dataset(X, names)
+    g = dataset_decision_values(m, d)
+    assert np.array_equal(g, decision_values(m, X))
+    assert np.array_equal(anomalous_rows(d, m), np.flatnonzero(~(g >= 0)))
 
 
 def test_input_validation():
@@ -466,9 +467,18 @@ def test_fit_dataset_split_partition(blob_data, blob_model):
     assert X_a.rows == int((g < 0).sum())
 
 
+@pytest.mark.parametrize("bad", [-1, "rows", True, 0.0],
+                         ids=["negative", "rows", "bool", "float"])
+def test_split_refuses_a_row_index_outside_the_rows(blob_data, blob_model, bad):
+    # at least one valid index beside the bad one; -1 would mark the last row
+    anomalous = [0, blob_data.rows if bad == "rows" else bad]
+    with pytest.raises(ConfigError, match="row index"):
+        split_by_prediction(blob_data, blob_model, anomalous)
+
+
 def test_fit_dataset_midpoint_is_flagged(blob_data, blob_model):
     mid = synth.matrix_dataset([[5.0, 5.0]])
-    assert predict_dataset(blob_model, mid).tolist() == [ANOMALOUS]
+    assert anomalous_rows(mid, blob_model).tolist() == [0]
 
 
 def test_fit_dataset_with_categoricals(grouped_data, grouped_model):

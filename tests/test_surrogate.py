@@ -9,7 +9,9 @@ from hypothesis import given, strategies as st
 
 import ocsvm_rules as o
 from ocsvm_rules.errors import ConfigError
-from ocsvm_rules.ocsvm import ANOMALOUS, NON_ANOMALOUS, dataset_decision_values, ensure_expanded
+from ocsvm_rules.ocsvm import (
+    ANOMALOUS, NON_ANOMALOUS, anomalous_rows, dataset_decision_values, ensure_expanded,
+)
 from ocsvm_rules.surrogate import (
     _node_to_doc,
     fit_surrogate,
@@ -261,7 +263,8 @@ def test_training_accuracy_is_the_share_that_prediction_gets_right(case):
 
 
 def test_surrogate_mimics_detector(grouped_data, grouped_model):
-    tree, names = fit_surrogate(grouped_data, grouped_model)
+    tree, names = fit_surrogate(grouped_data, grouped_model.schema,
+                                anomalous_rows(grouped_data, grouped_model))
     d_exp = ensure_expanded(grouped_data, grouped_model.schema)
     y = np.where(dataset_decision_values(grouped_model, d_exp) >= 0,
                  NON_ANOMALOUS, ANOMALOUS)
@@ -277,11 +280,13 @@ def test_surrogate_mimics_detector(grouped_data, grouped_model):
     assert labels == {NON_ANOMALOUS, ANOMALOUS}
 
 
-def test_surrogate_requires_preprocessing(blob_data):
-    X = np.column_stack([blob_data.data["x"], blob_data.data["y"]])
-    bare = o.fit(X, nu=0.1, kernel=o.KernelParams(gamma=0.5))
-    with pytest.raises(ConfigError):
-        fit_surrogate(blob_data, bare)
+@pytest.mark.parametrize("bad", [-1, "rows", True, 0.0],
+                         ids=["negative", "rows", "bool", "float"])
+def test_surrogate_refuses_a_row_index_outside_the_rows(blob_data, blob_model, bad):
+    # the check split_by_prediction makes (test_ocsvm.py); -1 would label the last row
+    anomalous = [0, blob_data.rows if bad == "rows" else bad]
+    with pytest.raises(ConfigError, match="row index"):
+        fit_surrogate(blob_data, blob_model.schema, anomalous)
 
 
 # ---------------------------------------------------------------------------
