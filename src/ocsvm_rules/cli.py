@@ -45,7 +45,7 @@ from .errors import (
 )
 from .formats import (
     TARGET_ANOMALOUS, TARGET_NON_ANOMALOUS, ExtractionConfig, KernelParams, count,
-    cyclical_columns, expand_numeric_names, file_sha256, json_text, model_doc,
+    cyclical_columns, expand_numeric_names, json_text, model_doc,
     model_to_json, number, read_csv_table, ruleset_from_json, ruleset_to_json,
     ruleset_to_text, split_from_json, split_to_json, state_text, strings,
 )
@@ -240,9 +240,13 @@ def load_config(path: str, *, target: str | None = None, out: str | None = None,
 
 
 def _read_dataset(cfg: RunConfig, read, *args):
-    """read(the dataset's path, *args); ConfigError if the file cannot be read."""
+    """(read(the dataset's path, *args, data=its bytes), the sha256 of the
+    bytes parsed), from one read; ConfigError if the file cannot be read."""
+    import hashlib
+
     try:
-        return read(cfg.dataset, *args)
+        data = cfg.dataset.read_bytes()
+        return read(cfg.dataset, *args, data=data), hashlib.sha256(data).hexdigest()
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError("cannot read dataset: %s" % e) from None
 
@@ -277,10 +281,10 @@ def _parse_artifact(path: Path, parse):
         raise SchemaError("malformed %s: %s" % (path, e)) from None
 
 
-def _extracted(cfg: RunConfig, rows: int) -> tuple:
+def _extracted(cfg: RunConfig, rows: int, digest: str) -> tuple:
     """(schema, anomalous row indices) that extract wrote to <out>/model.json
     and <out>/split.json, the model checked against cfg and the dataset's
-    row count, the split against the dataset's bytes and row count."""
+    row count, the split against the dataset's sha256 digest and row count."""
     path = cfg.output_dir / "model.json"
     m = _parse_artifact(path, model_doc)
     schema = m["schema"]
@@ -300,7 +304,7 @@ def _extracted(cfg: RunConfig, rows: int) -> tuple:
     path = cfg.output_dir / "split.json"
     split = _parse_artifact(path, split_from_json)
     for what, saved, wanted in (
-            ("dataset sha256", split["data_sha256"], _read_dataset(cfg, file_sha256)),
+            ("dataset sha256", split["data_sha256"], digest),
             ("dataset rows", split["rows"], rows)):
         _expect(saved == wanted, "%s was written for %s %r, not %r; run extract again"
                 % (path, what, saved, wanted))
@@ -322,13 +326,13 @@ def cmd_extract(args) -> int:
     cfg = load_config(args.config, target=args.target, out=args.out,
                       discard_factor=args.discard_factor, box_mode=args.box_mode)
     _bind("dataset", "ocsvm", "rules")
-    d = _read_dataset(cfg, load_csv, cfg.numerical, cfg.categorical)
+    d, digest = _read_dataset(cfg, load_csv, cfg.numerical, cfg.categorical)
     model = _fit_model(cfg, d)
     _write(cfg.output_dir / "model.json", model_to_json(model))
     d = ensure_expanded(d, model.schema)  # once, for the split and its halves
     anomalous = anomalous_rows(d, model)
     _write(cfg.output_dir / "split.json",
-           split_to_json(_read_dataset(cfg, file_sha256), d.rows, anomalous.tolist()))
+           split_to_json(digest, d.rows, anomalous.tolist()))
     split = split_by_prediction(d, model, anomalous)
     stats = {}
     for target in cfg.targets:
@@ -354,8 +358,8 @@ def cmd_extract(args) -> int:
 def cmd_surrogate(args) -> int:
     cfg = load_config(args.config, out=args.out)
     _bind("dataset", "surrogate")
-    d = _read_dataset(cfg, load_csv, cfg.numerical, cfg.categorical)
-    schema, anomalous = _extracted(cfg, d.rows)
+    d, digest = _read_dataset(cfg, load_csv, cfg.numerical, cfg.categorical)
+    schema, anomalous = _extracted(cfg, d.rows, digest)
     t0 = time.perf_counter()
     tree, names = fit_surrogate(d, schema, anomalous)
     st = tree_stats(tree)
@@ -471,8 +475,8 @@ def cmd_report(args) -> int:
 def cmd_plot(args) -> int:
     cfg = load_config(args.config, target=args.target, out=args.out)
     _bind("plotting")
-    rows, values, _ = _read_dataset(cfg, read_csv_table, cfg.numerical, cfg.categorical)
-    schema, split = _extracted(cfg, rows)
+    (rows, values, _), digest = _read_dataset(cfg, read_csv_table, cfg.numerical, cfg.categorical)
+    schema, split = _extracted(cfg, rows, digest)
     anomalous = [False] * rows
     for i in split:
         anomalous[i] = True

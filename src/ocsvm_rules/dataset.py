@@ -139,14 +139,15 @@ class Dataset:
         return mask
 
 
-def load_csv(path, numerical, categorical) -> Dataset:
+def load_csv(path, numerical, categorical, data=None) -> Dataset:
     """Read a CSV file with a header row into a typed Dataset.
 
     ``numerical`` and ``categorical`` list the columns to ingest; other file
     columns are ignored. Numerical cells must parse as finite numbers.
-    formats.read_csv_table reads and checks the file.
+    formats.read_csv_table reads and checks the file, or data, its bytes
+    if already read.
     """
-    rows, num_vals, cat_vals = read_csv_table(path, numerical, categorical)
+    rows, num_vals, cat_vals = read_csv_table(path, numerical, categorical, data)
     columns = tuple([(c, NUMERICAL) for c in num_vals] + [(c, CATEGORICAL) for c in cat_vals])
     data = {c: np.array(v, dtype=np.float64) for c, v in num_vals.items()}
     data.update((c, Categorical.from_tokens(v)) for c, v in cat_vals.items())

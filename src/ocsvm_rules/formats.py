@@ -12,7 +12,7 @@ This module owns the value checks every reader and API entry point shares:
 minimum) and ``strings`` (a list of strings). Configs, artifacts and the fitting
 functions call them, so one value is judged the same way everywhere. Every
 JSON artifact gets its layout from ``json_text``. Modules that a command
-needs only sometimes (csv, hashlib) are imported by the function that uses
+needs only sometimes (csv) are imported by the function that uses
 them, so importing this module stays cheap.
 """
 
@@ -144,7 +144,7 @@ def strings(v, what: str, size: int | None = None) -> list:
 # The CSV dataset
 # ---------------------------------------------------------------------------
 
-def read_csv_table(path, numerical, categorical) -> tuple[int, dict, dict]:
+def read_csv_table(path, numerical, categorical, data=None) -> tuple[int, dict, dict]:
     """(rows, numerical values, categorical tokens) of a CSV file with a header row.
 
     Each dict maps a declared column, in the order given, to its cells in row
@@ -153,9 +153,11 @@ def read_csv_table(path, numerical, categorical) -> tuple[int, dict, dict]:
     SchemaError for a column declared twice, a duplicate header name or a
     declared column the header lacks, and ParseError for an empty file, a
     short row or a numerical cell that is not a finite number. OSError and
-    UnicodeDecodeError from reading the file propagate.
+    UnicodeDecodeError from reading the file propagate. data, the file's bytes
+    if already read, is parsed in place of the file; path then only names it.
     """
     import csv
+    import io
 
     numerical = list(numerical)
     categorical = list(categorical)
@@ -164,7 +166,8 @@ def read_csv_table(path, numerical, categorical) -> tuple[int, dict, dict]:
         raise SchemaError("columns declared twice: %r" % sorted(
             {c for c in declared if declared.count(c) > 1}))
 
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    raw = open(path, "rb") if data is None else io.BytesIO(data)
+    with io.TextIOWrapper(raw, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -204,14 +207,6 @@ def read_csv_table(path, numerical, categorical) -> tuple[int, dict, dict]:
                 cat_vals[c].append(record[pos[c]])
             rows += 1
     return rows, num_vals, cat_vals
-
-
-def file_sha256(path) -> str:
-    """The hex sha256 of the file's bytes."""
-    import hashlib
-
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
 
 
 # A categorical state is an ordered tuple of (column, token) pairs, one pair

@@ -9,16 +9,18 @@ with Q the RBF Gram matrix. Optimization uses two-coordinate descent with
 most-violating-pair selection; ties resolve to the lowest index so training
 is deterministic for a fixed input. The rows the solver reads form an
 exactly symmetric matrix, so each step reads the two rows of Q it needs in
-place of its two columns. Penalty arrays, 0 or +-inf per alpha, are the
-only record of which alphas can grow or shrink. An infinite minimum of G
-plus the growth penalty means every alpha is at C (nu = 1), and the loop
-stops with the dual solved.
+place of its two columns. The loop keeps the gradient G = Q a as two
+penalised views, G or +inf where an alpha cannot grow and G or -inf where
+it cannot shrink; they are the only record of which alphas can move. An
+infinite minimum of the first means every alpha is at C (nu = 1), and the
+loop stops with the dual solved.
 
 Row i of Q is computed on its first read from the one-row product
 X[i] @ X.T and kept in a least-recently-used cache of at most
-KERNEL_CACHE_BYTES, LIBSVM's default 100 MiB. The solver usually reads a
-small share of the rows, and no n x n array is built. The loop itself
-works in buffers allocated before it starts.
+KERNEL_CACHE_BYTES, 8 MiB. A row computed again is bit-identical to the
+one evicted, so the budget moves no result, only time and memory: at
+5000 rows it holds 209 rows. The loop itself works in buffers allocated
+before it starts, and no n x n array is built.
 
 Scoring uses the same kernel routine, _rbf_kernel, on blocks of at most
 _KERNEL_BLOCK entries, and scores each distinct row once, so equal rows
@@ -48,9 +50,11 @@ from .formats import (  # noqa: F401 - the labels and KernelParams stay importab
     expand_numeric_names, model_doc, number,
 )
 
-# Bytes of kernel rows the solver keeps, LIBSVM's default cache size (-m 100).
-KERNEL_CACHE_BYTES = 100 * 2**20
-# The most rows whose whole 8 * n**2-byte Gram fits in the budget (3620).
+# Bytes of kernel rows the solver keeps. Below LIBSVM's default (-m 100, 100
+# MiB), which at 5000 rows kept every row the solver read and set the peak
+# memory of extract; each row evicted costs one more one-row product.
+KERNEL_CACHE_BYTES = 8 * 2**20
+# The most rows whose whole 8 * n**2-byte Gram fits in the budget (1024).
 # No fit builds that Gram; the name stays only because the benchmark's
 # perfbench/run.py reads it to compute ocsvm.gram_mb.
 DENSE_KERNEL_LIMIT = math.isqrt(KERNEL_CACHE_BYTES // 8)
@@ -83,7 +87,7 @@ class _KernelRows:
 
     Row i is _rbf_kernel(X[i:i+1], X, ...), computed on its first read,
     and an LRU cache keeps the last max(2, budget // (8 n)) rows read; up
-    to 3620 rows that is every row. A one-row product rounds differently
+    to 1024 rows that is every row. A one-row product rounds differently
     from the whole X @ X.T, so these rows match the whole-matrix kernel only
     to the last bits, but together they form an exactly symmetric matrix.
     The two rows of a step are the two most recent, so reading the second
@@ -138,9 +142,9 @@ def fit(X, nu: float, kernel: KernelParams, tol: float = 1e-5,
     on unit-scaled data the gradient spread is tiny and a loose stop puts
     the offset far enough off to misclassify a big slice of the data.
 
-    Kernel rows take at most KERNEL_CACHE_BYTES (see _KernelRows); beyond
-    them the fit holds X and a few vectors of n floats, so no fit builds an
-    n x n array.
+    Kernel rows take at most KERNEL_CACHE_BYTES, 8 MiB (see _KernelRows),
+    or two rows where n exceeds 2**19; beyond them the fit holds X and a
+    few vectors of n floats, so no fit builds an n x n array.
 
     Raises ConfigError unless X is a 2-D matrix of at least 2 rows, nu is a
     number (formats.number: not a bool, finite) in (0, 1] with nu * n >= 1,
@@ -176,66 +180,72 @@ def fit(X, nu: float, kernel: KernelParams, tol: float = 1e-5,
     for i in np.flatnonzero(alpha > 0):
         G += alpha[i] * kr.row(i)
 
-    # The penalties are the only record of which alphas can move: pen_up is
-    # 0 where alpha can grow and +inf where it cannot; pen_down is 0 where
-    # alpha can shrink and -inf where it cannot. Adding 0 leaves G exact, so
-    # the selection is the first extremum of G over each set.
-    pen_up = np.where(alpha < C, 0.0, np.inf)
-    pen_down = np.where(alpha > 0, 0.0, -np.inf)
-    scratch = np.empty(n, dtype=np.float64)
+    # Two penalised views of G are the only record of which alphas can move:
+    # up is G where alpha can grow and +inf where it cannot; down is G where
+    # alpha can shrink and -inf where it cannot. Each alpha can move one way
+    # at least (C > 0), so one view holds its G. The selection is the first
+    # extremum of G over each set.
+    up = np.where(alpha < C, G, np.inf)
+    down = np.where(alpha > 0, G, -np.inf)
+    del G
     t_i = np.empty(n, dtype=np.float64)
     t_j = np.empty(n, dtype=np.float64)
 
     for _ in range(max_iter):
         # argmin/argmax return the first extremum: ties go to the lowest index
-        i = int(np.add(G, pen_up, out=scratch).argmin())
-        if scratch.item(i) == np.inf:  # every alpha is at C: none can grow
+        i = int(up.argmin())
+        g_i = up.item(i)
+        if g_i == math.inf:  # every alpha is at C: none can grow
             break
         # finite: some alpha is > 0, as a step keeps alpha[i] + alpha[j] > 0
-        j = int(np.add(G, pen_down, out=scratch).argmax())
-        violation = G[j] - G[i]
+        j = int(down.argmax())
+        violation = down.item(j) - g_i
         if violation <= tol:
             break
 
         row_i = kr.row(i)
         row_j = kr.row(j)
         # Q_ii + Q_jj - 2 Q_ij with the RBF diagonal taken as 1; a computed
-        # Q_ii can fall short of 1 by rounding (1e-15 to 5e-13 measured)
-        quad = 2.0 - 2.0 * row_i[j]
+        # Q_ii can fall short of 1 by rounding (1e-15 to 5e-13 measured).
+        # The step's scalars are Python floats, cheaper than numpy scalars.
+        quad = 2.0 - 2.0 * row_i.item(j)
         if quad <= 0:
             quad = 1e-12
         delta = violation / quad
 
-        s = alpha[i] + alpha[j]
-        old_i, old_j = alpha[i], alpha[j]
-        new_i = old_i + delta
+        old_i, old_j = alpha.item(i), alpha.item(j)
+        s = old_i + old_j
         # clip so both coordinates stay in [0, C] with their sum fixed
-        new_i = min(new_i, C, s)
+        new_i = min(old_i + delta, C, s)
         new_i = max(new_i, 0.0, s - C)
+        new_j = s - new_i
         alpha[i] = new_i
-        alpha[j] = s - new_i
-        # G += (alpha[i] - old_i) * row_i + (alpha[j] - old_j) * row_j, in
-        # the same operations and order
-        np.multiply(alpha[i] - old_i, row_i, out=t_i)
-        np.multiply(alpha[j] - old_j, row_j, out=t_j)
+        alpha[j] = new_j
+        # G += (new_i - old_i) * row_i + (new_j - old_j) * row_j, in the same
+        # operations and order on both views; a penalty stays infinite
+        np.multiply(new_i - old_i, row_i, out=t_i)
+        np.multiply(new_j - old_j, row_j, out=t_j)
         t_i += t_j
-        G += t_i
-        # only alpha[i] and alpha[j] moved; .item() runs the bound checks
-        # on Python floats, which is cheaper than on numpy scalars
-        for k in (i, j):
-            a = alpha.item(k)
-            pen_up[k] = 0.0 if a < C else np.inf
-            pen_down[k] = 0.0 if a > 0 else -np.inf
+        up += t_i
+        down += t_i
+        # only alpha[i] and alpha[j] moved: a view that was infinite takes
+        # the G of the other
+        for k, a in ((i, new_i), (j, new_j)):
+            g = up.item(k)
+            if g == math.inf:
+                g = down.item(k)
+            up[k] = g if a < C else math.inf
+            down[k] = g if a > 0 else -math.inf
     else:  # no break in max_iter >= 1 steps, so violation is set
         raise SolverConvergenceError(
             "solver did not converge after %d iterations (KKT violation %.3e)"
             % (max_iter, violation),
             alpha=alpha.copy(),
-            kkt_violation=float(violation),
+            kkt_violation=violation,
             iterations=max_iter,
         )
 
-    rho = _estimate_rho(alpha, G, C)
+    rho = _estimate_rho(alpha, np.where(up < math.inf, up, down), C)
 
     sv = alpha > 0
     model = OcsvmModel(

@@ -81,6 +81,18 @@ def grouped_dataset(seed: int = 3) -> Dataset:
         rows=len(pts))
 
 
+def states_matrix(seed: int = 5, rows: int = 5000) -> np.ndarray:
+    """An encoded matrix shaped like the states benchmark input (rows x 18):
+    one Gaussian blob (sigma 0.4) per (site, shift) state on a grid of
+    spacing 3, min-max scaled, beside the one-hot columns of 12 sites and 4
+    shifts."""
+    rng = np.random.default_rng(seed)
+    site, shift = rng.integers(0, 12, rows), rng.integers(0, 4, rows)
+    pts = np.column_stack([3.0 * site, 3.0 * shift]) + rng.normal(0.0, 0.4, (rows, 2))
+    pts = (pts - pts.min(axis=0)) / np.ptp(pts, axis=0)
+    return np.column_stack([pts, np.eye(12)[site], np.eye(4)[shift]])
+
+
 def tokens(d: Dataset, name: str) -> tuple:
     """The tokens of a categorical column, one per row."""
     col = d.data[name]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import ocsvm_rules as o
+import ocsvm_rules.cli as cli
 import ocsvm_rules.ocsvm as ocsvm_module
 from ocsvm_rules.cli import load_config, main
 from ocsvm_rules.formats import ExtractionConfig, json_text
@@ -848,6 +849,25 @@ def test_extract_writes_the_split_of_the_rows(tmp_path, capsys):
         "rows": d.rows,
         "anomalous": np.flatnonzero(
             ocsvm_module.dataset_decision_values(model, d) < 0).tolist()}
+
+
+def test_split_records_the_digest_of_the_bytes_parsed(tmp_path, monkeypatch):
+    # a dataset rewritten during the fit: the model never saw the new bytes
+    d = synth.two_blobs()
+    cfg = _write_config(tmp_path, d)
+    parsed = (tmp_path / "data.csv").read_bytes()
+    fit_dataset = ocsvm_module.fit_dataset
+
+    def rewriting(*args, **kwargs):
+        synth.write_csv(tmp_path / "data.csv",
+                        synth.matrix_dataset(d.numeric_matrix(["x", "y"]) * [3.0, 1.0]))
+        return fit_dataset(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "fit_dataset", rewriting)
+    assert main(["extract", "--config", str(cfg)]) == 0
+    assert (tmp_path / "data.csv").read_bytes() != parsed
+    split = json.loads((tmp_path / "out" / "split.json").read_text(encoding="utf-8"))
+    assert split["data_sha256"] == hashlib.sha256(parsed).hexdigest()
 
 
 # the first file each command that reads split.json writes

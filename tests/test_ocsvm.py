@@ -233,6 +233,35 @@ def test_non_convergence_carries_diagnostics():
     assert e.alpha.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+# alpha after max_iter steps on gaussian_cloud(40, seed=3), nu 0.1 (C 0.25),
+# gamma 0.5, nonzero entries only: alphas leave and reach the bounds on the
+# way, and the step's arithmetic must not move a bit of the iterate
+NON_CONVERGED = {
+    2: (0.21149620306454836, {
+        0: 0.25, 1: 0.11498253738857656, 2: 0.007567106888778402, 3: 0.25,
+        4: 0.2424328931112216, 33: 0.13501746261142344}),
+    50: (0.0020663479492420977, {
+        0: 0.12401950108806396, 1: 0.03706191160662328, 2: 0.009536462764498098,
+        4: 0.14095940481010522, 6: 0.009469693789316957, 10: 0.06081710711820137,
+        13: 0.09283543976348302, 18: 0.12982890205387984, 19: 0.05635052264565238,
+        23: 0.050611908982553015, 28: 0.0961389479791255, 31: 0.05743066099646547,
+        32: 0.09885761641438068, 33: 0.027740989072628598, 36: 0.005078248142807074,
+        37: 0.0032626827722154897}),
+}
+
+
+@pytest.mark.parametrize("max_iter", sorted(NON_CONVERGED))
+def test_non_converged_iterate_is_pinned(max_iter):
+    violation, nonzero = NON_CONVERGED[max_iter]
+    with pytest.raises(SolverConvergenceError) as ei:
+        fit(synth.gaussian_cloud(40, seed=3), nu=0.1, kernel=KernelParams(gamma=0.5),
+            max_iter=max_iter)
+    expected = np.zeros(40)
+    expected[list(nonzero)] = list(nonzero.values())
+    assert ei.value.kkt_violation == violation
+    assert np.array_equal(ei.value.alpha, expected)
+
+
 def test_decision_values_feature_count_checked():
     X = synth.gaussian_cloud(50, seed=4)
     m = fit(X, nu=0.2, kernel=KernelParams(gamma=0.2))
@@ -437,6 +466,36 @@ def test_row_cache_eviction_matches_dense(monkeypatch):
     off_margin = np.abs(g_dense) > 1e-4
     assert off_margin.sum() > 0.8 * 80
     assert np.array_equal(g_dense[off_margin] >= 0, g_evict[off_margin] >= 0)
+
+
+def test_default_budget_evicts_and_moves_nothing(monkeypatch):
+    # a states-shaped fit reads more rows than the default budget holds
+    X = synth.states_matrix()
+    n, nu, kernel = X.shape[0], 0.05, KernelParams(gamma=2.0)
+    assert X.shape == (5000, 18)
+    computed, held = [], []
+    row = oc._KernelRows.row
+
+    def watched_row(self, i):
+        miss = i not in self._cache
+        out = row(self, i)
+        if miss:  # the cache grows only on a miss
+            computed.append(i)
+            held.append(sum(r.nbytes for r in self._cache.values()))
+        return out
+
+    monkeypatch.setattr(oc._KernelRows, "row", watched_row)
+    budgeted = fit(X, nu=nu, kernel=kernel)
+    assert len(computed) > len(set(computed))  # rows evicted and read again
+    assert max(held) <= oc.KERNEL_CACHE_BYTES
+
+    monkeypatch.setattr(oc, "KERNEL_CACHE_BYTES", 8 * n * n)
+    computed.clear()
+    whole = fit(X, nu=nu, kernel=kernel)
+    assert len(computed) == len(set(computed))  # every row kept
+    assert np.array_equal(budgeted.alphas, whole.alphas)
+    assert np.array_equal(budgeted.support_vectors, whole.support_vectors)
+    assert budgeted.rho == whole.rho
 
 
 def test_fit_builds_no_gram(monkeypatch):
