@@ -36,7 +36,7 @@ import importlib
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import (
@@ -44,10 +44,10 @@ from .errors import (
     SchemaError, SolverConvergenceError,
 )
 from .formats import (
-    TARGET_ANOMALOUS, TARGET_NON_ANOMALOUS, ExtractionConfig, KernelParams, count,
-    cyclical_columns, expand_numeric_names, json_text, model_doc,
-    model_to_json, number, read_csv_table, ruleset_from_json, ruleset_to_json,
-    ruleset_to_text, split_from_json, split_to_json, state_text, strings,
+    BOX_ALL, BOX_FARTHEST, TARGET_ANOMALOUS, TARGET_NON_ANOMALOUS, ExtractionConfig,
+    KernelParams, count, cyclical_columns, expand_numeric_names, json_text, model_doc,
+    model_to_json, number, read_csv_table, read_document, ruleset_from_json,
+    ruleset_to_json, ruleset_to_text, split_from_json, split_to_json, state_text, strings,
 )
 
 # The names the commands call from modules loaded on demand, all but plotting
@@ -81,12 +81,13 @@ def __getattr__(name):
     raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
+# Each target's short name: --target and extraction.targets take it, files carry it
 _SUFFIX = {TARGET_NON_ANOMALOUS: "na", TARGET_ANOMALOUS: "a"}
-# The config keys that set ExtractionConfig fields: each extraction key names
-# its field, and each kmeans key maps to one.
-_EXTRACTION_KEYS = ("discard_factor", "box_mode", "n_v", "max_clusters",
-                    "literal_cluster_threshold", "per_group_min_check")
+# The config keys that set ExtractionConfig fields: each kmeans key maps to
+# one, and each extraction key names one of the others.
 _KMEANS_KEYS = {"seed": "seed", "n_init": "n_init", "max_iter": "kmeans_max_iter"}
+_EXTRACTION_KEYS = tuple(f.name for f in fields(ExtractionConfig)
+                         if f.name not in _KMEANS_KEYS.values())
 # Every key a config may hold, per section; load_config refuses any other.
 _SECTION_KEYS = {
     "columns": ("numerical", "categorical", "cyclical"),
@@ -96,12 +97,7 @@ _SECTION_KEYS = {
     "plot": ("columns", "width", "height"),
 }
 _TOP_KEYS = ("dataset", "output_dir") + tuple(_SECTION_KEYS)
-_TARGET_ALIASES = {
-    "na": TARGET_NON_ANOMALOUS,
-    "a": TARGET_ANOMALOUS,
-    TARGET_NON_ANOMALOUS: TARGET_NON_ANOMALOUS,
-    TARGET_ANOMALOUS: TARGET_ANOMALOUS,
-}
+_TARGET_ALIASES = {**{t: t for t in _SUFFIX}, **{s: t for t, s in _SUFFIX.items()}}
 
 
 @dataclass
@@ -186,7 +182,7 @@ def load_config(path: str, *, target: str | None = None, out: str | None = None,
     km = _section(raw, "kmeans")
     ex = _section(raw, "extraction")
     if target is not None:
-        names = [TARGET_NON_ANOMALOUS, TARGET_ANOMALOUS] if target == "both" else [target]
+        names = list(_SUFFIX) if target == "both" else [target]
     else:
         names = ex.get("targets", [TARGET_NON_ANOMALOUS])
         _expect(isinstance(names, list) and names,
@@ -239,14 +235,16 @@ def load_config(path: str, *, target: str | None = None, out: str | None = None,
     )
 
 
-def _read_dataset(cfg: RunConfig, read, *args):
-    """(read(the dataset's path, *args, data=its bytes), the sha256 of the
-    bytes parsed), from one read; ConfigError if the file cannot be read."""
+def _read_dataset(cfg: RunConfig, read):
+    """(read(the dataset's path, its numerical and categorical columns,
+    data=its bytes), the sha256 of the bytes parsed), from one read;
+    ConfigError if the file cannot be read."""
     import hashlib
 
     try:
         data = cfg.dataset.read_bytes()
-        return read(cfg.dataset, *args, data=data), hashlib.sha256(data).hexdigest()
+        return (read(cfg.dataset, cfg.numerical, cfg.categorical, data=data),
+                hashlib.sha256(data).hexdigest())
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError("cannot read dataset: %s" % e) from None
 
@@ -262,19 +260,15 @@ def _fit_model(cfg: RunConfig, d):
     return model
 
 
-def _read_artifact(path: Path) -> str:
-    """Text of a file that extract wrote; ConfigError if it cannot be read."""
+def _parse_artifact(path: Path, parse):
+    """parse(text of path, a file that extract wrote), with "malformed <path>"
+    before its SchemaError; ConfigError if the file cannot be read."""
     try:
-        return path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ConfigError("missing %s; run extract first" % path) from None
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError("cannot read %s: %s" % (path, e)) from None
-
-
-def _parse_artifact(path: Path, parse):
-    """parse(text of path), with "malformed <path>" before its SchemaError."""
-    text = _read_artifact(path)
     try:
         return parse(text)
     except SchemaError as e:
@@ -326,7 +320,7 @@ def cmd_extract(args) -> int:
     cfg = load_config(args.config, target=args.target, out=args.out,
                       discard_factor=args.discard_factor, box_mode=args.box_mode)
     _bind("dataset", "ocsvm", "rules")
-    d, digest = _read_dataset(cfg, load_csv, cfg.numerical, cfg.categorical)
+    d, digest = _read_dataset(cfg, load_csv)
     model = _fit_model(cfg, d)
     _write(cfg.output_dir / "model.json", model_to_json(model))
     d = ensure_expanded(d, model.schema)  # once, for the split and its halves
@@ -338,15 +332,10 @@ def cmd_extract(args) -> int:
     for target in cfg.targets:
         t0 = time.perf_counter()
         result = extract_rule_sets(split, model, target=target, config=cfg.extraction)
-        suffix = _SUFFIX[target]
-        _write(cfg.output_dir / ("rules_%s.json" % suffix),
-               ruleset_to_json(result.ruleset))
-        _write(cfg.output_dir / ("rules_%s.txt" % suffix),
-               ruleset_to_text(result.ruleset))
-        _write(cfg.output_dir / ("rules_%s_scaled.json" % suffix),
-               ruleset_to_json(result.ruleset_scaled))
-        _write(cfg.output_dir / ("rules_%s_scaled.txt" % suffix),
-               ruleset_to_text(result.ruleset_scaled))
+        for name, rs in ((_SUFFIX[target], result.ruleset),
+                         (_SUFFIX[target] + "_scaled", result.ruleset_scaled)):
+            _write(cfg.output_dir / ("rules_%s.json" % name), ruleset_to_json(rs))
+            _write(cfg.output_dir / ("rules_%s.txt" % name), ruleset_to_text(rs))
         stats[target] = result.stats
         print("extract %s: %.2fs, %d rules" % (target, time.perf_counter() - t0,
                                                result.stats["n_rules"]),
@@ -358,7 +347,7 @@ def cmd_extract(args) -> int:
 def cmd_surrogate(args) -> int:
     cfg = load_config(args.config, out=args.out)
     _bind("dataset", "surrogate")
-    d, digest = _read_dataset(cfg, load_csv, cfg.numerical, cfg.categorical)
+    d, digest = _read_dataset(cfg, load_csv)
     schema, anomalous = _extracted(cfg, d.rows, digest)
     t0 = time.perf_counter()
     tree, names = fit_surrogate(d, schema, anomalous)
@@ -373,22 +362,17 @@ def cmd_surrogate(args) -> int:
     return 0
 
 
-def _json_object(text: str) -> dict:
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError("expected a JSON object, got %s" % type(doc).__name__)
-    return doc
-
-
-def _summarise(path: Path, name: str, summarise, parse=_json_object):
+def _summarise(path: Path, name: str, summarise, parse=None):
     """(report entry, text lines) for one JSON artifact. Never raises.
 
     ``summarise`` maps what ``parse`` reads from the file's text to its entry
-    and lines. A missing file becomes status "missing"; text ``parse``
+    and lines; without ``parse`` it gets the JSON object the file holds, of
+    any format. A missing file becomes status "missing"; text ``parse``
     rejects, or a document ``summarise`` cannot read, becomes "unreadable: ...".
     """
     try:
-        return summarise(parse(path.read_text(encoding="utf-8")))
+        text = path.read_text(encoding="utf-8")
+        return summarise(parse(text) if parse else read_document(text, dict, name, None))
     except FileNotFoundError:
         err = "missing"
     except Exception as e:  # noqa: broad on purpose, report must not die
@@ -456,7 +440,7 @@ def cmd_report(args) -> int:
     lines += section
 
     report["rules"] = {}
-    for suffix in ("na", "a"):
+    for suffix in _SUFFIX.values():
         name = "rules " + suffix
         report["rules"][suffix], section = _summarise(
             out / ("rules_%s.json" % suffix), name,
@@ -475,7 +459,7 @@ def cmd_report(args) -> int:
 def cmd_plot(args) -> int:
     cfg = load_config(args.config, target=args.target, out=args.out)
     _bind("plotting")
-    (rows, values, _), digest = _read_dataset(cfg, read_csv_table, cfg.numerical, cfg.categorical)
+    (rows, values, _), digest = _read_dataset(cfg, read_csv_table)
     schema, split = _extracted(cfg, rows, digest)
     anomalous = [False] * rows
     for i in split:
@@ -527,14 +511,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", help="output directory (overrides the config)")
         if with_target:
-            p.add_argument("--target", choices=["na", "a", "both"],
+            p.add_argument("--target", choices=[*_SUFFIX.values(), "both"],
                            help="which prediction class to describe")
 
     pe = sub.add_parser("extract", help="fit the detector and mine rule boxes")
     common(pe, with_target=True)
     pe.add_argument("--discard-factor", type=float,
                     help="contaminated-cluster drop threshold factor")
-    pe.add_argument("--box-mode", choices=["all", "farthest"],
+    pe.add_argument("--box-mode", choices=[BOX_ALL, BOX_FARTHEST],
                     help="which cluster points define each box")
     pe.set_defaults(func=cmd_extract)
 

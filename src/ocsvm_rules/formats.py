@@ -11,9 +11,11 @@ This module owns the value checks every reader and API entry point shares:
 ``number`` (a finite real number within bounds), ``count`` (an integer from a
 minimum) and ``strings`` (a list of strings). Configs, artifacts and the fitting
 functions call them, so one value is judged the same way everywhere. Every
-JSON artifact gets its layout from ``json_text``. Modules that a command
-needs only sometimes (csv) are imported by the function that uses
-them, so importing this module stays cheap.
+JSON artifact gets its layout from ``json_text``, and every one is read
+through ``read_document``, which checks that the text is a JSON object with
+the document's format tag and turns any fault into a SchemaError. Modules
+that a command needs only sometimes (csv) are imported by the function that
+uses them, so importing this module stays cheap.
 """
 
 from __future__ import annotations
@@ -99,6 +101,24 @@ def json_text(doc) -> str:
                 key, value = entries[k]
                 todo += [(value, inner), ("," if k else opening) + inner + key]
     return "".join(out) + "\n"
+
+
+def read_document(text: str, read, kind: str, fmt: str | None):
+    """read(doc) for the JSON object doc that text holds, whose "format" is fmt
+    unless fmt is None; SchemaError for any other text, or for a KeyError,
+    ValueError, TypeError, AttributeError, OverflowError or ConfigError of
+    read, which keeps its message ("<kind> has no field ..." for a KeyError)."""
+    try:
+        doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise SchemaError("expected a JSON object, got %s" % type(doc).__name__)
+        if fmt is not None and doc.get("format") != fmt:
+            raise SchemaError("unsupported %s format: %r" % (kind, doc.get("format")))
+        return read(doc)
+    except KeyError as e:
+        raise SchemaError("%s has no field %s" % (kind, e)) from None
+    except (ValueError, TypeError, AttributeError, OverflowError, ConfigError) as e:
+        raise SchemaError(str(e)) from None
 
 
 def number(v, what: str, *, low=None, above=None, high=None) -> float:
@@ -347,56 +367,50 @@ def model_doc(text: str) -> dict:
     result holds OcsvmModel's fields, the support vectors and alphas as the
     document's lists.
     """
+    return read_document(text, _model_fields, "model", MODEL_FORMAT)
+
+
+def _model_fields(doc: dict) -> dict:
+    sd = doc["schema"]
+    schema = FeatureSchema(
+        numerical=tuple(strings(sd["numerical"], "schema.numerical")),
+        categorical=tuple(strings(sd["categorical"], "schema.categorical")),
+        levels={c: tuple(strings(toks, "levels of %r" % c))
+                for c, toks in sd["levels"].items()},
+        cyclical=cyclical_from_doc(sd.get("cyclical", {})),
+    )
+    scaling = ScalingParams(per_column={
+        c: ColumnScale(min=s["min"], max=s["max"], degenerate=s["degenerate"])
+        for c, s in doc["scaling"].items()
+    })
+    n_features = len(schema.feature_names())
+    sv, alphas = doc["support_vectors"], doc["alphas"]
+    if not (isinstance(alphas, list) and alphas and isinstance(sv, list)
+            and len(sv) == len(alphas)
+            and all(isinstance(row, list) and len(row) == n_features for row in sv)):
+        raise SchemaError("alphas must be a non-empty list and support_vectors one "
+                          "list of %d numbers per alpha" % n_features)
+    n_train = doc["n_train"]
     try:
-        doc = json.loads(text)
-        if not isinstance(doc, dict):
-            raise SchemaError("expected a JSON object, got %s" % type(doc).__name__)
-        if doc.get("format") != MODEL_FORMAT:
-            raise SchemaError("unsupported model format: %r" % doc.get("format"))
-        sd = doc["schema"]
-        schema = FeatureSchema(
-            numerical=tuple(strings(sd["numerical"], "schema.numerical")),
-            categorical=tuple(strings(sd["categorical"], "schema.categorical")),
-            levels={c: tuple(strings(toks, "levels of %r" % c))
-                    for c, toks in sd["levels"].items()},
-            cyclical=cyclical_from_doc(sd.get("cyclical", {})),
-        )
-        scaling = ScalingParams(per_column={
-            c: ColumnScale(min=s["min"], max=s["max"], degenerate=s["degenerate"])
-            for c, s in doc["scaling"].items()
-        })
-        n_features = len(schema.feature_names())
-        sv, alphas = doc["support_vectors"], doc["alphas"]
-        if not (isinstance(alphas, list) and alphas and isinstance(sv, list)
-                and len(sv) == len(alphas)
-                and all(isinstance(row, list) and len(row) == n_features for row in sv)):
-            raise SchemaError("alphas must be a non-empty list and support_vectors one "
-                              "list of %d numbers per alpha" % n_features)
-        n_train = doc["n_train"]
-        try:
-            count(n_train, "n_train", max(2, len(alphas)))
-        except ConfigError:
-            raise SchemaError("n_train must be an integer >= 2 and >= the %d support "
-                              "vectors, got %r" % (len(alphas), n_train)) from None
-        rho, nu = doc["rho"], doc["nu"]
-        bounds = [v for sc in scaling.per_column.values() for v in (sc.min, sc.max)]
-        for what, values in (("rho", [rho]), ("nu", [nu]), ("alphas", alphas),
-                             ("support_vectors", [v for row in sv for v in row]),
-                             ("scaling", bounds)):
-            for v in values:
-                number(v, what)
-        if set(scaling.per_column) != set(schema.numerical):
-            raise SchemaError("scaling covers %s, not the numerical columns %s"
-                              % (sorted(scaling.per_column), list(schema.numerical)))
-        for c, sc in scaling.per_column.items():
-            if sc.degenerate is not (sc.min == sc.max):
-                raise SchemaError("scaling of %r: degenerate must be %s, got %r"
-                                  % (c, sc.min == sc.max, sc.degenerate))
-        kernel = KernelParams(gamma=number(doc["gamma"], "gamma"))
-    except KeyError as e:
-        raise SchemaError("model has no field %s" % e) from None
-    except (ValueError, TypeError, AttributeError, OverflowError, ConfigError) as e:
-        raise SchemaError(str(e)) from None
+        count(n_train, "n_train", max(2, len(alphas)))
+    except ConfigError:
+        raise SchemaError("n_train must be an integer >= 2 and >= the %d support "
+                          "vectors, got %r" % (len(alphas), n_train)) from None
+    rho, nu = doc["rho"], doc["nu"]
+    bounds = [v for sc in scaling.per_column.values() for v in (sc.min, sc.max)]
+    for what, values in (("rho", [rho]), ("nu", [nu]), ("alphas", alphas),
+                         ("support_vectors", [v for row in sv for v in row]),
+                         ("scaling", bounds)):
+        for v in values:
+            number(v, what)
+    if set(scaling.per_column) != set(schema.numerical):
+        raise SchemaError("scaling covers %s, not the numerical columns %s"
+                          % (sorted(scaling.per_column), list(schema.numerical)))
+    for c, sc in scaling.per_column.items():
+        if sc.degenerate is not (sc.min == sc.max):
+            raise SchemaError("scaling of %r: degenerate must be %s, got %r"
+                              % (c, sc.min == sc.max, sc.degenerate))
+    kernel = KernelParams(gamma=number(doc["gamma"], "gamma"))
     return {"support_vectors": sv, "alphas": alphas, "rho": float(rho), "nu": float(nu),
             "kernel": kernel, "n_train": n_train, "schema": schema, "scaling": scaling}
 
@@ -418,29 +432,22 @@ def split_from_json(text: str) -> dict:
     data_sha256 is a string, rows an integer >= 0 and anomalous a list of
     integers (a JSON int, not a bool), strictly ascending within [0, rows).
     """
-    try:
-        doc = json.loads(text)
-        if not isinstance(doc, dict):
-            raise SchemaError("expected a JSON object, got %s" % type(doc).__name__)
-        if doc.get("format") != SPLIT_FORMAT:
-            raise SchemaError("unsupported split format: %r" % doc.get("format"))
-        digest, rows, anomalous = doc["data_sha256"], doc["rows"], doc["anomalous"]
-        if not isinstance(digest, str):
-            raise SchemaError("data_sha256 must be a string, got %r" % (digest,))
-        count(rows, "rows", 0)
-        if not isinstance(anomalous, list):
-            raise SchemaError("anomalous must be a list of row indices, got %r"
-                              % (anomalous,))
-        last = -1
-        for i in anomalous:
-            if type(i) is not int or not last < i < rows:
-                raise SchemaError("anomalous rows must be integers ascending within "
-                                  "[0, %d), got %r after %r" % (rows, i, last))
-            last = i
-    except KeyError as e:
-        raise SchemaError("split has no field %s" % e) from None
-    except (ValueError, ConfigError) as e:
-        raise SchemaError(str(e)) from None
+    return read_document(text, _split_fields, "split", SPLIT_FORMAT)
+
+
+def _split_fields(doc: dict) -> dict:
+    digest, rows, anomalous = doc["data_sha256"], doc["rows"], doc["anomalous"]
+    if not isinstance(digest, str):
+        raise SchemaError("data_sha256 must be a string, got %r" % (digest,))
+    count(rows, "rows", 0)
+    if not isinstance(anomalous, list):
+        raise SchemaError("anomalous must be a list of row indices, got %r" % (anomalous,))
+    last = -1
+    for i in anomalous:
+        if type(i) is not int or not last < i < rows:
+            raise SchemaError("anomalous rows must be integers ascending within "
+                              "[0, %d), got %r after %r" % (rows, i, last))
+        last = i
     return {"data_sha256": digest, "rows": rows, "anomalous": anomalous}
 
 
@@ -567,44 +574,34 @@ def _cyclical_arcs(s_lo: float, s_hi: float, c_lo: float, c_hi: float,
     return [(lo / turn * period, hi / turn * period) for lo, hi in arcs]
 
 
-def _cyclical_display(rule: Rule, cyclical: dict):
-    """Per sin-column rendered text plus the set of columns it consumed.
-
-    A periodic column's (sin, cos) bounds print as the intervals of values
-    in [0, period] whose pair lies in the box, ascending: "hour ≈ [0.0, 2.0]
-    ∪ [22.0, 24.0]" for a box around midnight. A pair counts as in the box
-    up to _ARC_TOL, a few ulps, so each printed end lies within rounding of
-    a value the box admits. A box that admits no value keeps its raw sin and
+def rule_to_text(rule: Rule, target: str, cyclical: dict | None = None) -> str:
+    """The rule as one line. The (sin, cos) bounds of each periodic column, a
+    key of cyclical, print as the intervals of values in [0, period] whose
+    pair lies in the box, ascending: "hour ≈ [0.0, 2.0] ∪ [22.0, 24.0]" for a
+    box around midnight. A pair counts as in the box up
+    to _ARC_TOL, a few ulps, so each printed end lies within rounding of a
+    value the box admits. A box that admits no value keeps its raw sin and
     cos bounds; the stored bounds stay in (sin, cos) space.
     """
-    rendered, consumed = {}, set()
+    parts = ["%s = %s" % (col, tok) for col, tok in rule.state]
     idx = {c: k for k, c in enumerate(rule.columns)}
+    decoded: dict = {}  # sin column -> its intervals' text; cos column -> None
     for orig, info in (cyclical or {}).items():
         if info.sin_col not in idx or info.cos_col not in idx:
             continue
         si, ci = idx[info.sin_col], idx[info.cos_col]
         arcs = _cyclical_arcs(rule.lower[si], rule.upper[si], rule.lower[ci],
                               rule.upper[ci], info.period)
-        if not arcs:
-            continue
-        rendered[info.sin_col] = "%s ≈ %s (period %s)" % (orig, " ∪ ".join(
-            "[%s, %s]" % (_fmt(lo), _fmt(hi)) for lo, hi in arcs), _fmt(info.period))
-        consumed.add(info.sin_col)
-        consumed.add(info.cos_col)
-    return rendered, consumed
-
-
-def rule_to_text(rule: Rule, target: str, cyclical: dict | None = None) -> str:
-    parts = ["%s = %s" % (col, tok) for col, tok in rule.state]
-    rendered, consumed = _cyclical_display(rule, cyclical or {})
+        if arcs:
+            decoded[info.sin_col] = "%s ≈ %s (period %s)" % (orig, " ∪ ".join(
+                "[%s, %s]" % (_fmt(lo), _fmt(hi)) for lo, hi in arcs), _fmt(info.period))
+            decoded.setdefault(info.cos_col, None)
     for k, col in enumerate(rule.columns):
-        if col in rendered:
-            parts.append(rendered[col])
-        elif col in consumed:
-            continue
-        else:
+        if col not in decoded:
             parts.append("%s ≥ %s" % (col, _fmt(rule.lower[k])))
             parts.append("%s ≤ %s" % (col, _fmt(rule.upper[k])))
+        elif decoded[col] is not None:
+            parts.append(decoded[col])
     head = "NOT OUTLIER IF " if target == TARGET_NON_ANOMALOUS else "OUTLIER IF "
     return head + " ∧ ".join(parts)
 
@@ -662,20 +659,13 @@ def ruleset_from_json(text: str) -> RuleSet:
     bound must be one. columns is a list of strings, each state a list of
     [column, token] string pairs, n_points an integer >= 1 and scaled a bool.
     """
-    try:
-        doc = json.loads(text)
-        if not isinstance(doc, dict):
-            raise SchemaError("expected a JSON object, got %s" % type(doc).__name__)
-        if doc.get("format") != RULESET_FORMAT:
-            raise SchemaError("unsupported rule set format: %r" % doc.get("format"))
-        columns = tuple(strings(doc["columns"], "columns"))
-        rules = tuple(_rule_from_doc(rd, columns) for rd in doc["rules"])
-        if not isinstance(doc["scaled"], bool):
-            raise SchemaError("scaled must be true or false, got %r" % (doc["scaled"],))
-        return RuleSet(target=doc["target"], scaled=doc["scaled"],
-                       columns=columns, rules=rules,
-                       cyclical=cyclical_from_doc(doc.get("cyclical", {})))
-    except KeyError as e:
-        raise SchemaError("rule set has no field %s" % e) from None
-    except (ValueError, TypeError, AttributeError, OverflowError, ConfigError) as e:
-        raise SchemaError(str(e)) from None
+    return read_document(text, _ruleset_fields, "rule set", RULESET_FORMAT)
+
+
+def _ruleset_fields(doc: dict) -> RuleSet:
+    columns = tuple(strings(doc["columns"], "columns"))
+    rules = tuple(_rule_from_doc(rd, columns) for rd in doc["rules"])
+    if not isinstance(doc["scaled"], bool):
+        raise SchemaError("scaled must be true or false, got %r" % (doc["scaled"],))
+    return RuleSet(target=doc["target"], scaled=doc["scaled"], columns=columns,
+                   rules=rules, cyclical=cyclical_from_doc(doc.get("cyclical", {})))

@@ -18,11 +18,12 @@ forked with only that group's points and killed and reaped when that
 group's sweep returns or raises, so at most one helper runs at a time.
 
 Why the output cannot change. The helper is a fork of this process, with
-the same data, code and BLAS. It calls this module's kmeans_pp with the same
-arguments, so its clustering for k is the one this process would compute.
-For each k in order, the sweep takes the helper's clustering if it has one
-and runs kmeans_pp itself otherwise. Acceptance, boxes, discards and errors
-are decided here only, in the same order as a serial sweep.
+the same data, code and BLAS. It runs the sweep's own clustering step, with
+the seeding it inherited by the fork, so its clustering for k is the one
+this process would compute. For each k in order, the sweep takes the
+helper's clustering if it has one and runs the step itself otherwise.
+Acceptance, boxes, discards and errors are decided here only, in the same
+order as a serial sweep.
 
 The pipe. The helper checks none of its clusterings. It writes each of its
 counts in order on one pipe, as a pickle of (k, clustering), and nothing to
@@ -185,6 +186,12 @@ def _extract_boxes(Xs: np.ndarray, Ys: np.ndarray, cfg: ExtractionConfig,
 
     # k-means++ picks do not depend on k: each step extends the same seeding
     seeds = PlusPlusSeeds(Xs, cfg.seed, cfg.n_init)
+
+    def cluster(k):
+        # kmeans_pp is looked up at call time, so a wrapper set on this module sees each call
+        return kmeans_pp(Xs, k, seed=cfg.seed, n_init=cfg.n_init,
+                         max_iter=cfg.kmeans_max_iter, seeds=seeds)
+
     step = None
     work = 0
     helper = None
@@ -192,11 +199,10 @@ def _extract_boxes(Xs: np.ndarray, Ys: np.ndarray, cfg: ExtractionConfig,
         for n_cl in range(1, max_cl + 1):
             work += n * n_cl
             if helper is None and work >= AHEAD_WORK and n_cl < max_cl:
-                helper = Helper(Xs, cfg, n_cl + 1, max_cl)
+                helper = Helper(cluster, n_cl + 1, max_cl)
             cl = helper.result(n_cl) if helper is not None else None
             if cl is None:
-                cl = kmeans_pp(Xs, n_cl, seed=cfg.seed, n_init=cfg.n_init,
-                               max_iter=cfg.kmeans_max_iter, seeds=seeds)
+                cl = cluster(n_cl)
             step = _check_clusters(Xs, Ys, cl, cfg, target, n_v)
             if not step.offending:
                 discarded = (np.sort(np.concatenate(step.discard)) if step.discard
@@ -229,13 +235,13 @@ def can_fork() -> bool:
 
 
 class Helper:
-    """A forked process computing counts k0, k0 + 2, ... cap of one group's sweep.
+    """A forked process computing cluster(k) for k = k0, k0 + 2, ... cap.
 
     The constructor forks when it can; otherwise result always returns None.
     close kills and reaps the process.
     """
 
-    def __init__(self, Xs, cfg, k0: int, cap: int):
+    def __init__(self, cluster, k0: int, cap: int):
         self._k0 = k0
         self._pid: int | None = None
         self._out = None  # read end of the result pipe, None once it ended
@@ -254,7 +260,10 @@ class Helper:
                 null = os.open(os.devnull, os.O_WRONLY)
                 os.dup2(null, 1)
                 os.dup2(null, 2)
-                _serve(out_w, Xs, cfg, k0, cap)
+                with os.fdopen(out_w, "wb") as stream:
+                    for k in range(k0, cap + 1, 2):
+                        pickle.dump((k, cluster(k)), stream, pickle.HIGHEST_PROTOCOL)
+                        stream.flush()
             finally:
                 os._exit(0)
         os.close(out_w)
@@ -283,18 +292,6 @@ class Helper:
         if self._out is not None:
             self._out.close()
             self._out = None
-
-
-def _serve(out: int, Xs, cfg, k0: int, cap: int) -> None:
-    """The helper's loop: compute and send each count up to cap, calling
-    kmeans_pp through this module's globals, as the parent's sweep does."""
-    seeds = PlusPlusSeeds(Xs, cfg.seed, cfg.n_init)
-    with os.fdopen(out, "wb") as stream:
-        for k in range(k0, cap + 1, 2):
-            cl = kmeans_pp(Xs, k, seed=cfg.seed, n_init=cfg.n_init,
-                           max_iter=cfg.kmeans_max_iter, seeds=seeds)
-            pickle.dump((k, cl), stream, pickle.HIGHEST_PROTOCOL)
-            stream.flush()
 
 
 def extract_rule_sets(split: tuple[Dataset, Dataset], model: OcsvmModel,

@@ -160,6 +160,11 @@ def test_seeds_must_match_input():
         PlusPlusSeeds(X, -2, 3)
 
 
+def test_seeds_refuse_zero_points():
+    with pytest.raises(ConfigError, match="^cannot seed clusters from 0 points$"):
+        PlusPlusSeeds(np.empty((0, 2)), 0, 3)
+
+
 # ---------------------------------------------------------------------------
 # Whole sweeps against the per-k loop reference in kmeans_reference.py
 # ---------------------------------------------------------------------------

@@ -243,6 +243,20 @@ def test_expand_cyclical_unknown_column():
         expand_cyclical(d, {"nope": 7.0})
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda d: d.kind_of("nope"), "unknown column 'nope'"),
+    (lambda d: d.numeric_matrix(["x", "c"]), "column 'c' is not numerical"),
+    (lambda d: scale_fit(d, ["c"]), "cannot fit scaling on non-numerical column 'c'"),
+    (lambda d: scale_fit(d.take([]), ["x"]), "cannot fit scaling on empty column 'x'"),
+    (lambda d: expand_cyclical(d, {"c": 24.0}), "cyclical column 'c' must be numerical"),
+], ids=["kind_of", "numeric_matrix", "scale_fit-categorical", "scale_fit-empty",
+        "expand_cyclical-categorical"])
+def test_column_refusals_name_the_column(call, message):
+    with pytest.raises(SchemaError) as e:
+        call(make([1.0, 2.0], ["a", "b"]))
+    assert str(e.value) == message
+
+
 # ---------------------------------------------------------------------------
 # Categorical states
 # ---------------------------------------------------------------------------

@@ -22,7 +22,9 @@ from ocsvm_rules.formats import (
     _ARC_TOL,
     count,
     json_text,
+    model_doc,
     number,
+    read_csv_table,
     rule_to_text,
     ruleset_from_json,
     ruleset_to_json,
@@ -264,6 +266,24 @@ def test_periodic_text_keeps_raw_bounds_of_a_box_off_the_circle():
         "NOT OUTLIER IF hour_sin ≥ 0.9 ∧ hour_sin ≤ 1.0 ∧ hour_cos ≥ 0.9 ∧ hour_cos ≤ 1.0")
 
 
+def test_periodic_text_decodes_each_pair_on_its_own():
+    # the day's (sin, cos) box lies within 0.1 of the centre, where no day
+    # has its pair, so it keeps its raw bounds while the hour's box decodes
+    cyclical = dict(HOUR, day=CyclicalInfo(period=7.0, sin_col="day_sin", cos_col="day_cos"))
+    r = Rule(state=(("site", "s1"),),
+             columns=("day_sin", "day_cos", "v", "hour_sin", "hour_cos"),
+             lower=(-0.1, -0.1, 0.5, 1.0, 0.0), upper=(0.1, 0.1, 2.0, 1.0, 0.0), n_points=3)
+    assert rule_to_text(r, TARGET_ANOMALOUS, cyclical) == (
+        "OUTLIER IF site = s1 ∧ day_sin ≥ -0.1 ∧ day_sin ≤ 0.1 ∧ day_cos ≥ -0.1 ∧ "
+        "day_cos ≤ 0.1 ∧ v ≥ 0.5 ∧ v ≤ 2.0 ∧ hour ≈ [6.0, 6.0] (period 24.0)")
+
+
+def test_rule_set_refuses_a_rule_over_other_columns():
+    r = Rule(state=(), columns=("x",), lower=(0.0,), upper=(1.0,), n_points=1)
+    with pytest.raises(ConfigError, match="^rule columns differ from rule set columns$"):
+        RuleSet(target=TARGET_NON_ANOMALOUS, scaled=False, columns=("y",), rules=(r,))
+
+
 def test_scaled_rule_text_prints_periodic_bounds_as_they_are():
     # min-max-scaled sin and cos are no sin and cos: decoding them as an angle
     # described other hours than the rule admits
@@ -349,3 +369,34 @@ def test_split_reader_refuses_a_malformed_document(change):
     doc = dict(json.loads(split_to_json("ab" * 32, 5, [0, 3])), **change)
     with pytest.raises(SchemaError):
         split_from_json(json.dumps({k: v for k, v in doc.items() if v is not None}))
+
+
+# ---------------------------------------------------------------------------
+# What every document reader refuses
+# ---------------------------------------------------------------------------
+
+READERS = {"model": model_doc, "split": split_from_json, "rule set": ruleset_from_json}
+FORMATS = {"model": "ocsvm-model/1", "split": "split/1", "rule set": "rule-set/1"}
+FIRST_FIELD = {"model": "schema", "split": "data_sha256", "rule set": "columns"}
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+@pytest.mark.parametrize("text, message", [
+    ("[1]", "expected a JSON object, got list"),
+    ('"x"', "expected a JSON object, got str"),
+    ("{", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ('{"format": "other/1"}', "unsupported {kind} format: 'other/1'"),
+    ("{}", "unsupported {kind} format: None"),
+    ('{"format": "{format}"}', "{kind} has no field '{field}'"),
+], ids=["list", "str", "broken", "other-format", "no-format", "no-field"])
+def test_every_reader_refuses_what_is_no_document_of_its_format(kind, text, message):
+    fill = {"kind": kind, "format": FORMATS[kind], "field": FIRST_FIELD[kind]}
+    with pytest.raises(SchemaError) as e:
+        READERS[kind](text.replace("{format}", fill["format"]))
+    assert str(e.value) == message.format(**fill)
+
+
+def test_csv_reader_refuses_a_column_declared_twice():
+    with pytest.raises(SchemaError) as e:
+        read_csv_table("data.csv", ["x", "y"], ["x"], data=b"x,y\n1,2\n")
+    assert str(e.value) == "columns declared twice: ['x']"

@@ -28,6 +28,7 @@ rows grew. seismic_like did not move.
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -193,3 +194,22 @@ def test_plot_golden(name, tmp_path, capsys):
         tmp_path, PLOT_RUNS[name],
         (["extract", "--target", "both"], ["plot", "--target", "both"]),
         ("plot_na.svg", "plot_a.svg")) == PLOT_GOLDEN[name]
+
+
+# The sha256 of each verbatim reference module. They hold former code that
+# exact-equality tests compare against, so a change to one must name its new
+# digest here and say why.
+REFERENCES = {
+    "cart": "f61f1805d09ed339e1da33cde1c1997a55d31e4cc66d93fa68127e914c7ce4c9",
+    "categorical": "179b7d571a8f421bb37548f04f7a6d7ad74b24c96c453834e0fdebaab6f4201d",
+    "kmeans": "154e69b0ff66ca7ff94e03a051a659720024286a77156fff50d71b3699ac6607",
+    "model": "efb2a9796f71890e5562090d2d0a52aa0bbabfc4770b48f83bbf7d278cb0e061",
+    "ocsvm": "a61a78ca2bb7e1c3af7e231e1713d1d805fd8becc6e039cf7adcb0cc01a1e6f1",
+    "sweep": "87a2c6429c2f2ea01b070c75e229134d97f1fa0ca38e08d556cdfcbad8f6847c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCES))
+def test_reference_module_is_unchanged(name):
+    path = Path(__file__).with_name(name + "_reference.py")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == REFERENCES[name]

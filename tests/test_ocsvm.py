@@ -323,7 +323,9 @@ def _fit_problems(draw):
 
 @given(_fit_problems())
 def test_fit_matches_reference_on_random_matrices(problem):
-    # bound flips of many alphas, ties among duplicate rows, quad == 0
+    # bound flips of many alphas and ties among duplicate rows; exact
+    # duplicates have equal G, so the loop stops before a step between them
+    # and quad <= 0 needs near-duplicates (the test below)
     X, nu, gamma = problem
     try:
         alpha, rho = ocsvm_reference.fit(X, nu, gamma)
@@ -332,6 +334,27 @@ def test_fit_matches_reference_on_random_matrices(problem):
             fit(X, nu=nu, kernel=KernelParams(gamma=gamma))
         return
     m = fit(X, nu=nu, kernel=KernelParams(gamma=gamma))
+    sv = alpha > 0
+    assert np.array_equal(m.alphas, alpha[sv])
+    assert np.array_equal(m.support_vectors, X[sv])
+    assert m.rho == rho
+
+
+@pytest.mark.parametrize("seed", [4, 7, 9, 10, 16])
+def test_fit_matches_reference_on_a_step_without_curvature(seed):
+    # rows a hair from earlier rows and a tol tight enough that the solver
+    # steps between such a pair, where K_ij rounds to 1 and quad <= 0 takes
+    # the floor of 1e-12; each of these seeds reaches it
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(6, 40))
+    X = rng.random((n, 2))
+    k = int(rng.integers(1, n // 2))
+    X[-k:] = X[:k] + 10.0 ** rng.uniform(-12, -8) * rng.normal(size=(k, 2))
+    tol = 10.0 ** rng.uniform(-15, -9)
+    gamma = 10.0 ** rng.uniform(-1, 2)
+    nu = rng.uniform(0.1, 0.9)
+    m = fit(X, nu=nu, kernel=KernelParams(gamma=gamma), tol=tol)
+    alpha, rho = ocsvm_reference.fit(X, nu, gamma, tol)
     sv = alpha > 0
     assert np.array_equal(m.alphas, alpha[sv])
     assert np.array_equal(m.support_vectors, X[sv])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -354,6 +355,20 @@ def test_extraction_requires_preprocessed_model(blob_data):
                       kernel=o.KernelParams(gamma=0.5))
     with pytest.raises(ConfigError):
         extract_rule_sets(split_by_prediction(blob_data, m), m, target="both")
+
+
+def test_extraction_refuses_a_model_it_cannot_describe(blob_data):
+    # the split comes from a model with preprocessing, so extraction itself refuses
+    m = o.fit_dataset(blob_data, ["x", "y"], [], nu=0.1, kernel=o.KernelParams(gamma=0.5))
+    split = split_by_prediction(blob_data, m)
+    bare = dataclasses.replace(m, schema=None)
+    with pytest.raises(ConfigError, match="^model has no attached preprocessing; "
+                       "fit with fit_dataset$"):
+        extract_rule_sets(split, bare)
+    flat = dataclasses.replace(m, schema=dataclasses.replace(m.schema, numerical=()))
+    with pytest.raises(ConfigError,
+                       match="^rule extraction needs at least one numerical column$"):
+        extract_rule_sets(split, flat)
 
 
 def test_extraction_is_deterministic(grouped_data, grouped_model):

@@ -194,7 +194,13 @@ def test_helper_streams_every_count_up_to_the_cap(forks):
     # the helper checks no clustering: it sends k0, k0 + 2, ... <= cap, then ends
     Xs = np.random.default_rng(0).random((40, 2))
     cfg = ExtractionConfig()
-    helper = Helper(Xs, cfg, 3, 8)
+    seeds = PlusPlusSeeds(Xs, cfg.seed, cfg.n_init)
+
+    def cluster(k):
+        return kmeans_pp(Xs, k, seed=cfg.seed, n_init=cfg.n_init,
+                         max_iter=cfg.kmeans_max_iter, seeds=seeds)
+
+    helper = Helper(cluster, 3, 8)
     try:
         got = {k: helper.result(k) for k in (3, 5, 7, 9)}
     finally:
