@@ -16,7 +16,10 @@ that names no setting (a misspelt "ocsvm.gama") included, 3 not enough data
 to mine rules, 4 an iterative stage failed to converge. On exit 4 from
 rule extraction the error object also carries last_n_clusters and
 offending_boxes: one [lower, upper] pair per box still contaminated at that
-count, in scaled units and in the rule set's column order.
+count, in scaled units and in the rule set's column order. That exit comes
+only from extraction.max_clusters: equal rows score equal, so no target row
+equals a row of the other side, and a state's sweep ends clean by its number
+of distinct rows.
 
 Imports. Importing this module loads the standard library, errors and the
 numpy-free formats module only. Each command binds the names it calls when

@@ -31,7 +31,7 @@ unless a single restart alone is larger: small groups run all their
 restarts at once, large ones one at a time.
 
 Lockstep moves no bit of any result. np.matmul calls the same BLAS kernel
-on each 2-D slice that X @ C.T calls for one restart. Every other step is
+on each 2-D slice that one restart's product calls. Every other step is
 elementwise, or a reduction along a contiguous last axis, which numpy does
 the same way for each row of a stack as for one row alone. The centre sums
 are one bincount per column over labels offset by restart * k, which adds
@@ -42,6 +42,24 @@ For d >= 2 that order is the order of X[members].mean(axis=0), so the
 centres are bit-identical to a per-cluster mean. For d == 1 numpy's mean
 over a contiguous column sums pairwise, so there the two can differ in the
 last bits (within 1e-12 * max|X|); the labels do not.
+
+One product gives the squared distances. A = [X | xx | 1] is built once
+per block and B = [-2C | 1 | cc] (transposed, one per restart) per step,
+xx and cc being the squared row norms of X and C. Entry (i, j) of A B sums
+-2 x_i . c_j over the d columns first, then adds xx_i, then cc_j: the order
+of the three steps ((-2 X C^T) + xx) + cc it replaces. OpenBLAS (0.3.31,
+one thread or more) sums each entry of a product in column order, so both
+round alike: scaling by -2 is exact and commutes with each rounding as long
+as no product or partial sum is subnormal. Scaled rows lie in [0, 1], where
+that takes a coordinate below 1.5e-154. Two exceptions:
+- One centre keeps the three steps. numpy multiplies (n, K) by (K, 1) on its
+  matrix-vector path, which sums in another order. It is one call per
+  group, every label is 0, and only the inertia reads the distances.
+- Past 192 centres OpenBLAS may round some tail columns of either product
+  otherwise, so a distance can move in the last bit and a near tie flip:
+  over 200 random problems on a 0.01 grid with k from 193 to 419, 10 of
+  151 335 labels moved. The seismic sample with data seed 13, whose sweep
+  runs to 296 clusters, moves none; tests/test_clustering.py pins it.
 """
 
 from __future__ import annotations
@@ -128,17 +146,28 @@ class PlusPlusSeeds:
         return X[np.array([p[:k] for p in picks[:restarts]])]
 
 
-def _assign(X: np.ndarray, xx_col: np.ndarray,
+def _assign(X: np.ndarray, A: np.ndarray,
             centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Labels (b, n) and the (b, n, k) squared distances to a block's centres.
 
-    Ties go to the lowest centre index. (-2G + xx) + cc is xx - 2G + cc bit
-    for bit, built in one buffer; xx_col is the row norms as an (n, 1) view.
+    A is [X | xx | 1], xx the squared row norms of X. Ties go to the lowest
+    centre index. For k >= 2 the distances are one product A [-2C | 1 | cc],
+    which is (-2 X C^T + xx) + cc bit for bit up to 192 centres (see the
+    module docstring); one centre takes those three steps itself.
     """
-    d2 = np.matmul(X, centers.transpose(0, 2, 1))
-    d2 *= -2.0
-    d2 += xx_col
-    d2 += (centers * centers).sum(axis=2)[:, None, :]
+    b, k, d = centers.shape
+    cc = (centers * centers).sum(axis=2)
+    if k == 1:
+        d2 = np.matmul(X, centers.transpose(0, 2, 1))
+        d2 *= -2.0
+        d2 += A[:, d:d + 1]
+        d2 += cc[:, None, :]
+    else:
+        B = np.empty((b, d + 2, k))
+        np.multiply(centers.transpose(0, 2, 1), -2.0, out=B[:, :d])
+        B[:, d] = 1.0
+        B[:, d + 1] = cc
+        d2 = np.matmul(A, B)
     np.maximum(d2, 0.0, out=d2)
     return d2.argmin(axis=2), d2
 
@@ -150,7 +179,7 @@ def _lloyd(X: np.ndarray, xx: np.ndarray, centers: np.ndarray,
     b, k, d = centers.shape
     n = X.shape[0]
     rows = np.arange(n)
-    xx_col = xx[:, None]
+    A = np.column_stack((X, xx, np.ones(n)))
     # the i-th restart still iterating counts into bins [i*k, (i+1)*k) and
     # weighs its rows by X's columns tiled once per restart, at [i*n, (i+1)*n)
     offsets = (np.arange(b) * k)[:, None]
@@ -158,7 +187,7 @@ def _lloyd(X: np.ndarray, xx: np.ndarray, centers: np.ndarray,
     sums = np.empty((b * k, d))
     runs = np.arange(b)  # block index of each restart still iterating
     centers = centers.copy()
-    labels, d2 = _assign(X, xx_col, centers)
+    labels, d2 = _assign(X, A, centers)
     done: dict[int, Clustering] = {}
     for n_iter in range(1, max_iter + 1):
         m = len(runs)
@@ -178,7 +207,7 @@ def _lloyd(X: np.ndarray, xx: np.ndarray, centers: np.ndarray,
             for i in np.flatnonzero(empty.any(axis=1)):
                 # respawn every empty cluster at the restart's worst-fit point
                 centers[i, empty[i]] = X[int(np.argmax(d2[i, rows, labels[i]]))]
-        new_labels, d2 = _assign(X, xx_col, centers)
+        new_labels, d2 = _assign(X, A, centers)
         moved = (new_labels != labels).any(axis=1)
         labels = new_labels
         if n_iter == max_iter:

@@ -12,10 +12,12 @@ Who computes which cluster count. The sweep over k = 1, 2, ... of one group
 runs in this process until its work, n times the sum of the counts so far
 including the current k, reaches AHEAD_WORK. From then on, if a Helper can
 be forked, it runs k-means for counts k + 1, k + 3, ... of that group up to
-the cluster cap, while this process computes k, k + 2, ... and decides, for
-every count, whether to accept it. Each such group gets its own helper,
-forked with only that group's points and killed and reaped when that
-group's sweep returns or raises, so at most one helper runs at a time.
+max_clusters or one below the group's number of distinct rows, whichever is
+lower (at that number the clustering is the rows themselves), while this
+process computes k, k + 2, ... and decides, for every count, whether to
+accept it. Each such group gets its own helper, forked with only that
+group's points and killed and reaped when that group's sweep returns or
+raises, so at most one helper runs at a time.
 
 Why the output cannot change. The helper is a fork of this process, with
 the same data, code and BLAS. It runs the sweep's own clustering step, with
@@ -47,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import PlusPlusSeeds, kmeans_pp
+from .clustering import Clustering, PlusPlusSeeds, kmeans_pp
 from .dataset import Dataset, scale_apply, state_mask, unique_categorical_states
 from .errors import ConfigError, ExtractionConvergenceError, InsufficientDataError
 from .formats import (  # noqa: F401 - the rule formats stay importable from here
@@ -170,6 +172,22 @@ def _check_clusters(Xs: np.ndarray, Ys: np.ndarray, cl, cfg: ExtractionConfig,
     return step
 
 
+def _distinct_rows(Xs: np.ndarray) -> Clustering:
+    """Each distinct row of Xs as a cluster of its own, numbered in order of
+    first appearance; rows that compare equal (0.0 and -0.0 do) share one."""
+    order = np.lexsort(Xs.T)
+    Xo = Xs[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (Xo[1:] != Xo[:-1]).any(axis=1)
+    # lexsort is stable, so each run of equal rows starts at its lowest index
+    starts = order[first]
+    rank = np.empty(starts.size, dtype=np.int64)
+    rank[np.argsort(starts)] = np.arange(starts.size)
+    labels = np.empty(order.size, dtype=np.int64)
+    labels[order] = rank[np.cumsum(first) - 1]
+    return Clustering(centers=Xs[np.sort(starts)], labels=labels, inertia=0.0, n_iter=0)
+
+
 def _extract_boxes(Xs: np.ndarray, Ys: np.ndarray, cfg: ExtractionConfig,
                    target: str, state: CategoricalState):
     """Cluster-and-check loop over one categorical group, scaled space.
@@ -177,17 +195,26 @@ def _extract_boxes(Xs: np.ndarray, Ys: np.ndarray, cfg: ExtractionConfig,
     Returns (boxes, discarded group-local indices, clusters used). Once the
     sweep's work n * (1 + 2 + ... + k) reaches AHEAD_WORK, a Helper computes
     counts k + 1, k + 3, ... while this loop computes the others.
+
+    The sweep ends by the group's number of distinct rows. At that count the
+    clustering is the distinct rows themselves, not k-means, whose clusters
+    need not separate rows a few ulps apart. Each box is then one point, so
+    it stays contaminated only where an opposite row equals a target row.
     """
     n = Xs.shape[0]
     if n == 0:
         return [], np.empty(0, dtype=np.int64), 0
     n_v = cfg.n_v if cfg.n_v is not None else 2 ** Xs.shape[1]
-    max_cl = min(cfg.max_clusters or n, n)
+    distinct = _distinct_rows(Xs)
+    max_cl = min(cfg.max_clusters or distinct.k, distinct.k)
+    last_kmeans = min(max_cl, distinct.k - 1)
 
     # k-means++ picks do not depend on k: each step extends the same seeding
     seeds = PlusPlusSeeds(Xs, cfg.seed, cfg.n_init)
 
     def cluster(k):
+        if k == distinct.k:
+            return distinct
         # kmeans_pp is looked up at call time, so a wrapper set on this module sees each call
         return kmeans_pp(Xs, k, seed=cfg.seed, n_init=cfg.n_init,
                          max_iter=cfg.kmeans_max_iter, seeds=seeds)
@@ -198,8 +225,8 @@ def _extract_boxes(Xs: np.ndarray, Ys: np.ndarray, cfg: ExtractionConfig,
     try:
         for n_cl in range(1, max_cl + 1):
             work += n * n_cl
-            if helper is None and work >= AHEAD_WORK and n_cl < max_cl:
-                helper = Helper(cluster, n_cl + 1, max_cl)
+            if helper is None and work >= AHEAD_WORK and n_cl < last_kmeans:
+                helper = Helper(cluster, n_cl + 1, last_kmeans)
             cl = helper.result(n_cl) if helper is not None else None
             if cl is None:
                 cl = cluster(n_cl)

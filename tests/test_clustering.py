@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import ocsvm_rules as o
 from ocsvm_rules import clustering
 from ocsvm_rules.clustering import PlusPlusSeeds, _lloyd, kmeans_pp
 from ocsvm_rules.errors import ConfigError
@@ -311,3 +314,64 @@ def test_lockstep_restarts_match_reference(data):
     block = _lloyd(X, np.sum(X * X, axis=1), starts, max_iter)
     for got, start in zip(block, starts):
         _reference_check(got, kmeans_reference._lloyd(X, start, max_iter), X)
+
+
+# ---------------------------------------------------------------------------
+# At the benchmark's scale: about 600 rows, up to the first sweeps past 192
+# clusters
+# ---------------------------------------------------------------------------
+
+def _scaled_non_anomalous(d, model):
+    """The scaled rows the non-anomalous sweep of a dataset without
+    categorical columns clusters."""
+    _, X_na = o.split_by_prediction(d, model)
+    return o.scale_apply(X_na, model.scaling).numeric_matrix(model.schema.numerical)
+
+
+def test_assign_is_the_three_step_distance_bit_for_bit():
+    # each block size and width, and centres on rows, whose distances cancel
+    # to about 0
+    rng = np.random.default_rng(41)
+    n = 601
+    for k in range(2, 193):
+        d, b = 1 + k % 6, (1, 3, 10)[k // 6 % 3]
+        X = rng.uniform(size=(n, d))
+        C = rng.uniform(size=(b, k, d))
+        C[:, ::2] = X[rng.integers(0, n, size=(b, (k + 1) // 2))]
+        xx = np.sum(X * X, axis=1)
+        labels, d2 = clustering._assign(X, np.column_stack((X, xx, np.ones(n))), C)
+        for i in range(b):
+            cc = np.sum(C[i] * C[i], axis=1)
+            ref = np.maximum(((X @ C[i].T) * -2 + xx[:, None]) + cc, 0)
+            assert d2[i].tobytes() == ref.tobytes(), (k, d, b, i)
+            assert np.array_equal(labels[i], ref.argmin(axis=1)), (k, d, b, i)
+
+
+@pytest.mark.parametrize("k", [2, 17, 55, 113])
+def test_seismic_counts_match_reference(k, seismic_data, seismic_model):
+    # blocks of all 10 restarts, of 6 and 4, and of one; 113 is where the
+    # seismic sweep ends
+    X = _scaled_non_anomalous(seismic_data, seismic_model)
+    got = kmeans_pp(X, k, seed=0, n_init=10)
+    _reference_check(got, kmeans_reference.kmeans_pp(X, k, seed=0, n_init=10), X)
+
+
+# sha256 of the labels (int64) and centres (float64), little-endian, of
+# kmeans_pp at each count in turn, recorded with the three-step distances
+# (-2 X C^T + xx) + cc. Past 192 clusters the one product may round some
+# entries otherwise; on this sample it does not.
+PAST_192_COUNTS = (150, 192, 193, 200, 250, 296)
+PAST_192_GOLDEN = "8092020cec0c0ee96c5b629b85f05e97adb674810bb31ce53e63a185e8e3abff"
+
+
+def test_seismic_seed_13_counts_past_192_golden():
+    d = synth.seismic_like(13)
+    model = o.fit_dataset(d, ["energy", "pulses"], [], nu=0.1, kernel=o.KernelParams(gamma=0.1))
+    X = _scaled_non_anomalous(d, model)
+    assert X.shape == (601, 2)
+    h = hashlib.sha256()
+    for k in PAST_192_COUNTS:
+        cl = kmeans_pp(X, k, seed=0, n_init=10)
+        h.update(cl.labels.astype("<i8").tobytes())
+        h.update(cl.centers.astype("<f8").tobytes())
+    assert h.hexdigest() == PAST_192_GOLDEN

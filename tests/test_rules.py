@@ -160,6 +160,21 @@ def test_unresolvable_contamination_raises():
     assert len(ei.value.offending_boxes) == 2
 
 
+@pytest.mark.parametrize("target", [TARGET_NON_ANOMALOUS, TARGET_ANOMALOUS])
+def test_sweep_ends_at_the_distinct_rows(target):
+    # k-means at k = 2 does not part rows 2 ulp apart around an opposite row
+    # 1 ulp from each; the last count takes the distinct rows, in order of
+    # first appearance
+    a = 0.5
+    b = np.nextafter(np.nextafter(a, 1.0), 1.0)
+    Xs = _col([b, a, b])
+    Ys = _col([np.nextafter(a, 1.0)])
+    boxes, discard, n_cl = _extract_boxes(Xs, Ys, ExtractionConfig(), target, ())
+    assert n_cl == 2 and discard.size == 0
+    assert [(bx.lower.tolist(), bx.upper.tolist(), bx.members.tolist()) for bx in boxes] \
+        == [([b], [b], [0, 2]), ([a], [a], [1])]
+
+
 def test_zero_discard_factor_never_discards():
     Xs = _col([0.0, 0.001, 0.5])
     Ys = _col([0.5])
